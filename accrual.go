@@ -60,6 +60,10 @@ type (
 	Heartbeat = core.Heartbeat
 	// Detector is an accrual failure detector module for one monitored
 	// process: Report feeds heartbeats, Suspicion queries the level.
+	// The same interface carries state export/restore
+	// (SnapshotState/RestoreState), live retuning (TuneInfo/Retune) and
+	// the frozen interpretation parameters (EvalSnapshot); every
+	// detector in this package implements all of it.
 	Detector = core.Detector
 	// BinaryDetector is a classical trust/suspect failure detector.
 	BinaryDetector = core.BinaryDetector
@@ -70,9 +74,6 @@ type (
 	// State is the exportable learned state of one detector — the
 	// payload of warm restarts and live state handoff.
 	State = core.State
-	// Snapshotter is implemented by detectors whose learned state can be
-	// exported and restored. All detectors in this package implement it.
-	Snapshotter = core.Snapshotter
 )
 
 // Binary detector statuses.
@@ -100,7 +101,7 @@ type (
 	TransitionHandler = service.TransitionHandler
 	// Clock abstracts the local clock (wall clock, simulated, manual).
 	Clock = clock.Clock
-	// MonitorState is a snapshot of every snapshotable detector in a
+	// MonitorState is a snapshot of every detector's learned state in a
 	// Monitor, produced by Monitor.ExportState and consumed by
 	// Monitor.ImportState — the unit of warm restart and state handoff.
 	MonitorState = service.MonitorState

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"accrual/internal/bertier"
 	"accrual/internal/chen"
 	"accrual/internal/clock"
 	"accrual/internal/core"
@@ -219,19 +220,23 @@ func TestIngestHotPathZeroAlloc(t *testing.T) {
 
 // newScrapeAPI builds a telemetry-wired API over a procs-process
 // registry with live QoS estimates — the fixture behind the scrape
-// benchmark and its zero-alloc gate.
-func newScrapeAPI(tb testing.TB, procs int) *transport.API {
+// benchmark and its zero-alloc gate. The clock ends past the last
+// arrival, so every level the render evaluates is a non-trivial one.
+func newScrapeAPI(tb testing.TB, procs int, factory service.Factory) *transport.API {
 	tb.Helper()
 	hub := telemetry.NewHub()
-	mon := service.NewMonitor(clock.NewManual(benchStart), simpleMonitorFactory,
-		service.WithTelemetry(hub))
-	at := benchStart.Add(time.Second)
-	for i := 0; i < procs; i++ {
-		id := fmt.Sprintf("proc-%06d", i)
-		if err := mon.Heartbeat(core.Heartbeat{From: id, Seq: 1, Arrived: at}); err != nil {
-			tb.Fatal(err)
+	clk := clock.NewManual(benchStart)
+	mon := service.NewMonitor(clk, factory, service.WithTelemetry(hub))
+	for seq := uint64(1); seq <= 3; seq++ {
+		at := clk.Advance(time.Second)
+		for i := 0; i < procs; i++ {
+			id := fmt.Sprintf("proc-%06d", i)
+			if err := mon.Heartbeat(core.Heartbeat{From: id, Seq: seq, Arrived: at}); err != nil {
+				tb.Fatal(err)
+			}
 		}
 	}
+	clk.Advance(1500 * time.Millisecond)
 	hub.QoS().Sample(mon)
 	return transport.NewAPI(mon, transport.WithAPITelemetry(hub))
 }
@@ -248,7 +253,7 @@ func (c *countingDiscard) Write(p []byte) (int, error) {
 // BenchmarkScrape measures one full /v1/metrics render over a warm
 // 100-process registry — the pooled, append-encoded exposition path.
 func BenchmarkScrape(b *testing.B) {
-	api := newScrapeAPI(b, 100)
+	api := newScrapeAPI(b, 100, simpleMonitorFactory)
 	cw := &countingDiscard{}
 	if err := api.WriteMetrics(cw); err != nil { // warm pools and header cache
 		b.Fatal(err)
@@ -274,24 +279,43 @@ func TestScrapeSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector defeats sync.Pool reuse; allocation budget not meaningful")
 	}
-	api := newScrapeAPI(t, 100)
-	cw := &countingDiscard{}
-	if err := api.WriteMetrics(cw); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := api.WriteMetrics(cw); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("steady-state scrape render: %.1f allocs/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := api.WriteMetricsPage(cw, 0, 10); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 1 {
-		t.Errorf("cursor page render: %.1f allocs/op, want <= 1", allocs)
+	// Every detector kind the daemon can run: the render evaluates one
+	// level per process, so a level function that allocates shows here.
+	for _, k := range []struct {
+		name    string
+		factory service.Factory
+	}{
+		{"simple", simpleMonitorFactory},
+		{"chen", func(_ string, st time.Time) core.Detector { return chen.New(st, time.Second) }},
+		{"phi", func(_ string, st time.Time) core.Detector {
+			return phi.New(st, phi.WithBootstrap(time.Second, time.Second/4))
+		}},
+		{"kappa", func(_ string, st time.Time) core.Detector {
+			return kappa.New(st, kappa.PLater{}, kappa.WithFixedInterval(time.Second))
+		}},
+		{"bertier", func(_ string, st time.Time) core.Detector { return bertier.New(st, time.Second) }},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			api := newScrapeAPI(t, 100, k.factory)
+			cw := &countingDiscard{}
+			if err := api.WriteMetrics(cw); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(100, func() {
+				if err := api.WriteMetrics(cw); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("steady-state scrape render: %.1f allocs/op, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(100, func() {
+				if _, err := api.WriteMetricsPage(cw, 0, 10); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs > 1 {
+				t.Errorf("cursor page render: %.1f allocs/op, want <= 1", allocs)
+			}
+		})
 	}
 }
 

@@ -23,7 +23,7 @@
 // estimator windows toward the -target-* QoS bounds under the measured
 // loss and jitter; every knob move is limited to ±autotune-step per
 // round and every estimator retune preserves accrued suspicion
-// (core.Retunable). Progress is observable via the accrual_autotune_*
+// (core.Detector.Retune). Progress is observable via the accrual_autotune_*
 // series on /v1/metrics.
 //
 // With -peers the daemon federates: every -federation-interval it

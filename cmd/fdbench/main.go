@@ -34,10 +34,10 @@
 //
 // The walk benchmark measures the lock-free evaluation plane: for each
 // -walk-sizes registry size it times one full-fleet pass through every
-// snapshot read path — EachLevel, EachLevelParallel, TopK(64) and
-// EachInfo — and writes the size × path matrix to a single
-// BENCH_walk.json (ns per pass, ns per process, allocs). The 1M point
-// makes it too heavy for "all"; CI runs it capped at 100k.
+// snapshot read path — EachLevel, TopK(64) and EachInfo — over the
+// daemon's default φ detector, and writes the size × path matrix to a
+// single BENCH_walk.json (ns per pass, ns per process, allocs). The 1M
+// point makes it too heavy for "all"; CI runs it capped at 100k.
 //
 // The federation benchmark measures the gossip plane: AFG1 digest
 // encode (one EncodeRound over a 10k-process registry) and decode

@@ -11,8 +11,17 @@ import (
 
 	"accrual/internal/clock"
 	"accrual/internal/core"
+	"accrual/internal/phi"
 	"accrual/internal/service"
-	"accrual/internal/simple"
+)
+
+// walkDetector names the detector the walk benchmark evaluates, and
+// walkInterval its expected heartbeat interval: accruald's defaults
+// (-detector phi -interval 1s), so the matrix measures the level
+// function the daemon actually ships with rather than the cheapest one.
+const (
+	walkDetector = "phi"
+	walkInterval = time.Second
 )
 
 // walkPoint is one cell of the evaluation-plane sweep: a registry size
@@ -30,8 +39,7 @@ type walkPoint struct {
 }
 
 // walkBenchResult is the single BENCH_walk.json artifact: the full
-// size × path matrix, so the sequential-vs-parallel scaling curve is
-// one committed file.
+// size × path matrix in one committed file.
 type walkBenchResult struct {
 	Name     string      `json:"name"`
 	Detector string      `json:"detector"`
@@ -41,7 +49,7 @@ type walkBenchResult struct {
 // walkMonitor registers procs processes and advances the clock so every
 // entry carries a live eval snapshot — the steady state the walk paths
 // read. Large registries get the 512-shard layout the membership-scale
-// guidance prescribes, so parallel walks have enough segments to spread.
+// guidance prescribes.
 func walkMonitor(procs int) *service.Monitor {
 	shards := 64
 	if procs > 100_000 {
@@ -49,7 +57,7 @@ func walkMonitor(procs int) *service.Monitor {
 	}
 	clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
 	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
-		return simple.New(start)
+		return phi.New(start, phi.WithBootstrap(walkInterval, walkInterval/4))
 	}, service.WithShardCount(shards))
 	arrived := mon.Now()
 	for i := 0; i < procs; i++ {
@@ -82,14 +90,6 @@ func walkBenchmarks(mon *service.Monitor) []struct {
 				mon.EachLevel(levelFn)
 			}
 		}},
-		{"each_level_parallel", func(b *testing.B) {
-			mon.EachLevelParallel(levelFn) // start the worker pool before the timer
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mon.EachLevelParallel(levelFn)
-			}
-		}},
 		{"top_k", func(b *testing.B) {
 			dst := make([]service.RankedProcess, 0, 64)
 			b.ReportAllocs()
@@ -107,10 +107,10 @@ func walkBenchmarks(mon *service.Monitor) []struct {
 	}
 }
 
-// runWalk sweeps registry sizes across the four full-fleet read paths
+// runWalk sweeps registry sizes across the three full-fleet read paths
 // and writes the whole matrix to BENCH_walk.json in outDir.
 func runWalk(sizes []int, outDir string) error {
-	res := walkBenchResult{Name: "walk", Detector: "simple"}
+	res := walkBenchResult{Name: "walk", Detector: walkDetector}
 	for _, procs := range sizes {
 		mon := walkMonitor(procs)
 		for _, wb := range walkBenchmarks(mon) {

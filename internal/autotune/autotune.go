@@ -17,13 +17,13 @@
 //   - the Algorithm 3 hysteresis thresholds of the reference
 //     interpreter (the paper's dynamic T(t)/T₀(t)), via
 //     telemetry.QoS.SetThresholds;
-//   - the estimator window size of every retunable detector, via
-//     core.Retunable (service.Monitor.Retune);
+//   - the estimator window size of every detector, via
+//     core.Detector.Retune (service.Monitor.Retune);
 //   - the detectors' nominal-interval knob, tracking the measured
 //     heartbeat interval corrected for loss.
 //
 // Every update is bounded by a per-round step limit and continuity is
-// preserved at each retune instant (see core.Retunable), so the
+// preserved at each retune instant (see core.Detector.Retune), so the
 // controller can run against live traffic: a bad measurement produces
 // at worst one bounded wrong step, corrected the next round.
 package autotune

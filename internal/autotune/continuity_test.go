@@ -59,10 +59,6 @@ func TestRetuneSuspicionContinuity(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(trial)*7919 + 17))
 				start := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
 				det := rd.build(start)
-				r, ok := det.(core.Retunable)
-				if !ok {
-					t.Fatalf("%s detector does not implement core.Retunable", rd.name)
-				}
 
 				now := start
 				var seq uint64
@@ -82,7 +78,7 @@ func TestRetuneSuspicionContinuity(t *testing.T) {
 						q := now.Add(time.Duration(rng.Intn(300)) * time.Millisecond)
 						before := det.Suspicion(q)
 						tuning := randomTuning(rng, interval)
-						if err := r.Retune(tuning); err != nil {
+						if err := det.Retune(tuning); err != nil {
 							t.Fatalf("trial %d beat %d: Retune(%+v): %v", trial, b, tuning, err)
 						}
 						after := det.Suspicion(q)
@@ -121,12 +117,11 @@ func TestRetuneRejectsNegatives(t *testing.T) {
 	for _, rd := range retunables {
 		t.Run(rd.name, func(t *testing.T) {
 			det := rd.build(start)
-			r := det.(core.Retunable)
 			for _, bad := range []core.Tuning{
 				{WindowSize: -1},
 				{Interval: -time.Second},
 			} {
-				if err := r.Retune(bad); !errors.Is(err, core.ErrBadTuning) {
+				if err := det.Retune(bad); !errors.Is(err, core.ErrBadTuning) {
 					t.Errorf("Retune(%+v) = %v, want ErrBadTuning", bad, err)
 				}
 			}

@@ -143,12 +143,7 @@ func (d *Detector) ExpectedArrival() (time.Time, bool) { return d.est.ExpectedAr
 // units of the adaptive margin: 0 while on time, 1 exactly at the point
 // the original binary detector would suspect, growing linearly after.
 func (d *Detector) Suspicion(now time.Time) core.Level {
-	lateness := d.est.Suspicion(now) // seconds late past EA
-	if lateness <= 0 {
-		return 0
-	}
-	margin := d.Margin().Seconds()
-	return (core.Level(float64(lateness) / margin)).Quantize(d.eps)
+	return d.EvalSnapshot().Level(now)
 }
 
 // Snapshotable state identity (see core.State).
@@ -158,8 +153,6 @@ const (
 	// StateVersion is the current payload schema version.
 	StateVersion = 1
 )
-
-var _ core.Snapshotter = (*Detector)(nil)
 
 // SnapshotState exports the detector's learned state: the Jacobson
 // smoothed lateness and deviation plus the embedded Chen estimator's

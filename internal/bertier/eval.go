@@ -4,12 +4,10 @@ import (
 	"accrual/internal/core"
 )
 
-var _ core.EvalSnapshotter = (*Detector)(nil)
-
-// EvalSnapshot publishes the detector's frozen interpretation function
-// (core.EvalSnapshotter): between heartbeats the level is the lateness
-// past the embedded estimator's expected arrival, normalised by the
-// Jacobson margin — and both EA and the margin only move on arrivals,
+// EvalSnapshot publishes the detector's frozen interpretation
+// function: between heartbeats the level is the lateness past the
+// embedded estimator's expected arrival, normalised by the Jacobson
+// margin — and both EA and the margin only move on arrivals,
 // so (EA, margin, ε) are the whole state. The embedded Chen estimator
 // carries no resolution of its own (New never sets one), so its
 // intermediate lateness needs no quantisation step here.

@@ -4,8 +4,6 @@ import (
 	"accrual/internal/core"
 )
 
-var _ core.Retunable = (*Detector)(nil)
-
 // TuneInfo reports the embedded Chen estimator's tunable state plus the
 // current adaptive margin.
 func (d *Detector) TuneInfo() core.TuneInfo {

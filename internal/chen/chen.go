@@ -47,9 +47,7 @@ type Detector struct {
 	lastA    time.Time
 }
 
-var (
-	_ core.Detector = (*Detector)(nil)
-)
+var _ core.Detector = (*Detector)(nil)
 
 // Option configures a Detector.
 type Option func(*Detector)
@@ -128,15 +126,7 @@ func (d *Detector) ExpectedArrival() (time.Time, bool) {
 // level ramps up if nothing ever arrives (preserving Accruement from the
 // very beginning).
 func (d *Detector) Suspicion(now time.Time) core.Level {
-	ea, ok := d.ExpectedArrival()
-	if !ok {
-		ea = d.start.Add(d.interval)
-	}
-	late := now.Sub(ea)
-	if late < 0 {
-		return 0
-	}
-	return core.Level(float64(late) / float64(d.unit)).Quantize(d.eps)
+	return d.EvalSnapshot().Level(now)
 }
 
 // LastSeq returns the largest sequence number received.
@@ -149,8 +139,6 @@ const (
 	// StateVersion is the current payload schema version.
 	StateVersion = 1
 )
-
-var _ core.Snapshotter = (*Detector)(nil)
 
 // SnapshotState exports the estimator's learned state: the start time
 // the window samples are relative to, the nominal interval they were

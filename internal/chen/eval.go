@@ -4,13 +4,11 @@ import (
 	"accrual/internal/core"
 )
 
-var _ core.EvalSnapshotter = (*Detector)(nil)
-
-// EvalSnapshot publishes the detector's frozen interpretation function
-// (core.EvalSnapshotter): between heartbeats the level is the lateness
-// past the expected arrival EA in level units, so the precomputed EA,
-// the unit and ε are the whole state. Before the first heartbeat EA is
-// start+η, exactly as Suspicion assumes.
+// EvalSnapshot publishes the detector's frozen interpretation
+// function: between heartbeats the level is the lateness past the
+// expected arrival EA in level units, so the precomputed EA, the unit
+// and ε are the whole state. Before the first heartbeat EA is start+η
+// (see Suspicion).
 func (d *Detector) EvalSnapshot() core.EvalSnapshot {
 	ea, ok := d.ExpectedArrival()
 	if !ok {

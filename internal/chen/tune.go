@@ -7,8 +7,6 @@ import (
 	"accrual/internal/core"
 )
 
-var _ core.Retunable = (*Detector)(nil)
-
 // TuneInfo reports the estimator's tunable state. ArrivalMean is the
 // mean gap between accepted heartbeats (loss-inflated: a dropped beat
 // doubles the observed gap); ArrivalStdDev is the standard deviation of

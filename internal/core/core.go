@@ -16,10 +16,10 @@
 //
 // The package defines the Detector interface implemented by every accrual
 // detector in this module (internal/simple, internal/chen, internal/phi,
-// internal/kappa), the BinaryDetector interface produced by the
-// transformations of internal/transform, transition bookkeeping used by
-// the QoS metrics of internal/qos, and executable checkers for the two
-// defining properties.
+// internal/kappa, internal/bertier), the BinaryDetector interface
+// produced by the transformations of internal/transform, transition
+// bookkeeping used by the QoS metrics of internal/qos, and executable
+// checkers for the two defining properties.
 package core
 
 import (
@@ -70,22 +70,46 @@ type Heartbeat struct {
 }
 
 // Detector is one accrual failure detector module: process q monitoring a
-// single process p. Monitoring information is fed with Report and the
-// current suspicion level is obtained with Suspicion. Implementations are
-// passive state machines — they hold no goroutines or timers — so the same
-// detector code runs under the discrete-event simulator and the real
-// network transport.
+// single process p. It is the one contract every detector kind
+// implements in full — there are no optional facets. Implementations are
+// passive state machines — they hold no goroutines or timers — so the
+// same detector code runs under the discrete-event simulator and the
+// real network transport.
+//
+// The contract follows the paper's decoupling (Figs. 1–2): Report is
+// monitoring, and everything a reader needs for interpretation is the
+// frozen EvalSnapshot. A detector computes levels in exactly one place:
+// its EvalSnapshot parameters evaluated by EvalSnapshot.Level.
 //
 // Implementations need not be safe for concurrent use; synchronisation is
-// the caller's concern (internal/service wraps detectors in a mutex).
+// the caller's concern (internal/service serialises every method with a
+// per-process lock).
 type Detector interface {
 	// Report records the arrival of a heartbeat from the monitored
 	// process.
 	Report(hb Heartbeat)
-	// Suspicion returns the suspicion level sl_qp(now). now must be
-	// monotonically non-decreasing across calls for the accruement
-	// guarantees to hold.
+	// Suspicion returns the suspicion level sl_qp(now): by contract
+	// EvalSnapshot().Level(now). now must be monotonically
+	// non-decreasing across calls for the accruement guarantees to hold.
 	Suspicion(now time.Time) Level
+	// EvalSnapshot returns the detector's interpretation function with
+	// the monitoring state frozen in (see EvalSnapshot). It runs once
+	// per accepted heartbeat, so it must not allocate on the
+	// steady-state path.
+	EvalSnapshot() EvalSnapshot
+	// SnapshotState exports the learned state as a self-contained copy
+	// (no aliasing of internal buffers) — the seam behind warm restarts
+	// and live state handoff between monitors.
+	SnapshotState() State
+	// RestoreState validates the state's Kind and Version (State.Check)
+	// and replaces the learned state, leaving configuration untouched.
+	RestoreState(State) error
+	// TuneInfo returns the detector's current tunable state.
+	TuneInfo() TuneInfo
+	// Retune applies a live parameter update, preserving the current
+	// suspicion level at the instant of the call. It is atomic: on
+	// error (wrapping ErrBadTuning) no knob has moved.
+	Retune(t Tuning) error
 }
 
 // Status is the output of a binary failure detector: the monitored

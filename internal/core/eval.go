@@ -22,21 +22,19 @@ import (
 // parameters between arrivals — φ and Bertier to (mean, stddev) /
 // (EA, margin), Chen to EA, Algorithm 4 to t_last, κ to the estimate
 // feeding its contribution curve — so a reader holding those scalars
-// can reproduce Suspicion(now) exactly, for any now, with pure
-// arithmetic.
+// computes the level for any now with pure arithmetic. Level below is
+// therefore the only level formula in the module: every detector's
+// Suspicion(now) is EvalSnapshot().Level(now).
 
 // EvalKind discriminates the evaluator shape of an EvalSnapshot.
 type EvalKind uint32
 
 const (
-	// EvalNone means no snapshot is available: the detector does not
-	// implement EvalSnapshotter (or the slot is unbound). Readers must
-	// fall back to the locked Suspicion path.
-	EvalNone EvalKind = iota
 	// EvalZero is the degenerate snapshot of a detector with no
 	// estimate yet (φ or κ before any inter-arrival sample): the level
-	// is 0 for every now.
-	EvalZero
+	// is 0 for every now. It is the zero value, so an empty snapshot
+	// evaluates to "not suspected".
+	EvalZero EvalKind = iota
 	// EvalElapsed is Algorithm 4 (internal/simple):
 	// level = max(0, now−Ref) / P1, with Ref = t_last and P1 the level
 	// unit in nanoseconds.
@@ -73,11 +71,9 @@ const (
 // snapshot was taken, without locks and without the detector.
 //
 // The meaning of Ref, P1 and P2 depends on Kind (see the constants).
-// Ref is always an instant in Unix nanoseconds; readers compare it
-// against now.UnixNano(), i.e. wall-clock arithmetic. Under the manual
-// clocks of the simulator and the test suites this is bit-identical to
-// the detector's own time.Time arithmetic; under the real clock the two
-// may differ by the wall-versus-monotonic reading of one clock step.
+// Ref is always an instant in Unix nanoseconds; Level compares it
+// against now.UnixNano(), i.e. wall-clock arithmetic, so this is the one
+// place the module's time base is decided.
 //
 // Snapshots are plain values: publishing one must not allocate, so a
 // detector's EvalSnapshot method returns it by value and any Aux hook
@@ -90,8 +86,7 @@ type EvalSnapshot struct {
 	// P1 and P2 are the kind-specific scalar parameters.
 	P1 float64
 	P2 float64
-	// Eps is the detector's level resolution ε (Definition 1), applied
-	// by Level exactly as the detector's own Suspicion applies it.
+	// Eps is the detector's level resolution ε (Definition 1).
 	Eps Level
 	// Aux is the evaluator hook of EvalAuxKind snapshots, nil
 	// otherwise. Implementations must be immutable once published and
@@ -108,24 +103,9 @@ type EvalAux interface {
 	EvalLevel(s EvalSnapshot, now time.Time) Level
 }
 
-// EvalSnapshotter is implemented by detectors that publish eval
-// snapshots. The contract: for any now at or after the last state
-// change, s.Level(now) must equal Suspicion(now) to within 1e-9 — the
-// snapshot is the detector's interpretation function with the
-// monitoring state frozen in, not an approximation of it.
-//
-// EvalSnapshot is called under the same external synchronisation as
-// Report and Suspicion (the registry's entry lock); it must not
-// allocate on the steady-state path, since it runs once per accepted
-// heartbeat.
-type EvalSnapshotter interface {
-	EvalSnapshot() EvalSnapshot
-}
-
 // Level evaluates the snapshot at now. It is pure, lock-free and
-// allocation-free for every kind except EvalPhiErlang (whose
-// log-sum-exp scratch allocates, exactly as the live φ Erlang path
-// does).
+// allocation-free for every kind except EvalPhiErlang, whose
+// log-sum-exp scratch allocates.
 func (s EvalSnapshot) Level(now time.Time) Level {
 	switch s.Kind {
 	case EvalElapsed, EvalLateness:
@@ -144,34 +124,36 @@ func (s EvalSnapshot) Level(now time.Time) Level {
 			return 0
 		}
 		return Level(lateness / s.P1).Quantize(s.Eps)
-	case EvalPhiNormal:
-		return s.phiLevel(now, stats.Normal{Mu: s.P1, Sigma: s.P2})
-	case EvalPhiExponential:
-		return s.phiLevel(now, stats.Exponential{MeanValue: s.P1})
-	case EvalPhiErlang:
-		return s.phiLevel(now, stats.Erlang{K: int(s.P1), Lambda: s.P2})
+	case EvalPhiNormal, EvalPhiExponential, EvalPhiErlang:
+		// φ(t) = −log₁₀ P_later(t − t_last), computed in log space so it
+		// keeps growing smoothly far past the point where P_later
+		// underflows in float64. The concrete LogTail methods are called
+		// directly: boxing the distribution into an interface would
+		// heap-allocate on every evaluation.
+		elapsed := time.Duration(now.UnixNano() - s.Ref).Seconds()
+		if elapsed <= 0 {
+			return 0
+		}
+		var logTail float64
+		switch s.Kind {
+		case EvalPhiNormal:
+			logTail = stats.Normal{Mu: s.P1, Sigma: s.P2}.LogTail(elapsed)
+		case EvalPhiExponential:
+			logTail = stats.Exponential{MeanValue: s.P1}.LogTail(elapsed)
+		default:
+			logTail = stats.Erlang{K: int(s.P1), Lambda: s.P2}.LogTail(elapsed)
+		}
+		phi := -logTail / math.Ln10
+		if phi <= 0 { // also normalises the -0.0 produced by logTail == 0
+			return 0
+		}
+		return Level(phi).Quantize(s.Eps)
 	case EvalAuxKind:
 		if s.Aux == nil {
 			return 0
 		}
 		return s.Aux.EvalLevel(s, now)
-	default: // EvalNone, EvalZero
+	default: // EvalZero
 		return 0
 	}
-}
-
-// phiLevel replicates phi.Detector.Phi + Suspicion over the published
-// distribution parameters: elapsed time in seconds through the same
-// Duration.Seconds() rounding, the same log-space tail, the same
-// −log₁₀ conversion and non-positive clamp.
-func (s EvalSnapshot) phiLevel(now time.Time, dist stats.LogTailer) Level {
-	elapsed := time.Duration(now.UnixNano() - s.Ref).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	phi := -dist.LogTail(elapsed) / math.Ln10
-	if phi <= 0 {
-		return 0
-	}
-	return Level(phi).Quantize(s.Eps)
 }

@@ -55,15 +55,3 @@ type TuneInfo struct {
 	Accepted uint64
 	Lost     uint64
 }
-
-// Retunable is implemented by detectors that accept live parameter
-// updates. Retune applies the requested tuning, preserving the current
-// suspicion level at the instant of the call; it returns an error (and
-// applies nothing) when the requested tuning is out of range.
-type Retunable interface {
-	// TuneInfo returns the detector's current tunable state.
-	TuneInfo() TuneInfo
-	// Retune applies the update. Implementations must be atomic: on
-	// error no knob has moved.
-	Retune(t Tuning) error
-}

@@ -43,21 +43,6 @@ type State struct {
 	Sub map[string]State
 }
 
-// Snapshotter is implemented by detectors whose learned state can be
-// exported and re-imported — the seam that enables warm restarts and
-// live state handoff between monitors. SnapshotState must return a
-// self-contained copy (no aliasing of internal buffers); RestoreState
-// must validate the state's Kind and Version and replace the detector's
-// learned state, leaving configuration untouched.
-//
-// Like the rest of the Detector contract, neither method needs to be
-// safe for concurrent use: internal/service serialises them with the
-// same per-process lock that guards Report and Suspicion.
-type Snapshotter interface {
-	SnapshotState() State
-	RestoreState(State) error
-}
-
 // Errors returned by RestoreState implementations.
 var (
 	// ErrStateKind is returned when a state is restored into a detector

@@ -6,30 +6,29 @@ import (
 	"accrual/internal/core"
 )
 
-var _ core.EvalSnapshotter = (*Detector)(nil)
-
-// snapEval is the κ detector's core.EvalAux hook: it re-runs the
-// contribution sum of Suspicion from published parameters instead of
-// detector state. One snapEval is allocated per detector at
-// construction (never per publication) and is immutable afterwards —
-// the contribution function itself is configuration, fixed at New, so
-// sharing it across lock-free readers is safe.
+// snapEval is the κ detector's core.EvalAux hook: it computes the
+// contribution sum from published parameters. One snapEval is allocated
+// per detector at construction (never per publication) and is immutable
+// afterwards — the contribution function itself is configuration, fixed
+// at New, so sharing it across lock-free readers is safe.
 type snapEval struct {
 	contrib Contribution
 }
 
-// EvalLevel replicates Detector.Suspicion over the published
-// parameters: P1/P2 carry the inter-arrival estimate (mean and stddev,
-// nanoseconds), Ref the last arrival. The due-time grid walk, the
-// saturation shortcut and the quantisation are the same code shape as
-// the live path, so the two agree wherever their clock arithmetic does.
+// EvalLevel is the κ level function. P1/P2 carry the inter-arrival
+// estimate (mean and stddev, nanoseconds), Ref the last arrival.
+// Heartbeats missed for longer than the contribution's saturation delay
+// count as exactly 1 without being enumerated, so queries stay
+// O(saturation/interval) even for long-crashed processes.
 func (a *snapEval) EvalLevel(s core.EvalSnapshot, now time.Time) core.Level {
 	est := Estimate{Mean: time.Duration(s.P1), StdDev: time.Duration(s.P2)}
 	elapsed := time.Duration(now.UnixNano() - s.Ref)
 	if elapsed <= 0 || est.Mean <= 0 {
 		return 0
 	}
-	base := time.Unix(0, s.Ref)
+	base := time.Unix(0, s.Ref) // expected arrival time of the last received heartbeat
+	// Heartbeat j (1-based after the last received one) starts being
+	// awaited at due_j = base + (j−1)·mean; it is due once due_j <= now.
 	m := int64(elapsed/est.Mean) + 1
 	sat := a.contrib.Saturation(est)
 	var nSat int64
@@ -47,9 +46,9 @@ func (a *snapEval) EvalLevel(s core.EvalSnapshot, now time.Time) core.Level {
 	return core.Level(sum).Quantize(s.Eps)
 }
 
-// EvalSnapshot publishes the detector's frozen interpretation function
-// (core.EvalSnapshotter): between heartbeats the κ level is the
-// contribution sum over the due-time grid anchored at the last arrival,
+// EvalSnapshot publishes the detector's frozen interpretation
+// function: between heartbeats the κ level is the contribution sum
+// over the due-time grid anchored at the last arrival,
 // so the inter-arrival estimate, the last arrival and the (immutable)
 // contribution curve are the whole state. The curve rides along as the
 // snapshot's Aux hook.

@@ -296,37 +296,10 @@ func (d *Detector) estimate() (Estimate, bool) {
 }
 
 // Suspicion returns the κ suspicion level at time now: the sum of the
-// contributions of all heartbeats currently missing. Heartbeats missed
-// for longer than the contribution's saturation delay count as exactly 1
-// without being enumerated, so queries stay O(saturation/interval) even
-// for long-crashed processes.
+// contributions of all heartbeats currently missing (see
+// snapEval.EvalLevel).
 func (d *Detector) Suspicion(now time.Time) core.Level {
-	est, ok := d.estimate()
-	if !ok {
-		return 0
-	}
-	base := d.last // expected arrival time of the last received heartbeat
-	elapsed := now.Sub(base)
-	if elapsed <= 0 || est.Mean <= 0 {
-		return 0
-	}
-	// Heartbeat j (1-based after the last received one) starts being
-	// awaited at due_j = base + (j−1)·mean; it is due once due_j <= now.
-	m := int64(elapsed/est.Mean) + 1
-	sat := d.contrib.Saturation(est)
-	var nSat int64
-	if elapsed > sat {
-		nSat = int64((elapsed-sat)/est.Mean) + 1
-		if nSat > m {
-			nSat = m
-		}
-	}
-	sum := float64(nSat)
-	for j := nSat + 1; j <= m; j++ {
-		due := base.Add(time.Duration(j-1) * est.Mean)
-		sum += d.contrib.Value(now.Sub(due), est)
-	}
-	return core.Level(sum).Quantize(d.eps)
+	return d.EvalSnapshot().Level(now)
 }
 
 // Snapshotable state identity (see core.State).
@@ -336,8 +309,6 @@ const (
 	// StateVersion is the current payload schema version.
 	StateVersion = 1
 )
-
-var _ core.Snapshotter = (*Detector)(nil)
 
 // SnapshotState exports the detector's learned state: the inter-arrival
 // sample window behind the interval estimate, the last arrival and the

@@ -7,8 +7,6 @@ import (
 	"accrual/internal/core"
 )
 
-var _ core.Retunable = (*Detector)(nil)
-
 // TuneInfo reports the detector's tunable state. Interval is the fixed
 // interval when one is configured (the pending retuned value if an
 // update is awaiting an arrival), zero in estimating mode; ArrivalMean

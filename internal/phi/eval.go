@@ -6,16 +6,13 @@ import (
 	"accrual/internal/core"
 )
 
-var _ core.EvalSnapshotter = (*Detector)(nil)
-
-// EvalSnapshot publishes the detector's frozen interpretation function
-// (core.EvalSnapshotter): between heartbeats φ is a pure function of
-// (now − t_last) given the fitted inter-arrival distribution, so the
-// distribution parameters — the same (mean, stddev)-shaped estimate the
-// original φ paper computes φ from — plus t_last and ε are the whole
-// state. The fit mirrors dist() exactly, including the σ floor, the
-// acceptable-pause shift and the Erlang moment fit, but publishes the
-// scalar parameters instead of boxing a stats.Dist.
+// EvalSnapshot publishes the detector's frozen interpretation
+// function: between heartbeats φ is a pure function of (now − t_last)
+// given the fitted inter-arrival distribution, so the distribution
+// parameters — the same (mean, stddev)-shaped estimate the original φ
+// paper computes φ from — plus t_last and ε are the whole state. This
+// is where the distribution is fitted: the acceptable-pause shift of
+// the mean, the σ floor, and the Erlang method-of-moments shape.
 func (d *Detector) EvalSnapshot() core.EvalSnapshot {
 	if d.window.Len() == 0 {
 		return core.EvalSnapshot{Kind: core.EvalZero}

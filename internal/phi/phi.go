@@ -18,7 +18,6 @@
 package phi
 
 import (
-	"math"
 	"time"
 
 	"accrual/internal/core"
@@ -183,70 +182,19 @@ func (d *Detector) Report(hb core.Heartbeat) {
 	d.hasLast = true
 }
 
-// dist returns the currently estimated inter-arrival distribution and
-// whether enough samples exist to form one.
-func (d *Detector) dist() (stats.Dist, bool) {
-	if d.window.Len() == 0 {
-		return nil, false
-	}
-	mean := d.window.Mean() + d.acceptablePause
-	switch d.model {
-	case ModelExponential:
-		if mean <= 0 {
-			return nil, false
-		}
-		return stats.Exponential{MeanValue: mean}, true
-	case ModelErlang:
-		if mean <= 0 {
-			return nil, false
-		}
-		v := d.window.Variance()
-		minV := d.minStdDev * d.minStdDev
-		if v < minV {
-			v = minV
-		}
-		k := int(math.Round(mean * mean / v))
-		if k < 1 {
-			k = 1
-		}
-		if k > maxErlangShape {
-			k = maxErlangShape
-		}
-		return stats.Erlang{K: k, Lambda: float64(k) / mean}, true
-	default:
-		sd := d.window.StdDev()
-		if sd < d.minStdDev {
-			sd = d.minStdDev
-		}
-		return stats.Normal{Mu: mean, Sigma: sd}, true
-	}
-}
-
-// Phi returns the raw φ value at time now: −log₁₀ P_later(now − t_last).
-// Before any estimate exists it returns 0 (no information, no suspicion).
-// The value is computed in log space, so it keeps growing smoothly far
-// past the point where P_later underflows in float64.
+// Phi returns the raw φ value at time now: −log₁₀ P_later(now − t_last),
+// the detector's level at resolution ε = 0. Before any estimate exists
+// it returns 0 (no information, no suspicion).
 func (d *Detector) Phi(now time.Time) float64 {
-	dist, ok := d.dist()
-	if !ok {
-		return 0
-	}
-	elapsed := now.Sub(d.last).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	logTail := stats.LogTail(dist, elapsed)
-	phi := -logTail / math.Ln10
-	if phi <= 0 { // also normalises the -0.0 produced by logTail == 0
-		return 0
-	}
-	return phi
+	snap := d.EvalSnapshot()
+	snap.Eps = 0
+	return float64(snap.Level(now))
 }
 
 // Suspicion returns the suspicion level sl(now) = φ(now), quantised to
 // the configured resolution.
 func (d *Detector) Suspicion(now time.Time) core.Level {
-	return core.Level(d.Phi(now)).Quantize(d.eps)
+	return d.EvalSnapshot().Level(now)
 }
 
 // Snapshotable state identity (see core.State).
@@ -256,8 +204,6 @@ const (
 	// StateVersion is the current payload schema version.
 	StateVersion = 1
 )
-
-var _ core.Snapshotter = (*Detector)(nil)
 
 // SnapshotState exports the detector's learned state: the inter-arrival
 // sample window (the estimated distribution, and the expensive part to

@@ -230,14 +230,11 @@ func TestPhiErlangModel(t *testing.T) {
 	d := New(start, WithModel(ModelErlang))
 	last := feedRegular(d, 500, 0.02, 12)
 	// Moment matching: k ~ mean^2/var = (0.1/0.02)^2 = 25.
-	dist, ok := d.dist()
-	if !ok {
-		t.Fatal("no estimate")
+	snap := d.EvalSnapshot()
+	if snap.Kind != core.EvalPhiErlang {
+		t.Fatalf("snapshot kind = %v, want EvalPhiErlang", snap.Kind)
 	}
-	er, ok := dist.(stats.Erlang)
-	if !ok {
-		t.Fatalf("dist = %T, want Erlang", dist)
-	}
+	er := stats.Erlang{K: int(snap.P1), Lambda: snap.P2}
 	if er.K < 15 || er.K > 40 {
 		t.Errorf("fitted shape k = %d, want ~25", er.K)
 	}
@@ -260,13 +257,12 @@ func TestPhiErlangShapeClamps(t *testing.T) {
 	// overflowing.
 	d := New(start, WithModel(ModelErlang), WithMinStdDev(time.Microsecond))
 	feedRegular(d, 300, 0.00001, 13)
-	dist, ok := d.dist()
-	if !ok {
+	snap := d.EvalSnapshot()
+	if snap.Kind != core.EvalPhiErlang {
 		t.Fatal("no estimate")
 	}
-	er := dist.(stats.Erlang)
-	if er.K != maxErlangShape {
-		t.Errorf("k = %d, want cap %d", er.K, maxErlangShape)
+	if k := int(snap.P1); k != maxErlangShape {
+		t.Errorf("k = %d, want cap %d", k, maxErlangShape)
 	}
 	// Extremely noisy intervals clamp k to 1 (exponential-like).
 	d2 := New(start, WithModel(ModelErlang))
@@ -277,9 +273,8 @@ func TestPhiErlangShapeClamps(t *testing.T) {
 		at = at.Add(gap)
 		d2.Report(core.Heartbeat{From: "p", Seq: uint64(i), Arrived: at})
 	}
-	er2 := func() stats.Erlang { dd, _ := d2.dist(); return dd.(stats.Erlang) }()
-	if er2.K > 3 {
-		t.Errorf("noisy k = %d, want small", er2.K)
+	if k := int(d2.EvalSnapshot().P1); k > 3 {
+		t.Errorf("noisy k = %d, want small", k)
 	}
 }
 
@@ -299,12 +294,12 @@ func TestPhiDistDegenerateGuards(t *testing.T) {
 	// only with pathological feeds) must not produce a distribution.
 	d := New(start, WithModel(ModelExponential))
 	d.window.Push(0)
-	if _, ok := d.dist(); ok {
+	if d.EvalSnapshot().Kind != core.EvalZero {
 		t.Error("zero-mean exponential estimate should be rejected")
 	}
 	d2 := New(start, WithModel(ModelErlang))
 	d2.window.Push(0)
-	if _, ok := d2.dist(); ok {
+	if d2.EvalSnapshot().Kind != core.EvalZero {
 		t.Error("zero-mean erlang estimate should be rejected")
 	}
 }

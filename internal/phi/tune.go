@@ -7,8 +7,6 @@ import (
 	"accrual/internal/core"
 )
 
-var _ core.Retunable = (*Detector)(nil)
-
 // TuneInfo reports the estimator's tunable state. The φ detector
 // estimates the inter-arrival distribution directly, so ArrivalMean and
 // ArrivalStdDev come straight from the sample window.

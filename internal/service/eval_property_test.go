@@ -2,9 +2,7 @@ package service
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,44 +15,50 @@ import (
 	"accrual/internal/simple"
 )
 
-// TestSnapshotLevelsMatchLive is the correctness property of the eval
-// snapshot plane: for every detector kind, a level evaluated lock-free
-// from the published snapshot must agree with the live detector's
-// Suspicion() — at the same frozen instant — to within 1e-9. The
-// workload is deliberately hostile to stale snapshots: jittered
-// arrivals, 10% heartbeat loss (sequence numbers spent on beats that
-// never arrive), deregister/re-register churn, and live retunes that
-// resize estimation windows mid-stream. Every one of those paths must
-// republish the snapshot atomically or the comparison drifts.
-func TestSnapshotLevelsMatchLive(t *testing.T) {
-	const interval = time.Second
-	kinds := []struct {
-		name    string
-		factory Factory
-	}{
-		{"simple", func(_ string, st time.Time) core.Detector {
-			return simple.New(st)
-		}},
-		{"chen", func(_ string, st time.Time) core.Detector {
-			return chen.New(st, interval)
-		}},
-		{"phi-normal", func(_ string, st time.Time) core.Detector {
-			return phi.New(st, phi.WithModel(phi.ModelNormal))
-		}},
-		{"phi-exponential", func(_ string, st time.Time) core.Detector {
-			return phi.New(st, phi.WithModel(phi.ModelExponential))
-		}},
-		{"phi-erlang", func(_ string, st time.Time) core.Detector {
-			return phi.New(st, phi.WithModel(phi.ModelErlang))
-		}},
-		{"kappa", func(_ string, st time.Time) core.Detector {
-			return kappa.New(st, kappa.PLater{}, kappa.WithFixedInterval(interval))
-		}},
-		{"bertier", func(_ string, st time.Time) core.Detector {
-			return bertier.New(st, interval)
-		}},
-	}
-	for _, k := range kinds {
+// detectorKinds builds every level function the module ships, for the
+// tests that must hold on all of them (publication here, the zero-alloc
+// gates in walk_test.go).
+var detectorKinds = []struct {
+	name    string
+	factory Factory
+}{
+	{"simple", func(_ string, st time.Time) core.Detector {
+		return simple.New(st)
+	}},
+	{"chen", func(_ string, st time.Time) core.Detector {
+		return chen.New(st, time.Second)
+	}},
+	{"phi-normal", func(_ string, st time.Time) core.Detector {
+		return phi.New(st, phi.WithModel(phi.ModelNormal))
+	}},
+	{"phi-exponential", func(_ string, st time.Time) core.Detector {
+		return phi.New(st, phi.WithModel(phi.ModelExponential))
+	}},
+	{"phi-erlang", func(_ string, st time.Time) core.Detector {
+		return phi.New(st, phi.WithModel(phi.ModelErlang))
+	}},
+	{"kappa", func(_ string, st time.Time) core.Detector {
+		return kappa.New(st, kappa.PLater{}, kappa.WithFixedInterval(time.Second))
+	}},
+	{"bertier", func(_ string, st time.Time) core.Detector {
+		return bertier.New(st, time.Second)
+	}},
+}
+
+// TestPublishedLevelsMatchLocked is the correctness property of the
+// eval plane's publication protocol: for every detector kind, the level
+// a lock-free walk reads from the seqlock cell must equal the level of
+// the detector's own snapshot taken under the entry lock at the same
+// frozen instant. (That the snapshot computes the right level is
+// core's golden table; this test is about the cell never being stale
+// or torn.) The workload is deliberately hostile to stale publication:
+// jittered arrivals, 10% heartbeat loss (sequence numbers spent on
+// beats that never arrive), deregister/re-register churn, live retunes
+// that resize estimation windows mid-stream, and state imports that
+// replace detector state wholesale. Every one of those paths must
+// republish atomically or the comparison drifts.
+func TestPublishedLevelsMatchLocked(t *testing.T) {
+	for _, k := range detectorKinds {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
 			clk := clock.NewManual(start)
@@ -62,6 +66,7 @@ func TestSnapshotLevelsMatchLive(t *testing.T) {
 			rng := rand.New(rand.NewSource(0xACC2))
 			const procs = 32
 			seq := make([]uint64, procs)
+			var saved MonitorState
 			for step := 1; step <= 600; step++ {
 				now := clk.Advance(time.Duration(10+rng.Intn(80)) * time.Millisecond)
 				p := rng.Intn(procs)
@@ -84,34 +89,39 @@ func TestSnapshotLevelsMatchLive(t *testing.T) {
 						t.Fatalf("retune: %v", err)
 					}
 				}
+				if step%100 == 40 {
+					saved = m.ExportState()
+				}
+				if rng.Float64() < 0.02 {
+					// Rolls every exported process back to an older state
+					// (and re-registers the ones deregistered since).
+					if _, err := m.ImportState(saved); err != nil {
+						t.Fatalf("import: %v", err)
+					}
+				}
 				if step%75 == 0 {
-					compareSnapshotToLive(t, m, clk.Now())
+					comparePublishedToLocked(t, m, clk.Now())
 				}
 			}
 			// Jump far past the last arrival so the comparison also covers
 			// deep-silence evaluation (large elapsed, saturated κ grid).
-			clk.Advance(7 * interval)
-			compareSnapshotToLive(t, m, clk.Now())
+			clk.Advance(7 * time.Second)
+			comparePublishedToLocked(t, m, clk.Now())
 		})
 	}
 }
 
-// compareSnapshotToLive walks the fleet through both snapshot read paths
-// (sequential and parallel) and cross-checks every level against the
-// live detector evaluated under the entry lock at the same instant. The
-// manual clock is frozen for the duration, so any disagreement is a
-// publication bug, not clock skew.
-func compareSnapshotToLive(t *testing.T, m *Monitor, now time.Time) {
+// comparePublishedToLocked walks the fleet through both walk surfaces
+// (the plain pass and the coalesced one) and cross-checks every level
+// against the detector's snapshot taken under the entry lock at the
+// same instant. The manual clock is frozen for the duration and both
+// sides run the same pure function, so the levels must be identical:
+// any difference is a stale or torn publication.
+func comparePublishedToLocked(t *testing.T, m *Monitor, now time.Time) {
 	t.Helper()
-	seqLevels := make(map[string]core.Level)
-	m.EachLevel(func(id string, lvl core.Level) { seqLevels[id] = lvl })
-	var parMu sync.Mutex
-	parLevels := make(map[string]core.Level, len(seqLevels))
-	m.EachLevelParallel(func(id string, lvl core.Level) {
-		parMu.Lock()
-		parLevels[id] = lvl
-		parMu.Unlock()
-	})
+	walks := map[string]map[string]core.Level{"EachLevel": {}, "EachInfoShared": {}}
+	m.EachLevel(func(id string, lvl core.Level) { walks["EachLevel"][id] = lvl })
+	m.EachInfoShared(func(info ProcessInfo) { walks["EachInfoShared"][info.ID] = info.Level })
 	checked := 0
 	for i := range m.shards {
 		sh := &m.shards[i]
@@ -119,16 +129,15 @@ func compareSnapshotToLive(t *testing.T, m *Monitor, now time.Time) {
 		for id := range sh.procs {
 			e, _ := sh.get(id)
 			e.mu.Lock()
-			live := e.det.Suspicion(now)
+			want := e.det.EvalSnapshot().Level(now)
 			e.mu.Unlock()
-			for path, got := range map[string]map[string]core.Level{"EachLevel": seqLevels, "EachLevelParallel": parLevels} {
+			for path, got := range walks {
 				lvl, ok := got[id]
 				if !ok {
 					t.Fatalf("%s missed process %q", path, id)
 				}
-				if diff := math.Abs(float64(lvl) - float64(live)); diff > 1e-9 {
-					t.Fatalf("%s level for %q = %v, live Suspicion = %v (diff %g)",
-						path, id, lvl, live, diff)
+				if lvl != want {
+					t.Fatalf("%s level for %q = %v, locked snapshot = %v", path, id, lvl, want)
 				}
 			}
 			checked++
@@ -138,8 +147,9 @@ func compareSnapshotToLive(t *testing.T, m *Monitor, now time.Time) {
 	if checked == 0 {
 		t.Fatal("no registered processes to compare")
 	}
-	if len(seqLevels) != checked || len(parLevels) != checked {
-		t.Fatalf("walk visited %d/%d (sequential) and %d/%d (parallel) processes",
-			len(seqLevels), checked, len(parLevels), checked)
+	for path, got := range walks {
+		if len(got) != checked {
+			t.Fatalf("%s visited %d processes, registry holds %d", path, len(got), checked)
+		}
 	}
 }

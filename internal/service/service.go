@@ -142,9 +142,10 @@ func (p Profile) EstimatorWindow(def int) int {
 
 // entry is one monitored process: its detector plus the small mutex that
 // serialises access to it. Detectors are not required to be safe for
-// concurrent use (see core.Detector), so every Report/Suspicion goes
-// through e.mu — but only heartbeats and queries for the *same* process
-// ever meet on it.
+// concurrent use (see core.Detector), so every detector call goes
+// through e.mu — but only heartbeats and sweeps touching the *same*
+// process ever meet on it; level reads do not take it at all (see "The
+// eval cell" below).
 //
 // Entries are slab slots, not individually allocated objects: they must
 // never be copied (the mutex) and are reused across register/deregister
@@ -175,9 +176,6 @@ type entry struct {
 	lastSeq uint64
 	gen     atomic.Uint64
 	det     core.Detector
-	// snap is det asserted to core.EvalSnapshotter once at bind (nil when
-	// the detector does not publish snapshots); guarded by mu.
-	snap core.EvalSnapshotter
 	// lastArrival is the arrival time of the newest heartbeat (the bind
 	// time until one arrives), guarded by mu like the detector; its
 	// UnixNano is mirrored into evalLast for lock-free readers.
@@ -223,8 +221,8 @@ type evalAuxBox struct{ aux core.EvalAux }
 // are never more than one heartbeat behind the locked truth.
 func (e *entry) publishEval(meta *entryMeta, setMeta bool) {
 	var snap core.EvalSnapshot
-	if e.snap != nil {
-		snap = e.snap.EvalSnapshot()
+	if e.det != nil { // nil while unbinding: the cell is cleared
+		snap = e.det.EvalSnapshot()
 	}
 	e.evalSeq.Add(1) // even → odd: readers retry
 	if setMeta {
@@ -252,9 +250,7 @@ const evalSpinLimit = 64
 
 // loadEval performs one lock-free read of the entry's eval cell. ok is
 // false when the slot is free; otherwise meta, snap and last (the
-// last-arrival UnixNano) form one consistent published state. A
-// snapshot of kind core.EvalNone means the bound detector does not
-// publish snapshots and the caller must evaluate under the entry lock.
+// last-arrival UnixNano) form one consistent published state.
 func (e *entry) loadEval() (meta *entryMeta, snap core.EvalSnapshot, last int64, ok bool) {
 	for spin := 0; spin < evalSpinLimit; spin++ {
 		s1 := e.evalSeq.Load()
@@ -290,28 +286,10 @@ func (e *entry) loadEval() (meta *entryMeta, snap core.EvalSnapshot, last int64,
 		e.mu.Unlock()
 		return nil, core.EvalSnapshot{}, 0, false
 	}
-	if e.snap != nil {
-		snap = e.snap.EvalSnapshot()
-	} else {
-		snap = core.EvalSnapshot{}
-	}
+	snap = e.det.EvalSnapshot()
 	last = e.lastArrival.UnixNano()
 	e.mu.Unlock()
 	return meta, snap, last, true
-}
-
-// lockedLevel evaluates the live detector under e.mu — the fallback for
-// detectors that do not publish snapshots. ok is false when the slot no
-// longer holds the binding identified by meta.
-func (e *entry) lockedLevel(meta *entryMeta, now time.Time) (core.Level, bool) {
-	e.mu.Lock()
-	if e.meta.Load() != meta {
-		e.mu.Unlock()
-		return 0, false
-	}
-	l := e.det.Suspicion(now)
-	e.mu.Unlock()
-	return l, true
 }
 
 // report feeds one heartbeat to the detector and reports whether it was
@@ -414,7 +392,6 @@ func (sh *shard) bind(id string, det core.Detector, group string, start time.Tim
 	idx, e := sh.slab.alloc()
 	e.mu.Lock()
 	e.det = det
-	e.snap, _ = det.(core.EvalSnapshotter)
 	e.lastSeq = 0
 	e.lastArrival = start
 	e.gen.Add(1) // even → odd: bound
@@ -443,7 +420,6 @@ func (sh *shard) unbind(id string) bool {
 	e.mu.Lock()
 	e.gen.Add(1) // odd → even: free
 	e.det = nil
-	e.snap = nil
 	e.lastSeq = 0
 	e.lastArrival = time.Time{}
 	// Clear the eval cell inside one seqlock window; concurrent walks
@@ -490,19 +466,9 @@ type Monitor struct {
 	// leave it nil.
 	onShardLock func(shard uint32, write bool)
 
-	// walk is the persistent worker pool behind EachLevelParallel; coal
-	// is the single-flight coalescer behind the Shared walk variants.
-	// Both live in walk.go.
-	walk walkPool
+	// coal is the single-flight coalescer behind the Shared walk
+	// variants (walk.go).
 	coal walkCoalescer
-}
-
-// noteWalkRun counts one full-registry evaluation pass on the telemetry
-// hub (accrual_walk_runs_total).
-func (m *Monitor) noteWalkRun() {
-	if m.tel != nil {
-		m.tel.Walks.Run()
-	}
 }
 
 // MonitorOption configures a Monitor.
@@ -724,28 +690,10 @@ func (m *Monitor) appendIDs(buf []string) []string {
 }
 
 // ShardCount returns the number of registry shards. Together with
-// AppendShardIDs it is the basis of cursor-style incremental reads: a
+// AppendShardInfos it is the basis of cursor-style incremental reads: a
 // consumer that cannot afford one O(n) pass (the /v1/metrics scrape at
 // very large memberships) walks shards [cursor, cursor+k) per page.
 func (m *Monitor) ShardCount() int { return len(m.shards) }
-
-// AppendShardIDs appends the ids currently registered in shard s
-// (0 <= s < ShardCount) to dst and returns the extended slice, unsorted.
-// Out-of-range shards append nothing. Only shard s's read lock is
-// taken, so paging through shards never pauses the rest of the
-// registry; callers reuse dst across pages to avoid re-allocating.
-func (m *Monitor) AppendShardIDs(s int, dst []string) []string {
-	if s < 0 || s >= len(m.shards) {
-		return dst
-	}
-	sh := &m.shards[s]
-	sh.mu.RLock()
-	for id := range sh.procs {
-		dst = append(dst, id)
-	}
-	sh.mu.RUnlock()
-	return dst
-}
 
 // Heartbeat routes a heartbeat to the detector of its sender,
 // registering the sender first when auto-registration is on. A process
@@ -808,109 +756,23 @@ func (m *Monitor) Suspicion(id string) (core.Level, error) {
 	return lvl, nil
 }
 
-// snapLevel evaluates the level of the process bound to e — lock-free
-// from the published snapshot when the detector provides one, under the
-// entry lock otherwise. ok is false when the slot no longer holds id.
+// snapLevel evaluates the level of the process bound to e, lock-free
+// from the published snapshot. ok is false when the slot no longer
+// holds id.
 func (e *entry) snapLevel(id string, now time.Time) (core.Level, bool) {
 	meta, snap, _, ok := e.loadEval()
 	if !ok || meta.id != id {
 		return 0, false
 	}
-	if snap.Kind != core.EvalNone {
-		return snap.Level(now), true
-	}
-	return e.lockedLevel(meta, now)
-}
-
-// walkSpan captures the shard's slab extent for lock-free iteration:
-// the chunk table and the high-water slot count. The shard lock is held
-// only for the two-field copy — chunks are append-only and never moved,
-// so the captured prefix stays valid for the monitor's lifetime; slots
-// bound after the capture are simply not visited this pass (the same
-// membership semantics the locked walk had).
-func (sh *shard) walkSpan() ([][]entry, uint32) {
-	sh.mu.RLock()
-	chunks, n := sh.slab.chunks, sh.slab.next
-	sh.mu.RUnlock()
-	return chunks, n
-}
-
-// walkShardLevels evaluates every bound slot of one shard at now,
-// straight off the slab arrays: no shard lock, no entry locks, no map
-// iteration — each slot is one seqlock read plus a pure snapshot
-// evaluation. Detectors that do not publish snapshots are evaluated
-// under their entry lock, preserving the old semantics.
-func walkShardLevels(sh *shard, now time.Time, fn func(id string, lvl core.Level)) {
-	chunks, n := sh.walkSpan()
-	remaining := int(n)
-	for _, chunk := range chunks {
-		cn := slabChunkSize
-		if remaining < cn {
-			cn = remaining
-		}
-		for j := 0; j < cn; j++ {
-			e := &chunk[j]
-			meta, snap, _, ok := e.loadEval()
-			if !ok {
-				continue // free slot
-			}
-			var lvl core.Level
-			if snap.Kind != core.EvalNone {
-				lvl = snap.Level(now)
-			} else if lvl, ok = e.lockedLevel(meta, now); !ok {
-				continue // unbound mid-walk
-			}
-			fn(meta.id, lvl)
-		}
-		remaining -= cn
-		if remaining <= 0 {
-			break
-		}
-	}
-}
-
-// walkShardInfos is walkShardLevels plus the identity and last-arrival
-// surface digests are built from; one seqlock read yields a consistent
-// (group, level, lastArrival) triple per process.
-func walkShardInfos(sh *shard, now time.Time, fn func(info ProcessInfo)) {
-	chunks, n := sh.walkSpan()
-	remaining := int(n)
-	for _, chunk := range chunks {
-		cn := slabChunkSize
-		if remaining < cn {
-			cn = remaining
-		}
-		for j := 0; j < cn; j++ {
-			e := &chunk[j]
-			meta, snap, last, ok := e.loadEval()
-			if !ok {
-				continue
-			}
-			var lvl core.Level
-			if snap.Kind != core.EvalNone {
-				lvl = snap.Level(now)
-			} else if lvl, ok = e.lockedLevel(meta, now); !ok {
-				continue
-			}
-			fn(ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)})
-		}
-		remaining -= cn
-		if remaining <= 0 {
-			break
-		}
-	}
+	return snap.Level(now), true
 }
 
 // EachLevel calls fn with every monitored process and its suspicion level
-// at one clock reading. It iterates the slab arrays directly and
-// evaluates published snapshots, so the walk holds no locks and calls no
-// detectors; see the entry comment for the seqlock protocol.
+// at one clock reading. It evaluates published snapshots straight off the
+// slab arrays, so the walk holds no locks and calls no detectors; see
+// eachEval for the iteration rules.
 func (m *Monitor) EachLevel(fn func(id string, lvl core.Level)) {
-	now := m.clk.Now()
-	for i := range m.shards {
-		walkShardLevels(&m.shards[i], now, fn)
-	}
-	m.noteWalkRun()
+	m.walk(func(meta *entryMeta, lvl core.Level, _ int64) { fn(meta.id, lvl) })
 }
 
 // ProcessInfo is one monitored process's digest-relevant state at one
@@ -932,11 +794,9 @@ type ProcessInfo struct {
 // parameters, so a slot rebound mid-walk is skipped or attributed to
 // exactly one binding, never mixed.
 func (m *Monitor) EachInfo(fn func(info ProcessInfo)) {
-	now := m.clk.Now()
-	for i := range m.shards {
-		walkShardInfos(&m.shards[i], now, fn)
-	}
-	m.noteWalkRun()
+	m.walk(func(meta *entryMeta, lvl core.Level, last int64) {
+		fn(ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)})
+	})
 }
 
 // Snapshot returns the suspicion level of every monitored process at one
@@ -1141,20 +1001,11 @@ func (a *App) noteTransition(id string, v *appView, s core.Status, now time.Time
 // suspected (ties broken by id) — the worker-ranking usage pattern of the
 // paper's Bag-of-Tasks example (§1.3).
 func (m *Monitor) Ranked() []RankedProcess {
-	return m.RankedAppend(nil)
-}
-
-// RankedAppend appends every monitored process to dst ordered from
-// least to most suspected (ties broken by id) and returns the extended
-// slice. Periodic consumers (the slowness oracle, rank-driven
-// schedulers) pass their previous buffer back as dst[:0] so a
-// steady-state refresh allocates nothing.
-func (m *Monitor) RankedAppend(dst []RankedProcess) []RankedProcess {
-	base := len(dst)
+	var dst []RankedProcess
 	m.EachLevel(func(id string, lvl core.Level) {
 		dst = append(dst, RankedProcess{ID: id, Level: lvl})
 	})
-	slices.SortFunc(dst[base:], func(a, b RankedProcess) int {
+	slices.SortFunc(dst, func(a, b RankedProcess) int {
 		if a.Level != b.Level {
 			if a.Level < b.Level {
 				return -1
@@ -1168,29 +1019,30 @@ func (m *Monitor) RankedAppend(dst []RankedProcess) []RankedProcess {
 
 // TopK appends the k most suspected processes to dst — most suspected
 // first, equal levels broken by ascending id — and returns the extended
-// slice. It walks the registry once via EachLevel keeping a bounded
-// min-heap of k candidates, so the cost is O(n log k) time and O(k)
-// space: a "worst offenders" view over a million processes never
-// materialises the million-entry sorted slice Ranked would build.
-// Callers reuse dst across refreshes like with RankedAppend.
+// slice. It walks the registry once keeping a bounded min-heap of k
+// candidates, so the cost is O(n log k) time and O(k) space: a "worst
+// offenders" view over a million processes never materialises the
+// million-entry sorted slice Ranked would build. Periodic callers pass
+// their previous buffer back as dst[:0], so a steady-state refresh
+// allocates nothing.
 func (m *Monitor) TopK(k int, dst []RankedProcess) []RankedProcess {
 	if k <= 0 {
 		return dst
 	}
 	base := len(dst)
-	m.EachLevel(func(id string, lvl core.Level) {
+	m.walk(func(meta *entryMeta, lvl core.Level, _ int64) {
 		h := dst[base:]
 		if len(h) < k {
-			dst = append(dst, RankedProcess{ID: id, Level: lvl})
+			dst = append(dst, RankedProcess{ID: meta.id, Level: lvl})
 			siftUpRank(dst[base:], len(h))
 			return
 		}
 		// h[0] is the last-placed candidate kept (least suspected);
 		// replace it only when the newcomer outranks it.
-		if cmpTopK(RankedProcess{ID: id, Level: lvl}, h[0]) >= 0 {
+		if cmpTopK(RankedProcess{ID: meta.id, Level: lvl}, h[0]) >= 0 {
 			return
 		}
-		h[0] = RankedProcess{ID: id, Level: lvl}
+		h[0] = RankedProcess{ID: meta.id, Level: lvl}
 		siftDownRank(h)
 	})
 	slices.SortFunc(dst[base:], cmpTopK)

@@ -12,6 +12,7 @@ import (
 	"accrual/internal/core"
 	"accrual/internal/phi"
 	"accrual/internal/simple"
+	"accrual/internal/telemetry"
 )
 
 var start = time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
@@ -352,43 +353,23 @@ func TestHeartbeatAutoRegisterStampsArrival(t *testing.T) {
 	}
 }
 
-// countingDetector counts Suspicion evaluations. It deliberately does
-// not publish eval snapshots — the shadowing EvalSnapshot method below
-// has a different signature, so the promoted implementation from
-// simple.Detector is suppressed and queries take the locked fallback
-// path, where every evaluation is a counted Suspicion call.
-type countingDetector struct {
-	simple.Detector
-	evals int
-}
-
-func (d *countingDetector) Suspicion(now time.Time) core.Level {
-	d.evals++
-	return d.Detector.Suspicion(now)
-}
-
-// EvalSnapshot shadows the promoted snapshotter with an incompatible
-// signature so *countingDetector does not satisfy core.EvalSnapshotter.
-func (d *countingDetector) EvalSnapshot(struct{}) {}
-
-// TestAppStatusSingleEvaluation pins the satellite fix for the doubled
-// detector query: one App.Status call must evaluate the underlying
-// detector exactly once (the old existence probe via Monitor.Suspicion
-// read a level and threw it away).
+// TestAppStatusSingleEvaluation pins the fix for the doubled detector
+// query: one App.Status call must evaluate the process's level exactly
+// once — one Counters.Query — because existence is probed without
+// reading a level (the old probe via Monitor.Suspicion read one and
+// threw it away).
 func TestAppStatusSingleEvaluation(t *testing.T) {
-	var det *countingDetector
 	clk := clock.NewManual(start)
-	m := NewMonitor(clk, func(_ string, st time.Time) core.Detector {
-		det = &countingDetector{Detector: *simple.New(st)}
-		return det
-	})
+	hub := telemetry.NewHub()
+	m := NewMonitor(clk, simpleFactory, WithTelemetry(hub))
 	_ = m.Heartbeat(hb("p", 1, clk.Now()))
 	app := m.NewApp("app", ConstantPolicy(1))
+	before := hub.Counters.Totals().Queries
 	if _, err := app.Status("p"); err != nil {
 		t.Fatal(err)
 	}
-	if det.evals != 1 {
-		t.Errorf("detector evaluations per Status = %d, want 1", det.evals)
+	if got := hub.Counters.Totals().Queries - before; got != 1 {
+		t.Errorf("level evaluations per Status = %d, want 1", got)
 	}
 }
 
@@ -466,36 +447,6 @@ func TestAppPollPrunesDeregisteredViews(t *testing.T) {
 	}
 }
 
-func TestRankedAppendReusesBuffer(t *testing.T) {
-	m, clk := newTestMonitor()
-	for i := 0; i < 20; i++ {
-		_ = m.Heartbeat(hb(fmt.Sprintf("w%02d", i), 1, clk.Now()))
-		clk.Advance(100 * time.Millisecond)
-	}
-	want := m.Ranked()
-	buf := m.RankedAppend(nil)
-	if len(buf) != len(want) {
-		t.Fatalf("RankedAppend len = %d, want %d", len(buf), len(want))
-	}
-	for i := range want {
-		if buf[i] != want[i] {
-			t.Fatalf("RankedAppend[%d] = %+v, want %+v", i, buf[i], want[i])
-		}
-	}
-	// A steady-state refresh through the same buffer allocates nothing.
-	if allocs := testing.AllocsPerRun(50, func() {
-		buf = m.RankedAppend(buf[:0])
-	}); allocs > 0 {
-		t.Errorf("RankedAppend refresh: %v allocs/op, want 0", allocs)
-	}
-	// Appending after existing content leaves the prefix alone.
-	pre := []RankedProcess{{ID: "sentinel", Level: -1}}
-	out := m.RankedAppend(pre)
-	if out[0].ID != "sentinel" || len(out) != len(want)+1 {
-		t.Errorf("RankedAppend with prefix: %+v", out[:1])
-	}
-}
-
 func TestTopKMatchesSortedSuffix(t *testing.T) {
 	m, clk := newTestMonitor()
 	// Mixed levels, with a deliberate tie group at the most-suspected end.
@@ -551,7 +502,7 @@ func topKWant(ranked []RankedProcess, i int) RankedProcess {
 	return desc[i]
 }
 
-func TestAppendShardIDsCoversRegistry(t *testing.T) {
+func TestAppendShardInfosCoversRegistry(t *testing.T) {
 	m, clk := newTestMonitor()
 	want := map[string]bool{}
 	for i := 0; i < 100; i++ {
@@ -559,24 +510,24 @@ func TestAppendShardIDsCoversRegistry(t *testing.T) {
 		_ = m.Heartbeat(hb(id, 1, clk.Now()))
 		want[id] = true
 	}
-	var ids []string
+	var infos []ProcessInfo
 	for s := 0; s < m.ShardCount(); s++ {
-		ids = m.AppendShardIDs(s, ids)
+		infos = m.AppendShardInfos(s, clk.Now(), infos)
 	}
-	if len(ids) != len(want) {
-		t.Fatalf("shard walk saw %d ids, want %d", len(ids), len(want))
+	if len(infos) != len(want) {
+		t.Fatalf("shard walk saw %d processes, want %d", len(infos), len(want))
 	}
-	for _, id := range ids {
-		if !want[id] {
-			t.Errorf("unexpected id %q", id)
+	for _, info := range infos {
+		if !want[info.ID] {
+			t.Errorf("unexpected id %q", info.ID)
 		}
-		delete(want, id)
+		delete(want, info.ID)
 	}
 	// Out-of-range shards are a no-op, not a panic.
-	if got := m.AppendShardIDs(-1, nil); got != nil {
-		t.Errorf("AppendShardIDs(-1) = %v", got)
+	if got := m.AppendShardInfos(-1, clk.Now(), nil); got != nil {
+		t.Errorf("AppendShardInfos(-1) = %v", got)
 	}
-	if got := m.AppendShardIDs(m.ShardCount(), nil); got != nil {
-		t.Errorf("AppendShardIDs(ShardCount) = %v", got)
+	if got := m.AppendShardInfos(m.ShardCount(), clk.Now(), nil); got != nil {
+		t.Errorf("AppendShardInfos(ShardCount) = %v", got)
 	}
 }

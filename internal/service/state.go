@@ -16,9 +16,9 @@ type ProcessState struct {
 }
 
 // MonitorState is the exportable learned state of a whole monitor: one
-// ProcessState per monitored process whose detector implements
-// core.Snapshotter, sorted by id. It is what a warm restart persists and
-// what a live handoff streams to a replacement monitor.
+// ProcessState per monitored process, sorted by id. It is what a warm
+// restart persists and what a live handoff streams to a replacement
+// monitor.
 type MonitorState struct {
 	Procs []ProcessState
 }
@@ -26,56 +26,21 @@ type MonitorState struct {
 // Len returns the number of exported processes.
 func (s MonitorState) Len() int { return len(s.Procs) }
 
-// ExportState snapshots the learned state of every monitored process
-// whose detector implements core.Snapshotter; detectors that do not are
-// skipped (their state is not exportable, by their own declaration).
+// ExportState snapshots the learned state of every monitored process.
 //
-// Like EachLevel, the export streams shard by shard: it holds one
-// shard's read lock only while collecting that shard's entries, then
-// snapshots each entry under its per-process lock with no shard lock
-// held. Heartbeat ingest and queries for other processes — and
-// registration on other shards — proceed throughout; there is no global
-// pause. The result is a per-process-consistent snapshot: each
-// process's state is atomic with respect to its own heartbeat stream,
-// while the set of processes is the registry's membership as the walk
-// passes over it (exactly the consistency EachLevel offers).
+// It is a locked sweep (eachLocked): each entry is snapshotted under its
+// per-process lock with no shard lock held. Heartbeat ingest and queries
+// for other processes — and registration on any shard — proceed
+// throughout; there is no global pause. The result is a
+// per-process-consistent snapshot: each process's state is atomic with
+// respect to its own heartbeat stream, while the set of processes is the
+// registry's membership as the sweep passes over it (exactly the
+// consistency EachLevel offers).
 func (m *Monitor) ExportState() MonitorState {
 	var procs []ProcessState
-	for i := range m.shards {
-		chunks, n := m.shards[i].walkSpan()
-		remaining := int(n)
-		for _, chunk := range chunks {
-			cn := slabChunkSize
-			if remaining < cn {
-				cn = remaining
-			}
-			for j := 0; j < cn; j++ {
-				e := &chunk[j]
-				meta := e.meta.Load()
-				if meta == nil {
-					continue
-				}
-				e.mu.Lock()
-				if e.meta.Load() != meta {
-					e.mu.Unlock()
-					continue // deregistered since the slab scan
-				}
-				s, ok := e.det.(core.Snapshotter)
-				var st core.State
-				if ok {
-					st = s.SnapshotState()
-				}
-				e.mu.Unlock()
-				if ok {
-					procs = append(procs, ProcessState{ID: meta.id, State: st})
-				}
-			}
-			remaining -= cn
-			if remaining <= 0 {
-				break
-			}
-		}
-	}
+	m.sweep(func(e *entry, meta *entryMeta) {
+		procs = append(procs, ProcessState{ID: meta.id, State: e.det.SnapshotState()})
+	})
 	sort.Slice(procs, func(i, j int) bool { return procs[i].ID < procs[j].ID })
 	return MonitorState{Procs: procs}
 }
@@ -89,8 +54,7 @@ func (m *Monitor) ExportState() MonitorState {
 // the warm-boot case, where the UDP listener starts before the state
 // file is replayed.
 //
-// Processes whose detector does not implement core.Snapshotter are
-// skipped silently. Restore failures (a state recorded by a different
+// Restore failures (a state recorded by a different
 // detector kind than this monitor's factory builds, or a future payload
 // version) are collected and returned joined, after every other process
 // has been attempted; restored reports how many processes were
@@ -116,21 +80,14 @@ func (m *Monitor) ImportState(st MonitorState) (restored int, err error) {
 			e.mu.Unlock()
 			continue
 		}
-		s, ok := e.det.(core.Snapshotter)
-		var rerr error
-		if ok {
-			rerr = s.RestoreState(ps.State)
-			if rerr == nil {
-				// Republish in the same critical section: a concurrent
-				// lock-free walk sees either the pre-restore or the
-				// restored parameters, never a mix.
-				e.publishEval(nil, false)
-			}
+		rerr := e.det.RestoreState(ps.State)
+		if rerr == nil {
+			// Republish in the same critical section: a concurrent
+			// lock-free walk sees either the pre-restore or the
+			// restored parameters, never a mix.
+			e.publishEval(nil, false)
 		}
 		e.mu.Unlock()
-		if !ok {
-			continue
-		}
 		if rerr != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", ps.ID, rerr))
 			continue

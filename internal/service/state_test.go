@@ -19,12 +19,6 @@ func phiFactory(_ string, at time.Time) core.Detector {
 	return phi.New(at, phi.WithBootstrap(100*time.Millisecond, 25*time.Millisecond))
 }
 
-// plainDetector implements core.Detector but not core.Snapshotter.
-type plainDetector struct{ n int }
-
-func (d *plainDetector) Report(core.Heartbeat)          { d.n++ }
-func (d *plainDetector) Suspicion(time.Time) core.Level { return core.Level(d.n) }
-
 func feed(t *testing.T, m *Monitor, clk *clock.Manual, ids []string, beats int, interval time.Duration) {
 	t.Helper()
 	for seq := 1; seq <= beats; seq++ {
@@ -101,34 +95,6 @@ func TestImportRestoresRegisteredProcessInPlace(t *testing.T) {
 	want, _ := m.Suspicion("p")
 	if math.Abs(float64(lvl-want)) > 1e-6 {
 		t.Errorf("in-place restore level %v, want %v", lvl, want)
-	}
-}
-
-func TestExportSkipsNonSnapshotableDetectors(t *testing.T) {
-	clk := clock.NewManual(start)
-	m := NewMonitor(clk, func(id string, at time.Time) core.Detector {
-		if id == "opaque" {
-			return &plainDetector{}
-		}
-		return simple.New(at)
-	})
-	if err := m.Register("opaque"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register("plain"); err != nil {
-		t.Fatal(err)
-	}
-	st := m.ExportState()
-	if st.Len() != 1 || st.Procs[0].ID != "plain" {
-		t.Fatalf("export = %+v, want only \"plain\"", st.Procs)
-	}
-
-	// Importing into a monitor whose factory builds non-snapshotable
-	// detectors skips them without error.
-	m2 := NewMonitor(clk, func(string, time.Time) core.Detector { return &plainDetector{} })
-	n, err := m2.ImportState(st)
-	if err != nil || n != 0 {
-		t.Errorf("ImportState into non-snapshotable = %d, %v; want 0, nil", n, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,10 +12,12 @@ import (
 	"accrual/internal/simple"
 )
 
-// seqDetector records the heartbeat stream it observes. It is
-// deliberately unsynchronised: the Monitor's per-entry lock must make it
-// safe, and the race detector verifies that it does.
+// seqDetector records the heartbeat stream it observes on top of an
+// embedded real detector (which supplies the rest of the core.Detector
+// contract). It is deliberately unsynchronised: the Monitor's per-entry
+// lock must make it safe, and the race detector verifies that it does.
 type seqDetector struct {
+	*simple.Detector
 	lastSeq     uint64
 	reports     int
 	nonMonotone bool
@@ -26,10 +29,7 @@ func (d *seqDetector) Report(hb core.Heartbeat) {
 	}
 	d.lastSeq = hb.Seq
 	d.reports++
-}
-
-func (d *seqDetector) Suspicion(time.Time) core.Level {
-	return core.Level(d.reports)
+	d.Detector.Report(hb)
 }
 
 // TestMonitorStress hammers one Monitor from many goroutines mixing every
@@ -49,8 +49,8 @@ func TestMonitorStress(t *testing.T) {
 	clk := clock.NewManual(start)
 	var factoryMu sync.Mutex
 	dets := make(map[string]*seqDetector)
-	m := NewMonitor(clk, func(id string, _ time.Time) core.Detector {
-		d := &seqDetector{}
+	m := NewMonitor(clk, func(id string, at time.Time) core.Detector {
+		d := &seqDetector{Detector: simple.New(at)}
 		factoryMu.Lock()
 		dets[id] = d
 		factoryMu.Unlock()
@@ -117,16 +117,23 @@ func TestMonitorStress(t *testing.T) {
 	}()
 
 	// State export/import streaming concurrently with the churn above:
-	// ExportState iterates shard snapshots while Deregister frees
-	// entries, and re-imports into the same monitor race the writers.
-	// (The seqDetector is not snapshotable, so the exports are empty —
-	// TestStateStreamingRacesDeregister covers the snapshotable path —
-	// but the shard iteration itself runs against live churn.)
+	// ExportState sweeps the slabs while Deregister frees entries, and
+	// re-imports into the same monitor race the writers. Only the
+	// writer-owned processes are re-imported: ImportState registers
+	// what it does not find, which would resurrect a churn id
+	// deregistered since the export.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < readerRounds/5; i++ {
 			st := m.ExportState()
+			kept := st.Procs[:0]
+			for _, ps := range st.Procs {
+				if !strings.HasPrefix(ps.ID, "churn-") {
+					kept = append(kept, ps)
+				}
+			}
+			st.Procs = kept
 			if _, err := m.ImportState(st); err != nil {
 				t.Errorf("import: %v", err)
 			}

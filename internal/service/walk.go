@@ -1,105 +1,100 @@
 package service
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accrual/internal/core"
 )
 
-// This file is the fan-out half of the lock-free evaluation plane: the
-// published snapshots (see entry in service.go) make a full-registry
-// read a pure array scan, which parallelises trivially — shards are
-// independent work items with no shared mutable state beyond an atomic
-// cursor — and coalesces trivially — two consumers at the same instant
-// want the same scan, so one pass can feed both.
+// This file holds the registry's two slab iterators — every full-fleet
+// read or sweep in the package is a thin user of one of them — and the
+// single-flight coalescer: two consumers at the same instant want the
+// same scan, so one pass can feed both.
 
-// walkPool runs parallel full-registry walks over a persistent worker
-// set. Workers are started lazily on the first EachLevelParallel call
-// and live for the monitor's lifetime; the pool mutex serialises
-// concurrent parallel walks so the job state below is reused with zero
-// steady-state allocations.
-type walkPool struct {
-	mu    sync.Mutex // serialises walks; guards lazy start
-	start sync.Once
-	procs int
-	wake  chan struct{}
-	done  chan struct{}
-
-	// In-flight job state, owned by the walk holding mu. Shards are
-	// handed out by atomic cursor, so a straggler worker never idles the
-	// rest: work stealing degenerates gracefully under skewed shards.
-	now     time.Time
-	fn      func(id string, lvl core.Level)
-	cursor  atomic.Uint32
-	pending atomic.Int32
+// walkSpan captures the shard's slab extent for iteration without the
+// shard lock: the chunk table and the high-water slot count. The shard
+// lock is held only for the two-field copy — chunks are append-only and
+// never moved, so the captured prefix stays valid for the monitor's
+// lifetime; slots bound after the capture are simply not visited this
+// pass.
+func (sh *shard) walkSpan() ([][]entry, uint32) {
+	sh.mu.RLock()
+	chunks, n := sh.slab.chunks, sh.slab.next
+	sh.mu.RUnlock()
+	return chunks, n
 }
 
-// EachLevelParallel is EachLevel fanned across min(GOMAXPROCS,
-// shard-count) workers: each worker claims shards off a shared atomic
-// cursor and evaluates them lock-free from the published snapshots. The
-// caller participates as one of the workers, so a walk on an otherwise
-// idle machine costs no handoff.
-//
-// fn is called concurrently from multiple goroutines (at most one call
-// per process, but calls for different processes overlap); it must be
-// safe for concurrent use. Consumers that fold into shared state should
-// either shard their accumulator or prefer EachLevel.
-func (m *Monitor) EachLevelParallel(fn func(id string, lvl core.Level)) {
-	p := &m.walk
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.start.Do(m.startWalkers)
-	p.now = m.clk.Now()
-	p.fn = fn
-	p.cursor.Store(0)
-	p.pending.Store(int32(p.procs))
-	for i := 1; i < p.procs; i++ {
-		p.wake <- struct{}{}
-	}
-	m.walkSegment()
-	if p.pending.Add(-1) > 0 {
-		<-p.done // the last worker to finish signals once
-	}
-	p.fn = nil
-	m.noteWalkRun()
-}
-
-// startWalkers sizes and launches the worker set. Caller holds p.mu.
-func (m *Monitor) startWalkers() {
-	p := &m.walk
-	p.procs = runtime.GOMAXPROCS(0)
-	if p.procs > len(m.shards) {
-		p.procs = len(m.shards)
-	}
-	if p.procs < 1 {
-		p.procs = 1
-	}
-	p.wake = make(chan struct{})
-	p.done = make(chan struct{}, 1)
-	for i := 1; i < p.procs; i++ {
-		go func() {
-			for range p.wake {
-				m.walkSegment()
-				if p.pending.Add(-1) == 0 {
-					p.done <- struct{}{}
-				}
-			}
-		}()
-	}
-}
-
-// walkSegment drains shards off the job cursor until none remain.
-func (m *Monitor) walkSegment() {
-	p := &m.walk
-	for {
-		i := p.cursor.Add(1) - 1
-		if i >= uint32(len(m.shards)) {
-			return
+// eachEval is the lock-free iterator: it calls fn for every bound slot
+// of the shard with the binding's identity, its level evaluated at now
+// from the published snapshot, and its last-arrival UnixNano. It runs
+// straight off the slab arrays — no shard lock beyond the span capture,
+// no entry locks, no detector calls, no allocations — and each slot is
+// one seqlock read (loadEval), so fn never sees one binding's identity
+// paired with another's parameters: a slot rebound mid-walk is skipped
+// or attributed to exactly one binding.
+func (sh *shard) eachEval(now time.Time, fn func(meta *entryMeta, lvl core.Level, last int64)) {
+	chunks, n := sh.walkSpan()
+	remaining := int(n)
+	for _, chunk := range chunks {
+		if remaining < len(chunk) {
+			chunk = chunk[:remaining] // the last chunk is in use only up to the high-water mark
 		}
-		walkShardLevels(&m.shards[i], p.now, p.fn)
+		for j := range chunk {
+			if meta, snap, last, ok := chunk[j].loadEval(); ok {
+				fn(meta, snap.Level(now), last)
+			}
+		}
+		remaining -= len(chunk)
+	}
+}
+
+// eachLocked is the locked iterator, for sweeps that read or mutate
+// live detector state the snapshots do not carry (tuning, state
+// export). It calls fn for every bound slot of the shard with the entry
+// lock held and the binding re-checked under it, so fn owns e.det for
+// the duration of the call and a slot deregistered since the scan is
+// skipped. No shard lock is held beyond the span capture. A mutating fn
+// must e.publishEval before returning.
+func (sh *shard) eachLocked(fn func(e *entry, meta *entryMeta)) {
+	chunks, n := sh.walkSpan()
+	remaining := int(n)
+	for _, chunk := range chunks {
+		if remaining < len(chunk) {
+			chunk = chunk[:remaining]
+		}
+		for j := range chunk {
+			e := &chunk[j]
+			meta := e.meta.Load()
+			if meta == nil {
+				continue // free slot
+			}
+			e.mu.Lock()
+			if e.meta.Load() == meta {
+				fn(e, meta)
+			}
+			e.mu.Unlock()
+		}
+		remaining -= len(chunk)
+	}
+}
+
+// walk runs eachEval over every shard at one clock reading and counts
+// the pass (accrual_walk_runs_total).
+func (m *Monitor) walk(fn func(meta *entryMeta, lvl core.Level, last int64)) {
+	now := m.clk.Now()
+	for i := range m.shards {
+		m.shards[i].eachEval(now, fn)
+	}
+	if m.tel != nil {
+		m.tel.Walks.Run()
+	}
+}
+
+// sweep runs eachLocked over every shard.
+func (m *Monitor) sweep(fn func(e *entry, meta *entryMeta)) {
+	for i := range m.shards {
+		m.shards[i].eachLocked(fn)
 	}
 }
 
@@ -222,32 +217,8 @@ func (m *Monitor) AppendShardInfos(s int, now time.Time, dst []ProcessInfo) []Pr
 	if s < 0 || s >= len(m.shards) {
 		return dst
 	}
-	sh := &m.shards[s]
-	chunks, n := sh.walkSpan()
-	remaining := int(n)
-	for _, chunk := range chunks {
-		cn := slabChunkSize
-		if remaining < cn {
-			cn = remaining
-		}
-		for j := 0; j < cn; j++ {
-			e := &chunk[j]
-			meta, snap, last, ok := e.loadEval()
-			if !ok {
-				continue
-			}
-			var lvl core.Level
-			if snap.Kind != core.EvalNone {
-				lvl = snap.Level(now)
-			} else if lvl, ok = e.lockedLevel(meta, now); !ok {
-				continue
-			}
-			dst = append(dst, ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)})
-		}
-		remaining -= cn
-		if remaining <= 0 {
-			break
-		}
-	}
+	m.shards[s].eachEval(now, func(meta *entryMeta, lvl core.Level, last int64) {
+		dst = append(dst, ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)})
+	})
 	return dst
 }

@@ -28,15 +28,15 @@ func registerFleet(tb testing.TB, m *Monitor, clk *clock.Manual, n int) {
 	clk.Advance(time.Second)
 }
 
-// TestWalkParallelUnderChurn hammers every lock-free read path —
-// EachLevelParallel, the coalesced shared walks, TopK, and raw shard
-// appends — against concurrent heartbeats, deregistrations, retunes,
-// and state imports. Run under -race this is the memory-model proof of
-// the seqlock publication protocol; without -race it still shakes out
-// ordering bugs (torn reads surface as the final consistency check
-// failing). The test ends with a frozen-clock snapshot-vs-live sweep so
-// churn cannot simply pass by never being observed.
-func TestWalkParallelUnderChurn(t *testing.T) {
+// TestWalkUnderChurn hammers every lock-free read path — the plain and
+// coalesced walks, TopK, and raw shard appends — against concurrent
+// heartbeats, deregistrations, retunes, and state imports. Run under
+// -race this is the memory-model proof of the seqlock publication
+// protocol; without -race it still shakes out ordering bugs (torn reads
+// surface as the final consistency check failing). The test ends with a
+// frozen-clock published-vs-locked sweep so churn cannot simply pass by
+// never being observed.
+func TestWalkUnderChurn(t *testing.T) {
 	clk := clock.NewManual(start)
 	m := NewMonitor(clk, simpleFactory, WithShardCount(16))
 	const procs = 192
@@ -84,21 +84,25 @@ func TestWalkParallelUnderChurn(t *testing.T) {
 	worker(func(i int) { // restore: replaces detector state wholesale
 		_, _ = m.ImportState(state)
 	})
-	worker(func(i int) { m.EachLevelParallel(func(string, core.Level) {}) })
+	worker(func(i int) { m.EachLevel(func(string, core.Level) {}) })
 	worker(func(i int) { m.EachLevelShared(func(string, core.Level) {}) })
 	worker(func(i int) { m.EachInfoShared(func(ProcessInfo) {}) })
 	worker(func(i int) {
 		var dst [8]RankedProcess
 		_ = m.TopK(8, dst[:0])
 	})
+	worker(func(i int) {
+		var dst [procs]ProcessInfo
+		_ = m.AppendShardInfos(i%m.ShardCount(), clk.Now(), dst[:0])
+	})
 
 	time.Sleep(300 * time.Millisecond)
 	close(stop)
 	wg.Wait()
 
-	// Quiescent now: every surviving entry's snapshot must still agree
-	// with its live detector, whatever interleaving it went through.
-	compareSnapshotToLive(t, m, clk.Now())
+	// Quiescent now: every surviving entry's published cell must still
+	// agree with its detector, whatever interleaving it went through.
+	comparePublishedToLocked(t, m, clk.Now())
 }
 
 // TestSharedWalkCoalesces blocks a shared-walk leader mid-pass, piles
@@ -166,37 +170,43 @@ func TestSharedWalkCoalesces(t *testing.T) {
 
 // TestWalkSteadyStateZeroAlloc gates the snapshot read paths at zero
 // allocations per full-fleet pass: the whole point of the eval plane is
-// that readers touch only slab arrays and atomics, never the heap.
+// that readers touch only slab arrays and atomics, never the heap. It
+// runs on every detector kind — a level function that allocates per
+// evaluation is invisible on the cheapest kind — except φ-Erlang, whose
+// log-sum-exp scratch is the documented exception.
 func TestWalkSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are meaningless under the race detector")
 	}
-	clk := clock.NewManual(start)
-	m := NewMonitor(clk, simpleFactory, WithShardCount(8))
-	registerFleet(t, m, clk, 2048)
-
-	var sink atomic.Uint64
-	levelFn := func(id string, lvl core.Level) { sink.Add(uint64(len(id))) }
-
-	// Warm up: start the worker pool and size the TopK scratch outside
-	// the measured region.
-	m.EachLevel(levelFn)
-	m.EachLevelParallel(levelFn)
-	dst := make([]RankedProcess, 0, 16)
-	dst = m.TopK(16, dst)
-
-	cases := []struct {
-		name string
-		run  func()
-	}{
-		{"EachLevel", func() { m.EachLevel(levelFn) }},
-		{"EachLevelParallel", func() { m.EachLevelParallel(levelFn) }},
-		{"TopK", func() { dst = m.TopK(16, dst[:0]) }},
-	}
-	for _, c := range cases {
-		if allocs := testing.AllocsPerRun(20, c.run); allocs != 0 {
-			t.Errorf("%s: %v allocs per full-fleet pass, want 0", c.name, allocs)
+	for _, k := range detectorKinds {
+		if k.name == "phi-erlang" {
+			continue
 		}
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			clk := clock.NewManual(start)
+			m := NewMonitor(clk, k.factory, WithShardCount(8))
+			registerFleet(t, m, clk, 2048)
+
+			var sink atomic.Uint64
+			levelFn := func(id string, lvl core.Level) { sink.Add(uint64(len(id))) }
+			infoFn := func(info ProcessInfo) { sink.Add(uint64(len(info.ID))) }
+			dst := m.TopK(16, make([]RankedProcess, 0, 16)) // size the scratch outside the measured region
+
+			cases := []struct {
+				name string
+				run  func()
+			}{
+				{"EachLevel", func() { m.EachLevel(levelFn) }},
+				{"EachInfo", func() { m.EachInfo(infoFn) }},
+				{"TopK", func() { dst = m.TopK(16, dst[:0]) }},
+			}
+			for _, c := range cases {
+				if allocs := testing.AllocsPerRun(20, c.run); allocs != 0 {
+					t.Errorf("%s: %v allocs per full-fleet pass, want 0", c.name, allocs)
+				}
+			}
+			_ = sink.Load()
+		})
 	}
-	_ = sink.Load()
 }

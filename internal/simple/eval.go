@@ -4,10 +4,8 @@ import (
 	"accrual/internal/core"
 )
 
-var _ core.EvalSnapshotter = (*Detector)(nil)
-
-// EvalSnapshot publishes the detector's frozen interpretation function
-// (core.EvalSnapshotter): between heartbeats Algorithm 4's level is the
+// EvalSnapshot publishes the detector's frozen interpretation
+// function: between heartbeats Algorithm 4's level is the
 // elapsed time since t_last in level units, so t_last, the unit and ε
 // are the whole state.
 func (d *Detector) EvalSnapshot() core.EvalSnapshot {

@@ -84,11 +84,7 @@ func (d *Detector) Report(hb core.Heartbeat) {
 // the resolution. Queries before the last arrival (out-of-order clocks)
 // return zero.
 func (d *Detector) Suspicion(now time.Time) core.Level {
-	elapsed := now.Sub(d.tLast)
-	if elapsed < 0 {
-		return 0
-	}
-	return core.Level(float64(elapsed) / float64(d.unit)).Quantize(d.eps)
+	return d.EvalSnapshot().Level(now)
 }
 
 // Snapshotable state identity (see core.State).
@@ -98,8 +94,6 @@ const (
 	// StateVersion is the current payload schema version.
 	StateVersion = 1
 )
-
-var _ core.Snapshotter = (*Detector)(nil)
 
 // SnapshotState exports the detector's learned state: the start time,
 // the last accepted arrival and its sequence number. Configuration

@@ -7,8 +7,6 @@ import (
 	"accrual/internal/core"
 )
 
-var _ core.Retunable = (*Detector)(nil)
-
 // TuneInfo reports channel statistics. The Algorithm 4 detector has no
 // estimation window or interval knob, so only the arrival bookkeeping
 // is populated: ArrivalMean is the mean gap between accepted heartbeats

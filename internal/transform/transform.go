@@ -28,8 +28,11 @@ import (
 type LevelFunc func(now time.Time) core.Level
 
 // FromDetector adapts an accrual detector's Suspicion method to a
-// LevelFunc.
-func FromDetector(d core.Detector) LevelFunc {
+// LevelFunc. It asks for that one method only, so it also accepts level
+// sources that are not full core.Detectors — Algorithm 2's
+// BinaryToAccrual, whose query-stateful level cannot be frozen into an
+// eval snapshot.
+func FromDetector(d interface{ Suspicion(time.Time) core.Level }) LevelFunc {
 	return d.Suspicion
 }
 
@@ -145,12 +148,6 @@ func NewBinaryToAccrual(bin core.BinaryDetector, eps core.Level) *BinaryToAccrua
 	}
 	return &BinaryToAccrual{bin: bin, eps: eps}
 }
-
-var _ core.Detector = (*BinaryToAccrual)(nil)
-
-// Report is a no-op: the underlying binary detector performs its own
-// monitoring.
-func (t *BinaryToAccrual) Report(core.Heartbeat) {}
 
 // Suspicion runs one iteration of Algorithm 2 and returns the accrued
 // level.

@@ -236,15 +236,6 @@ func TestA2DefaultEpsilon(t *testing.T) {
 	}
 }
 
-func TestA2ReportIsNoOp(t *testing.T) {
-	bin := &scriptedBinary{statuses: []core.Status{core.Trusted}}
-	a := NewBinaryToAccrual(bin, 1)
-	a.Report(core.Heartbeat{Seq: 1})
-	if got := a.Suspicion(start); got != 0 {
-		t.Errorf("level = %v, want 0", got)
-	}
-}
-
 func TestA2SatisfiesAccruementOverStabilisedBinary(t *testing.T) {
 	// A ◇P history for a faulty process: mistakes early, then suspected
 	// forever. The produced accrual history must satisfy Property 1.

@@ -18,9 +18,10 @@ import (
 
 // blockingDetector parks every Report on a gate channel, simulating a
 // detector (and therefore an ingest worker) that has stalled. It signals
-// on reporting when a Report has actually parked.
+// on reporting when a Report has actually parked. The embedded real
+// detector supplies the rest of the core.Detector contract.
 type blockingDetector struct {
-	inner     core.Detector
+	core.Detector
 	gate      <-chan struct{}
 	reporting chan<- struct{}
 }
@@ -31,11 +32,7 @@ func (d *blockingDetector) Report(hb core.Heartbeat) {
 	default:
 	}
 	<-d.gate
-	d.inner.Report(hb)
-}
-
-func (d *blockingDetector) Suspicion(now time.Time) core.Level {
-	return d.inner.Suspicion(now)
+	d.Detector.Report(hb)
 }
 
 // idForWorker brute-forces a process id whose FNV-1a hash routes to the
@@ -71,7 +68,7 @@ func TestSaturatedShardDoesNotBlockOthers(t *testing.T) {
 	fastID := idForWorker(t, "fast", workers, 1)
 	mon := service.NewMonitor(clock.Wall{}, func(id string, start time.Time) core.Detector {
 		if id == slowID {
-			return &blockingDetector{inner: simple.New(start), gate: gate, reporting: reporting}
+			return &blockingDetector{Detector: simple.New(start), gate: gate, reporting: reporting}
 		}
 		return simple.New(start)
 	})

@@ -54,9 +54,6 @@ func TestRestoreEquivalenceProperty(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(20050322))
 			live := factory()
-			if _, ok := live.(accrual.Snapshotter); !ok {
-				t.Fatalf("%s detector does not implement Snapshotter", name)
-			}
 
 			// Pre-draw the checkpoint beat numbers.
 			marks := make(map[int]bool, checkpoints)
@@ -80,9 +77,9 @@ func TestRestoreEquivalenceProperty(t *testing.T) {
 				if !marks[seq] {
 					continue
 				}
-				st := live.(accrual.Snapshotter).SnapshotState()
+				st := live.SnapshotState()
 				twin := factory()
-				if err := twin.(accrual.Snapshotter).RestoreState(st); err != nil {
+				if err := twin.RestoreState(st); err != nil {
 					t.Fatalf("beat %d: RestoreState: %v", seq, err)
 				}
 				for _, off := range queryOffsets {
