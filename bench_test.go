@@ -222,7 +222,7 @@ func TestIngestHotPathZeroAlloc(t *testing.T) {
 // registry with live QoS estimates — the fixture behind the scrape
 // benchmark and its zero-alloc gate. The clock ends past the last
 // arrival, so every level the render evaluates is a non-trivial one.
-func newScrapeAPI(tb testing.TB, procs int, factory service.Factory) *transport.API {
+func newScrapeAPI(tb testing.TB, procs int, factory service.Factory) (*transport.API, *service.Monitor) {
 	tb.Helper()
 	hub := telemetry.NewHub()
 	clk := clock.NewManual(benchStart)
@@ -238,7 +238,7 @@ func newScrapeAPI(tb testing.TB, procs int, factory service.Factory) *transport.
 	}
 	clk.Advance(1500 * time.Millisecond)
 	hub.QoS().Sample(mon)
-	return transport.NewAPI(mon, transport.WithAPITelemetry(hub))
+	return transport.NewAPI(mon, transport.WithAPITelemetry(hub)), mon
 }
 
 // countingDiscard counts bytes and drops them, so scrape measurements
@@ -253,7 +253,7 @@ func (c *countingDiscard) Write(p []byte) (int, error) {
 // BenchmarkScrape measures one full /v1/metrics render over a warm
 // 100-process registry — the pooled, append-encoded exposition path.
 func BenchmarkScrape(b *testing.B) {
-	api := newScrapeAPI(b, 100, simpleMonitorFactory)
+	api, _ := newScrapeAPI(b, 100, simpleMonitorFactory)
 	cw := &countingDiscard{}
 	if err := api.WriteMetrics(cw); err != nil { // warm pools and header cache
 		b.Fatal(err)
@@ -274,7 +274,8 @@ func BenchmarkScrape(b *testing.B) {
 // TestScrapeSteadyStateZeroAlloc is the scrape allocation budget as a
 // plain test: after a warm-up render, a full /v1/metrics render must not
 // allocate, and a cursor page may allocate at most once (the
-// continuation bookkeeping).
+// continuation bookkeeping). Nor may it sort: the per-shard id order is
+// cached against the membership, which these renders do not change.
 func TestScrapeSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector defeats sync.Pool reuse; allocation budget not meaningful")
@@ -296,11 +297,12 @@ func TestScrapeSteadyStateZeroAlloc(t *testing.T) {
 		{"bertier", func(_ string, st time.Time) core.Detector { return bertier.New(st, time.Second) }},
 	} {
 		t.Run(k.name, func(t *testing.T) {
-			api := newScrapeAPI(t, 100, k.factory)
+			api, mon := newScrapeAPI(t, 100, k.factory)
 			cw := &countingDiscard{}
 			if err := api.WriteMetrics(cw); err != nil {
 				t.Fatal(err)
 			}
+			rebuilds := mon.ShardOrderRebuilds()
 			if allocs := testing.AllocsPerRun(100, func() {
 				if err := api.WriteMetrics(cw); err != nil {
 					t.Fatal(err)
@@ -314,6 +316,9 @@ func TestScrapeSteadyStateZeroAlloc(t *testing.T) {
 				}
 			}); allocs > 1 {
 				t.Errorf("cursor page render: %.1f allocs/op, want <= 1", allocs)
+			}
+			if got := mon.ShardOrderRebuilds() - rebuilds; got != 0 {
+				t.Errorf("steady-state renders rebuilt %d shard orders, want 0", got)
 			}
 		})
 	}

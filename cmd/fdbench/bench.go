@@ -148,12 +148,17 @@ func (c *countWriter) Write(p []byte) (int, error) {
 
 // benchScrapeN returns a benchmark measuring one full /v1/metrics render
 // over a procs-process registry with live QoS estimates, via the API's
-// exported WriteMetrics (the exact render the HTTP handler streams). A
-// warm-up render primes the writer pool and header cache before the
-// timer starts, so the loop measures the steady state a scraper sees.
+// exported WriteMetrics (the exact render the HTTP handler streams). The
+// registry runs the detector accruald ships (walkFactory) and the clock
+// ends one interval past the last arrival, so the render evaluates and
+// formats a real level per process. A warm-up render primes the writer
+// pool, the header cache and the per-shard id order before the timer
+// starts, so the loop measures the steady state a scraper sees.
 func benchScrapeN(procs int) func(*testing.B) {
 	return func(b *testing.B) {
-		mon, hub := benchMonitor()
+		hub := telemetry.NewHub()
+		clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
+		mon := service.NewMonitor(clk, walkFactory, service.WithTelemetry(hub))
 		arrived := mon.Now()
 		for i := 0; i < procs; i++ {
 			id := fmt.Sprintf("proc-%06d", i)
@@ -161,6 +166,7 @@ func benchScrapeN(procs int) func(*testing.B) {
 				b.Fatal(err)
 			}
 		}
+		clk.Advance(walkInterval)
 		hub.QoS().Sample(mon)
 		api := transport.NewAPI(mon, transport.WithAPITelemetry(hub))
 		cw := &countWriter{}

@@ -15,14 +15,19 @@ import (
 	"accrual/internal/service"
 )
 
-// walkDetector names the detector the walk benchmark evaluates, and
-// walkInterval its expected heartbeat interval: accruald's defaults
-// (-detector phi -interval 1s), so the matrix measures the level
+// walkDetector names the detector the walk and scrape benchmarks
+// evaluate, and walkInterval its expected heartbeat interval: accruald's
+// defaults (-detector phi -interval 1s), so they measure the level
 // function the daemon actually ships with rather than the cheapest one.
 const (
 	walkDetector = "phi"
 	walkInterval = time.Second
 )
+
+// walkFactory builds walkDetector the way accruald's default flags do.
+func walkFactory(_ string, start time.Time) core.Detector {
+	return phi.New(start, phi.WithBootstrap(walkInterval, walkInterval/4))
+}
 
 // walkPoint is one cell of the evaluation-plane sweep: a registry size
 // crossed with one full-fleet read path. NsPerOp is one complete pass
@@ -56,9 +61,7 @@ func walkMonitor(procs int) *service.Monitor {
 		shards = 512
 	}
 	clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
-	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
-		return phi.New(start, phi.WithBootstrap(walkInterval, walkInterval/4))
-	}, service.WithShardCount(shards))
+	mon := service.NewMonitor(clk, walkFactory, service.WithShardCount(shards))
 	arrived := mon.Now()
 	for i := 0; i < procs; i++ {
 		id := fmt.Sprintf("proc-%07d", i)

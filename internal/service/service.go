@@ -204,10 +204,14 @@ type entry struct {
 }
 
 // entryMeta is a binding's immutable identity, shared with lock-free
-// readers by pointer.
+// readers by pointer, plus what the /v1/metrics scrape keeps per binding
+// (series: the label block rendered once at bind, and the estimator
+// route the QoS layer caches through it). The scrape-only part sits
+// behind the identity so id and group stay at the front of the object.
 type entryMeta struct {
-	id    string
-	group string
+	id     string
+	group  string
+	series telemetry.ProcSeries
 }
 
 // evalAuxBox wraps the snapshot's EvalAux hook so the two-word interface
@@ -370,6 +374,12 @@ type shard struct {
 	mu    sync.RWMutex
 	procs map[string]uint32
 	slab  slab
+	// epoch counts the shard's membership changes: bind and unbind bump
+	// it under the write lock, nothing else does. Whatever is a function
+	// of the membership alone — which ids are bound, into which slots —
+	// may be cached against it; see sortedOrder.
+	epoch uint64
+	order sortedOrder
 }
 
 // get resolves id to its entry and current generation. Caller holds
@@ -399,9 +409,12 @@ func (sh *shard) bind(id string, det core.Detector, group string, start time.Tim
 	// Publish the identity and the detector's initial snapshot in one
 	// seqlock window: lock-free walks see the process from this instant,
 	// never with a predecessor's parameters.
-	e.publishEval(&entryMeta{id: id, group: group}, true)
+	meta := &entryMeta{id: id, group: group}
+	meta.series.Init(id)
+	e.publishEval(meta, true)
 	e.mu.Unlock()
 	sh.procs[id] = idx
+	sh.epoch++
 	return e, gen
 }
 
@@ -416,6 +429,7 @@ func (sh *shard) unbind(id string) bool {
 		return false
 	}
 	delete(sh.procs, id)
+	sh.epoch++
 	e := sh.slab.at(idx)
 	e.mu.Lock()
 	e.gen.Add(1) // odd → even: free
@@ -469,6 +483,9 @@ type Monitor struct {
 	// coal is the single-flight coalescer behind the Shared walk
 	// variants (walk.go).
 	coal walkCoalescer
+
+	// orderRebuilds backs ShardOrderRebuilds.
+	orderRebuilds atomic.Uint64
 }
 
 // MonitorOption configures a Monitor.
@@ -690,7 +707,7 @@ func (m *Monitor) appendIDs(buf []string) []string {
 }
 
 // ShardCount returns the number of registry shards. Together with
-// AppendShardInfos it is the basis of cursor-style incremental reads: a
+// AppendShardSeries it is the basis of cursor-style incremental reads: a
 // consumer that cannot afford one O(n) pass (the /v1/metrics scrape at
 // very large memberships) walks shards [cursor, cursor+k) per page.
 func (m *Monitor) ShardCount() int { return len(m.shards) }
@@ -1038,11 +1055,17 @@ func (m *Monitor) TopK(k int, dst []RankedProcess) []RankedProcess {
 			return
 		}
 		// h[0] is the last-placed candidate kept (least suspected);
-		// replace it only when the newcomer outranks it.
-		if cmpTopK(RankedProcess{ID: meta.id, Level: lvl}, h[0]) >= 0 {
+		// replace it only when the newcomer outranks it. Nearly every
+		// process loses on the level alone, so that is compared before
+		// the identity — a load from another object — is touched.
+		if lvl < h[0].Level {
 			return
 		}
-		h[0] = RankedProcess{ID: meta.id, Level: lvl}
+		cand := RankedProcess{ID: meta.id, Level: lvl}
+		if cmpTopK(cand, h[0]) >= 0 {
+			return
+		}
+		h[0] = cand
 		siftDownRank(h)
 	})
 	slices.SortFunc(dst[base:], cmpTopK)

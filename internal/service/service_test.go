@@ -502,7 +502,7 @@ func topKWant(ranked []RankedProcess, i int) RankedProcess {
 	return desc[i]
 }
 
-func TestAppendShardInfosCoversRegistry(t *testing.T) {
+func TestAppendShardSeriesCoversRegistry(t *testing.T) {
 	m, clk := newTestMonitor()
 	want := map[string]bool{}
 	for i := 0; i < 100; i++ {
@@ -510,24 +510,31 @@ func TestAppendShardInfosCoversRegistry(t *testing.T) {
 		_ = m.Heartbeat(hb(id, 1, clk.Now()))
 		want[id] = true
 	}
-	var infos []ProcessInfo
+	var rows []telemetry.ProcRow
 	for s := 0; s < m.ShardCount(); s++ {
-		infos = m.AppendShardInfos(s, clk.Now(), infos)
-	}
-	if len(infos) != len(want) {
-		t.Fatalf("shard walk saw %d processes, want %d", len(infos), len(want))
-	}
-	for _, info := range infos {
-		if !want[info.ID] {
-			t.Errorf("unexpected id %q", info.ID)
+		from := len(rows)
+		rows = m.AppendShardSeries(s, clk.Now(), rows)
+		if shard := rows[from:]; !sort.SliceIsSorted(shard, func(a, b int) bool { return shard[a].ID < shard[b].ID }) {
+			t.Errorf("shard %d not in ascending id order: %v", s, shard)
 		}
-		delete(want, info.ID)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("shard walk saw %d processes, want %d", len(rows), len(want))
+	}
+	for _, r := range rows {
+		if !want[r.ID] {
+			t.Errorf("unexpected id %q", r.ID)
+		}
+		delete(want, r.ID)
+		if got, label := r.Series.Labels(), `{proc="`+r.ID+`"} `; got != label {
+			t.Errorf("series labels of %q = %q, want %q", r.ID, got, label)
+		}
 	}
 	// Out-of-range shards are a no-op, not a panic.
-	if got := m.AppendShardInfos(-1, clk.Now(), nil); got != nil {
-		t.Errorf("AppendShardInfos(-1) = %v", got)
+	if got := m.AppendShardSeries(-1, clk.Now(), nil); got != nil {
+		t.Errorf("AppendShardSeries(-1) = %v", got)
 	}
-	if got := m.AppendShardInfos(m.ShardCount(), clk.Now(), nil); got != nil {
-		t.Errorf("AppendShardInfos(ShardCount) = %v", got)
+	if got := m.AppendShardSeries(m.ShardCount(), clk.Now(), nil); got != nil {
+		t.Errorf("AppendShardSeries(ShardCount) = %v", got)
 	}
 }

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"accrual/internal/core"
+	"accrual/internal/telemetry"
 )
 
 // This file holds the registry's two slab iterators — every full-fleet
@@ -204,21 +207,86 @@ func (c *walkCoalescer) fanout(info ProcessInfo) {
 	}
 }
 
-// AppendShardInfos appends the ProcessInfo of every process currently
-// bound in shard s (0 <= s < ShardCount), evaluated at now, to dst and
-// returns the extended slice (unsorted). It is the paged counterpart of
-// EachInfo — the /v1/metrics scrape walks shards [cursor, cursor+k) per
-// page — and reads entirely from published snapshots: no shard lock
-// beyond the two-field span capture, no entry locks, no allocations
-// beyond dst growth. It deliberately does not go through the coalescer:
-// scrape pages interleave per-process reads of the QoS estimator, whose
-// lock a coalesced QoS sampling round holds while joined.
-func (m *Monitor) AppendShardInfos(s int, now time.Time, dst []ProcessInfo) []ProcessInfo {
+// sortedOrder is a shard's bound slots in ascending id order, cached
+// against the membership epoch: only a bind or unbind can change which
+// ids the shard holds or where, so the order is rebuilt lazily — by the
+// first ordered walk after such a change — and a scrape of an unchanged
+// shard sorts nothing. mu serialises ordered walks of one shard and is
+// taken before sh.mu, never under it.
+type sortedOrder struct {
+	mu    sync.Mutex
+	epoch uint64 // shard epoch slots was built at; both start at 0, empty
+	slots []orderedSlot
+}
+
+// orderedSlot is one bound slot as of the order's epoch. The binding is
+// recorded with the index so a slot rebound since — by a membership
+// change the walk in progress has not caught up with — is recognised and
+// skipped instead of surfacing a different id out of order.
+type orderedSlot struct {
+	meta *entryMeta
+	idx  uint32
+}
+
+// eachSorted is eachEval in ascending id order, for the one reader whose
+// output order is a contract (the /v1/metrics scrape). Levels are still
+// one seqlock read per slot straight off the slab with no shard or entry
+// lock held; only the order comes from the cache. It reports whether the
+// order had to be rebuilt.
+func (sh *shard) eachSorted(now time.Time, fn func(meta *entryMeta, lvl core.Level)) (rebuilt bool) {
+	o := &sh.order
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	sh.mu.RLock()
+	chunks := sh.slab.chunks
+	if rebuilt = o.epoch != sh.epoch; rebuilt {
+		clear(o.slots) // drop the previous epoch's bindings, unbound ones included
+		o.slots = o.slots[:0]
+		for _, idx := range sh.procs {
+			// Membership is frozen under the shard lock, so every indexed
+			// slot is bound and its identity is stable.
+			o.slots = append(o.slots, orderedSlot{meta: sh.slab.at(idx).meta.Load(), idx: idx})
+		}
+		o.epoch = sh.epoch
+	}
+	sh.mu.RUnlock()
+	if rebuilt {
+		slices.SortFunc(o.slots, func(a, b orderedSlot) int { return strings.Compare(a.meta.id, b.meta.id) })
+	}
+	for _, s := range o.slots {
+		e := &chunks[s.idx>>slabChunkBits][s.idx&slabChunkMask]
+		if meta, snap, _, ok := e.loadEval(); ok && meta == s.meta {
+			fn(meta, snap.Level(now))
+		}
+	}
+	return rebuilt
+}
+
+// AppendShardSeries appends one row per process bound in shard s
+// (0 <= s < ShardCount) to dst, in ascending id order, and returns the
+// extended slice: the process's id, its exposition series (label block
+// rendered at bind) and its level evaluated at now from the published
+// snapshot. It is what the /v1/metrics scrape walks, shards
+// [cursor, cursor+k) per page, and allocates nothing beyond dst growth;
+// on a shard whose membership has not changed since the last call it
+// sorts nothing either (see sortedOrder). It deliberately does not go
+// through the coalescer: the scrape follows each shard with a gather
+// under the QoS estimator lock, which a coalesced QoS sampling round
+// holds while joined.
+func (m *Monitor) AppendShardSeries(s int, now time.Time, dst []telemetry.ProcRow) []telemetry.ProcRow {
 	if s < 0 || s >= len(m.shards) {
 		return dst
 	}
-	m.shards[s].eachEval(now, func(meta *entryMeta, lvl core.Level, last int64) {
-		dst = append(dst, ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)})
-	})
+	if m.shards[s].eachSorted(now, func(meta *entryMeta, lvl core.Level) {
+		dst = append(dst, telemetry.ProcRow{ID: meta.id, Series: &meta.series, Level: lvl})
+	}) {
+		m.orderRebuilds.Add(1)
+	}
 	return dst
 }
+
+// ShardOrderRebuilds counts how often AppendShardSeries had to re-sort
+// a shard because its membership had changed. It moves with
+// registration churn, never with scrapes alone — the invariant the
+// scrape tests pin.
+func (m *Monitor) ShardOrderRebuilds() uint64 { return m.orderRebuilds.Load() }

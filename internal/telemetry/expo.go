@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,8 +28,10 @@ type Label struct {
 // internal buffer crosses it, the buffered bytes are written out. It is
 // small enough that a scrape over a huge registry never materialises the
 // whole exposition, and large enough that the underlying writer sees a
-// few big writes instead of one per sample line.
-const DefaultChunkSize = 16 * 1024
+// few big writes instead of one per sample line: through net/http every
+// flush is one chunk header and one socket write, which at 16 KiB was a
+// fifth of the scrape's CPU.
+const DefaultChunkSize = 64 * 1024
 
 // MetricWriter emits the Prometheus text exposition format (version
 // 0.0.4) by hand — no client library. Lines are appended to an internal
@@ -42,6 +45,9 @@ const DefaultChunkSize = 16 * 1024
 // process-wide, and samples whose label values contain no escapable
 // bytes take an allocation-free fast path, so a steady-state scrape
 // costs zero allocations (AcquireMetricWriter pools the buffer too).
+// Series whose label set never changes — one per monitored process —
+// skip label rendering altogether: RenderLabels renders the block once
+// and SampleRendered copies it.
 //
 // Non-finite values are legal in the format and rendered as NaN, +Inf
 // and -Inf — the QoS estimators lean on this for not-yet-estimable
@@ -176,8 +182,37 @@ func (mw *MetricWriter) Sample(name string, value float64, labels ...Label) {
 	if mw.err != nil {
 		return
 	}
-	b := mw.buf
-	b = append(b, name...)
+	b := append(mw.buf, name...)
+	b = appendLabels(b, labels)
+	mw.buf = appendValueLine(b, value)
+	mw.maybeFlush()
+}
+
+// SampleRendered emits one sample line whose label block was rendered
+// ahead of time by RenderLabels: three copies and a value, with no
+// escape scan. The output is byte-identical to Sample with the labels
+// the block was rendered from.
+func (mw *MetricWriter) SampleRendered(name, labels string, value float64) {
+	if mw.err != nil {
+		return
+	}
+	b := append(mw.buf, name...)
+	b = append(b, labels...)
+	mw.buf = appendValueLine(b, value)
+	mw.maybeFlush()
+}
+
+// RenderLabels renders a sample line's label block — `{a="x",b="y"} `,
+// escaping and the separating space included, or the bare space for no
+// labels — for SampleRendered.
+func RenderLabels(labels ...Label) string {
+	var buf [64]byte
+	return string(appendLabels(buf[:0], labels))
+}
+
+// appendLabels appends the label block and the space that separates it
+// from the value: the one place the label syntax is rendered.
+func appendLabels(b []byte, labels []Label) []byte {
 	if len(labels) > 0 {
 		b = append(b, '{')
 		for i, l := range labels {
@@ -191,13 +226,27 @@ func (mw *MetricWriter) Sample(name string, value float64, labels ...Label) {
 		}
 		b = append(b, '}')
 	}
-	b = append(b, ' ')
-	// Shortest round-trip representation, with NaN/+Inf/-Inf spelled
-	// out — byte-identical to strconv.FormatFloat(v, 'g', -1, 64).
-	b = strconv.AppendFloat(b, value, 'g', -1, 64)
-	b = append(b, '\n')
-	mw.buf = b
-	mw.maybeFlush()
+	return append(b, ' ')
+}
+
+// appendValueLine appends a sample value and the line terminator. The
+// value is the shortest round-trip representation with NaN/+Inf/-Inf
+// spelled out — byte-identical to strconv.FormatFloat(v, 'g', -1, 64).
+// NaN, +0 and 1 are five of the six values a healthy process renders
+// (not-yet-estimable means, λ_M = 0, P_A = 1), so they skip the
+// shortest-digits search; -0 renders "-0" and takes the general path.
+func appendValueLine(b []byte, v float64) []byte {
+	switch {
+	case v != v:
+		b = append(b, "NaN"...)
+	case math.Float64bits(v) == 0:
+		b = append(b, '0')
+	case v == 1:
+		b = append(b, '1')
+	default:
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	return append(b, '\n')
 }
 
 // labelEscapeSet and helpEscapeSet are the byte sets whose presence

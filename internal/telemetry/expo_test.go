@@ -15,17 +15,31 @@ import (
 // corners of the text format: HELP escaping, label-value escaping, and
 // the three non-finite renderings the QoS estimators rely on.
 func writeGoldenExposition(mw *telemetry.MetricWriter) {
+	writeGolden(mw, func(name string, v float64, proc string) {
+		mw.Sample(name, v, telemetry.Label{Name: "proc", Value: proc})
+	})
+}
+
+// writeGoldenExpositionRendered is the same fixture with the per-process
+// rows going through a ProcSeries — the label block rendered once, the
+// way the registry does at bind — so the golden file pins both paths to
+// the same bytes, the escaped id included.
+func writeGoldenExpositionRendered(mw *telemetry.MetricWriter) {
+	writeGolden(mw, func(name string, v float64, proc string) {
+		var series telemetry.ProcSeries
+		series.Init(proc)
+		mw.SampleRendered(name, series.Labels(), v)
+	})
+}
+
+func writeGolden(mw *telemetry.MetricWriter, procSample func(name string, v float64, proc string)) {
 	mw.Header(telemetry.MetricQoSPA,
 		"Query accuracy P_A in [0,1]; see \\S 2 of the paper\nNaN until the first query window closes",
 		"gauge")
-	mw.Sample(telemetry.MetricQoSPA, math.NaN(),
-		telemetry.Label{Name: "proc", Value: "we\"ird\\proc\nname"})
-	mw.Sample(telemetry.MetricQoSPA, math.Inf(1),
-		telemetry.Label{Name: "proc", Value: "fast"})
-	mw.Sample(telemetry.MetricQoSPA, math.Inf(-1),
-		telemetry.Label{Name: "proc", Value: "slow"})
-	mw.Sample(telemetry.MetricQoSPA, 0.9975,
-		telemetry.Label{Name: "proc", Value: "steady"})
+	procSample(telemetry.MetricQoSPA, math.NaN(), "we\"ird\\proc\nname")
+	procSample(telemetry.MetricQoSPA, math.Inf(1), "fast")
+	procSample(telemetry.MetricQoSPA, math.Inf(-1), "slow")
+	procSample(telemetry.MetricQoSPA, 0.9975, "steady")
 	mw.Header("accrual_heartbeats_ingested_total",
 		"Heartbeats accepted by the monitor hot path", "counter")
 	mw.Sample("accrual_heartbeats_ingested_total", 42)
@@ -37,19 +51,24 @@ func writeGoldenExposition(mw *telemetry.MetricWriter) {
 // TestMetricWriterGolden compares the writer's output byte-for-byte
 // against testdata/expo.golden.
 func TestMetricWriterGolden(t *testing.T) {
-	var buf bytes.Buffer
-	mw := telemetry.NewMetricWriter(&buf)
-	writeGoldenExposition(mw)
-	mw.Flush()
-	if err := mw.Err(); err != nil {
-		t.Fatal(err)
-	}
 	want, err := os.ReadFile("testdata/expo.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes(); !bytes.Equal(got, want) {
-		t.Errorf("exposition mismatch\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	for name, write := range map[string]func(*telemetry.MetricWriter){
+		"labels":   writeGoldenExposition,
+		"rendered": writeGoldenExpositionRendered,
+	} {
+		var buf bytes.Buffer
+		mw := telemetry.NewMetricWriter(&buf)
+		write(mw)
+		mw.Flush()
+		if err := mw.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("%s: exposition mismatch\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"accrual/internal/core"
@@ -88,25 +89,32 @@ func (q *QoS) SetThresholds(high, low core.Level) error {
 	return nil
 }
 
-// procEstimator is the streaming state of one monitored process.
+// procEstimator is the streaming state of one monitored process. The
+// fields metrics() reads come first so a scrape's one estimator read per
+// process stays within the struct's leading cache lines.
 type procEstimator struct {
+	// owner is the QoS whose procs map holds this estimator, nil once
+	// Forget has deleted it: a ProcSeries that cached the estimator
+	// re-probes the map instead of rendering an orphan.
+	owner *QoS
+
+	firstAt time.Time     // first observation
+	accEnd  time.Time     // end of the accuracy window (capped at crashAt)
+	trusted time.Duration // time spent trusted within the accuracy window
+
+	sCount, tCount       int
+	sumTMR, sumTM, sumTG time.Duration
+	nTMR, nTM, nTG       int
+
 	level  core.Level
 	hyst   *transform.Hysteresis
 	status core.Status
 
-	firstAt time.Time // first observation
 	lastAt  time.Time // latest observation
-	accEnd  time.Time // end of the accuracy window (capped at crashAt)
 	samples int
 
-	trusted time.Duration // time spent trusted within the accuracy window
-
-	sCount, tCount int
-	lastS, lastT   time.Time
-	haveS, haveT   bool
-
-	sumTMR, sumTM, sumTG time.Duration
-	nTMR, nTM, nTG       int
+	lastS, lastT time.Time
+	haveS, haveT bool
 
 	crashAt time.Time // zero while the process is presumed alive
 }
@@ -137,23 +145,6 @@ type Estimate struct {
 	// TMR, TM and TG are the mean mistake recurrence, mistake duration
 	// and good period in seconds.
 	TMR, TM, TG float64
-}
-
-// NotEstimable returns the all-NaN estimate rendered for a process the
-// estimators have not observed yet (registered, never sampled). The
-// exposition layer uses it so every monitored process appears in the
-// scrape with a stable set of series from the moment it registers.
-func NotEstimable(id string) Estimate {
-	nan := math.NaN()
-	return Estimate{
-		ID:      id,
-		Level:   core.Level(nan),
-		LambdaM: nan,
-		PA:      nan,
-		TMR:     nan,
-		TM:      nan,
-		TG:      nan,
-	}
 }
 
 // LevelSource is the level stream the sampler polls — implemented by
@@ -204,7 +195,7 @@ func (q *QoS) Observe(id string, lvl core.Level, now time.Time) {
 func (q *QoS) observeLocked(id string, lvl core.Level, now time.Time) {
 	pe := q.procs[id]
 	if pe == nil {
-		pe = &procEstimator{status: core.Trusted, firstAt: now, lastAt: now, accEnd: now}
+		pe = &procEstimator{owner: q, status: core.Trusted, firstAt: now, lastAt: now, accEnd: now}
 		// The hysteresis source reads the estimator's latest pushed
 		// level; each observation below becomes exactly one Algorithm 3
 		// query. The thresholds are read through q at query time — not
@@ -304,6 +295,7 @@ func (q *QoS) Forget(id string, now time.Time) {
 		return
 	}
 	delete(q.procs, id)
+	pe.owner = nil
 	if pe.crashAt.IsZero() || pe.status != core.Suspected {
 		return
 	}
@@ -361,26 +353,96 @@ func (pe *procEstimator) estimate(id string) Estimate {
 		Samples:      pe.samples,
 		STransitions: pe.sCount,
 		TTransitions: pe.tCount,
-		LambdaM:      math.NaN(),
-		PA:           math.NaN(),
-		TMR:          math.NaN(),
-		TM:           math.NaN(),
-		TG:           math.NaN(),
 	}
-	if est.Observed > 0 {
-		est.LambdaM = float64(pe.sCount) / est.Observed.Seconds()
-		est.PA = float64(pe.trusted) / float64(est.Observed)
+	est.LambdaM, est.PA, est.TMR, est.TM, est.TG = pe.metrics()
+	return est
+}
+
+// metrics derives the five exposed accuracy estimates from the
+// accumulators, NaN where not yet estimable.
+func (pe *procEstimator) metrics() (lambdaM, pa, tmr, tm, tg float64) {
+	lambdaM, pa, tmr, tm, tg = math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()
+	if observed := pe.accEnd.Sub(pe.firstAt); observed > 0 {
+		lambdaM = float64(pe.sCount) / observed.Seconds()
+		pa = float64(pe.trusted) / float64(observed)
 	}
 	if pe.nTMR > 0 {
-		est.TMR = (pe.sumTMR / time.Duration(pe.nTMR)).Seconds()
+		tmr = (pe.sumTMR / time.Duration(pe.nTMR)).Seconds()
 	}
 	if pe.nTM > 0 {
-		est.TM = (pe.sumTM / time.Duration(pe.nTM)).Seconds()
+		tm = (pe.sumTM / time.Duration(pe.nTM)).Seconds()
 	}
 	if pe.nTG > 0 {
-		est.TG = (pe.sumTG / time.Duration(pe.nTG)).Seconds()
+		tg = (pe.sumTG / time.Duration(pe.nTG)).Seconds()
 	}
-	return est
+	return lambdaM, pa, tmr, tm, tg
+}
+
+// ProcSeries is what one monitored-process binding keeps for the
+// per-process section of the exposition, so that a scrape neither
+// re-renders the process's label nor probes the estimator map for it:
+// the `{proc="…"} ` block rendered (and escaped) once, and a cached
+// route to the process's estimator. The registry creates one per
+// binding and calls Init before sharing it.
+type ProcSeries struct {
+	labels string
+	// est is the estimator GatherEstimates last resolved for this
+	// binding, nil until the process has been sampled. An estimator can
+	// be deleted (Forget) and replaced while the binding lives — a
+	// deregistration's Forget may run after the id was re-registered —
+	// so a cached estimator counts only while its owner field still
+	// names the gathering QoS.
+	est atomic.Pointer[procEstimator]
+}
+
+// Init renders id's label block into p, once, before the binding is
+// published to readers.
+func (p *ProcSeries) Init(id string) {
+	p.labels = RenderLabels(Label{Name: "proc", Value: id})
+}
+
+// Labels returns the pre-rendered label block, for
+// MetricWriter.SampleRendered.
+func (p *ProcSeries) Labels() string { return p.labels }
+
+// ProcRow stages one process for the per-process exposition section: a
+// registry walk fills ID, Series and Level, GatherEstimates fills the
+// five accuracy estimates, and the renderer reads all of it with no
+// lock held.
+type ProcRow struct {
+	ID     string
+	Series *ProcSeries
+	Level  core.Level
+	// NaN where Estimate would report not-yet-estimable, and all NaN for
+	// a process the estimators have not observed at all — so every
+	// monitored process appears in the scrape with a stable set of series
+	// from the moment it registers.
+	LambdaM, PA, TMR, TM, TG float64
+}
+
+// GatherEstimates fills the accuracy estimates of every row — the values
+// Estimate(row.ID) would return — under a single hold of the estimator
+// lock, reaching each estimator through the handle cached on the row's
+// series and probing the map only for a binding not resolved yet (or
+// whose estimator was forgotten since). The lock is released before it
+// returns: a scrape gathers a shard, then renders it to the client.
+func (q *QoS) GatherEstimates(rows []ProcRow) {
+	q.mu.Lock()
+	for i := range rows {
+		r := &rows[i]
+		pe := r.Series.est.Load()
+		if pe == nil || pe.owner != q {
+			pe = q.procs[r.ID]
+			r.Series.est.Store(pe)
+		}
+		if pe == nil {
+			nan := math.NaN()
+			r.LambdaM, r.PA, r.TMR, r.TM, r.TG = nan, nan, nan, nan, nan
+			continue
+		}
+		r.LambdaM, r.PA, r.TMR, r.TM, r.TG = pe.metrics()
+	}
+	q.mu.Unlock()
 }
 
 // Aggregate is a fleet-level rollup of the per-process estimates, cheap

@@ -253,3 +253,74 @@ func TestSamplerLoop(t *testing.T) {
 		t.Errorf("sampled procs = %d, want 1", q.Len())
 	}
 }
+
+// sameFloat is float equality with NaN equal to NaN: the estimates are
+// NaN until estimable and the scrape renders them verbatim.
+func sameFloat(a, b float64) bool {
+	return a == b || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// gatherOne runs GatherEstimates over the single series and requires
+// the row to carry exactly what Estimate(id) reports — all NaN when the
+// estimators do not know the id.
+func gatherOne(t *testing.T, q *telemetry.QoS, id string, series *telemetry.ProcSeries) telemetry.ProcRow {
+	t.Helper()
+	rows := []telemetry.ProcRow{{ID: id, Series: series, LambdaM: -1, PA: -1, TMR: -1, TM: -1, TG: -1}}
+	q.GatherEstimates(rows)
+	want, ok := q.Estimate(id)
+	if !ok {
+		nan := math.NaN()
+		want = telemetry.Estimate{LambdaM: nan, PA: nan, TMR: nan, TM: nan, TG: nan}
+	}
+	r := rows[0]
+	if !sameFloat(r.LambdaM, want.LambdaM) || !sameFloat(r.PA, want.PA) ||
+		!sameFloat(r.TMR, want.TMR) || !sameFloat(r.TM, want.TM) || !sameFloat(r.TG, want.TG) {
+		t.Errorf("gathered %+v, Estimate(%q) = %+v (known %v)", r, id, want, ok)
+	}
+	return r
+}
+
+// TestGatherEstimatesFollowsForgottenEstimator: a series caches its
+// estimator, so a Forget that runs after the id's successor binding has
+// already cached the predecessor's estimator must not leave the scrape
+// rendering the orphan — nor may the cache hide a process the estimators
+// simply have not met yet.
+func TestGatherEstimatesFollowsForgottenEstimator(t *testing.T) {
+	q := mustQoS(t, 2, 1)
+	var series telemetry.ProcSeries
+	series.Init("p")
+
+	// Not sampled yet: all NaN, and again NaN on the cached-miss path.
+	gatherOne(t, q, "p", &series)
+	gatherOne(t, q, "p", &series)
+
+	// The predecessor's history: a mistake and its correction, so every
+	// estimate is a finite number the successor's cannot equal.
+	at := qosStart
+	for _, lvl := range []core.Level{0, 3, 3, 0, 0, 3, 0} {
+		q.Observe("p", lvl, at)
+		at = at.Add(time.Second)
+	}
+	old := gatherOne(t, q, "p", &series) // the series now holds the estimator
+	if math.IsNaN(old.TM) || math.IsNaN(old.TMR) || old.LambdaM == 0 {
+		t.Fatalf("fixture: predecessor estimates not finite: %+v", old)
+	}
+
+	// The late Forget deletes the estimator the series still points at.
+	q.Forget("p", at)
+	if r := gatherOne(t, q, "p", &series); !math.IsNaN(r.PA) {
+		t.Errorf("forgotten estimator still rendered: %+v", r)
+	}
+
+	// The successor is sampled into a fresh estimator; the series must
+	// find it.
+	q.Observe("p", 0, at.Add(time.Second))
+	q.Observe("p", 0, at.Add(2*time.Second))
+	if r := gatherOne(t, q, "p", &series); r.PA != 1 || r.LambdaM != 0 {
+		t.Errorf("successor estimates = %+v, want P_A 1 and lambda_M 0", r)
+	}
+	// And keeps following it through the cache.
+	q.Observe("p", 3, at.Add(3*time.Second))
+	q.Observe("p", 3, at.Add(4*time.Second))
+	gatherOne(t, q, "p", &series)
+}

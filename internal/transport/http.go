@@ -51,6 +51,11 @@ type API struct {
 	cluster ClusterView
 	tuner   *autotune.Controller
 	mux     *http.ServeMux
+
+	// onScrapeShard, when non-nil, observes every shard a /v1/metrics
+	// render walks. Tests use it to verify that a render whose client is
+	// gone stops walking; production handlers leave it nil.
+	onScrapeShard func(shard int)
 }
 
 // APIOption configures the HTTP handler.

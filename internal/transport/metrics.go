@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,16 +25,16 @@ const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 const MetricsCursorHeader = "Accrual-Metrics-Cursor"
 
 // metricsChunkSize is the flush threshold of a streaming (non-cursor)
-// scrape: the exposition drains to the client every ~16 KiB instead of
+// scrape: the exposition drains to the client every ~64 KiB instead of
 // materialising the whole render, so scrape memory is O(chunk) no
 // matter how many processes are registered.
 const metricsChunkSize = telemetry.DefaultChunkSize
 
-// metricsScratch is the pooled per-scrape working set: the shard info
-// buffer reused across shards and scrapes so a steady-state scrape
-// allocates nothing.
+// metricsScratch is the pooled per-scrape working set: one shard's rows,
+// reused across shards and scrapes so a steady-state scrape allocates
+// nothing.
 type metricsScratch struct {
-	infos []service.ProcessInfo
+	rows []telemetry.ProcRow
 }
 
 var metricsScratchPool = sync.Pool{New: func() any { return new(metricsScratch) }}
@@ -345,50 +344,54 @@ func writePerProcessHeaders(mw *telemetry.MetricWriter) {
 // estimators have not observed yet). The suspicion level is evaluated
 // live from each process's published eval snapshot at scrape time — the
 // scrape reads the registry's lock-free evaluation plane directly
-// (service.Monitor.AppendShardInfos) rather than re-reporting the QoS
-// sampler's last observation. With limit > 0 it stops at the first
-// shard boundary at or past limit emitted processes and returns the
-// next shard index; otherwise (and on the final shard) it returns -1.
+// (service.Monitor.AppendShardSeries) rather than re-reporting the QoS
+// sampler's last observation. Each shard is three steps: stage its rows
+// in id order, gather their estimates under one hold of the QoS lock,
+// then — with no lock held, since a flush is a network write — render.
+// With limit > 0 it stops at the first shard boundary at or past limit
+// emitted processes and returns the next shard index; otherwise (and on
+// the final shard) it returns -1. Once a write to the client has failed
+// the remaining shards are not walked at all.
 func (a *API) writePerProcessSamples(mw *telemetry.MetricWriter, fromShard, limit int) (next int) {
 	q := a.hub.QoS()
 	sc := metricsScratchPool.Get().(*metricsScratch)
 	next = -1
-	emitted := 0
+	emitted, staged := 0, 0
 	now := a.mon.Now()
 	shards := a.mon.ShardCount()
-	for s := fromShard; s < shards; s++ {
-		sc.infos = a.mon.AppendShardInfos(s, now, sc.infos[:0])
-		slices.SortFunc(sc.infos, func(x, y service.ProcessInfo) int {
-			return strings.Compare(x.ID, y.ID)
-		})
-		for _, info := range sc.infos {
-			est, ok := q.Estimate(info.ID)
-			if !ok {
-				est = telemetry.NotEstimable(info.ID)
-			}
-			est.Level = info.Level
-			writeProcessSamples(mw, est)
+	for s := fromShard; s < shards && mw.Err() == nil; s++ {
+		if a.onScrapeShard != nil {
+			a.onScrapeShard(s)
 		}
-		emitted += len(sc.infos)
+		sc.rows = a.mon.AppendShardSeries(s, now, sc.rows[:0])
+		staged = max(staged, len(sc.rows))
+		q.GatherEstimates(sc.rows)
+		for i := range sc.rows {
+			writeProcessSamples(mw, &sc.rows[i])
+		}
+		emitted += len(sc.rows)
 		if limit > 0 && emitted >= limit && s+1 < shards {
 			next = s + 1
 			break
 		}
 	}
-	sc.infos = sc.infos[:0]
+	// The pool must not keep departed processes' bindings reachable;
+	// rows past the widest shard staged here were cleared by whoever
+	// staged them.
+	clear(sc.rows[:staged])
 	metricsScratchPool.Put(sc)
 	return next
 }
 
 // writeProcessSamples emits one process's six series.
-func writeProcessSamples(mw *telemetry.MetricWriter, est telemetry.Estimate) {
-	proc := telemetry.Label{Name: "proc", Value: est.ID}
-	mw.Sample(telemetry.MetricSuspicionLevel, float64(est.Level), proc)
-	mw.Sample(telemetry.MetricQoSLambdaM, est.LambdaM, proc)
-	mw.Sample(telemetry.MetricQoSPA, est.PA, proc)
-	mw.Sample(telemetry.MetricQoSTMR, est.TMR, proc)
-	mw.Sample(telemetry.MetricQoSTM, est.TM, proc)
-	mw.Sample(telemetry.MetricQoSTG, est.TG, proc)
+func writeProcessSamples(mw *telemetry.MetricWriter, r *telemetry.ProcRow) {
+	proc := r.Series.Labels()
+	mw.SampleRendered(telemetry.MetricSuspicionLevel, proc, float64(r.Level))
+	mw.SampleRendered(telemetry.MetricQoSLambdaM, proc, r.LambdaM)
+	mw.SampleRendered(telemetry.MetricQoSPA, proc, r.PA)
+	mw.SampleRendered(telemetry.MetricQoSTMR, proc, r.TMR)
+	mw.SampleRendered(telemetry.MetricQoSTM, proc, r.TM)
+	mw.SampleRendered(telemetry.MetricQoSTG, proc, r.TG)
 }
 
 // lastPoll, lastTick and lastSample tolerate nil sources so the scrape

@@ -1,0 +1,300 @@
+package transport
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"accrual/internal/clock"
+	"accrual/internal/core"
+	"accrual/internal/service"
+	"accrual/internal/simple"
+	"accrual/internal/telemetry"
+)
+
+// refFNV1a is the registry's shard hash, restated so the reference
+// render below shares no code with the scrape it checks.
+func refFNV1a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}
+
+// referencePerProcessSection renders the per-process section the way
+// the scrape did before it cached anything: group the live ids by
+// shard, sort each group from scratch, ask QoS.Estimate per id, and
+// render every line through the label-escaping Sample path.
+func referencePerProcessSection(mon *service.Monitor, q *telemetry.QoS) []byte {
+	levels := map[string]core.Level{}
+	mon.EachLevel(func(id string, lvl core.Level) { levels[id] = lvl })
+	byShard := make([][]string, mon.ShardCount())
+	for id := range levels {
+		s := refFNV1a(id) & uint32(mon.ShardCount()-1)
+		byShard[s] = append(byShard[s], id)
+	}
+	var buf bytes.Buffer
+	mw := telemetry.NewMetricWriterChunked(&buf, 0)
+	for _, ids := range byShard {
+		sort.Strings(ids)
+		for _, id := range ids {
+			est, ok := q.Estimate(id)
+			if !ok { // registered, never sampled: every estimate NaN
+				nan := math.NaN()
+				est = telemetry.Estimate{LambdaM: nan, PA: nan, TMR: nan, TM: nan, TG: nan}
+			}
+			proc := telemetry.Label{Name: "proc", Value: id}
+			mw.Sample(telemetry.MetricSuspicionLevel, float64(levels[id]), proc)
+			mw.Sample(telemetry.MetricQoSLambdaM, est.LambdaM, proc)
+			mw.Sample(telemetry.MetricQoSPA, est.PA, proc)
+			mw.Sample(telemetry.MetricQoSTMR, est.TMR, proc)
+			mw.Sample(telemetry.MetricQoSTM, est.TM, proc)
+			mw.Sample(telemetry.MetricQoSTG, est.TG, proc)
+		}
+	}
+	mw.Flush()
+	return buf.Bytes()
+}
+
+func scrapedPerProcessSection(a *API) []byte {
+	var buf bytes.Buffer
+	mw := telemetry.NewMetricWriterChunked(&buf, 0)
+	a.writePerProcessSamples(mw, 0, 0)
+	mw.Flush()
+	return buf.Bytes()
+}
+
+func requireReferenceRender(t *testing.T, a *API, when string) {
+	t.Helper()
+	got, want := scrapedPerProcessSection(a), referencePerProcessSection(a.mon, a.hub.QoS())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: per-process section differs from the reference render\n--- got ---\n%s\n--- want ---\n%s", when, got, want)
+	}
+}
+
+// TestScrapeEqualsReferenceRenderThroughChurn holds the cached scrape —
+// label rendered at bind, shard order cached per membership epoch,
+// estimator reached through the binding — to the uncached reference
+// after every kind of membership change, between scrapes and during
+// them, including an id that needs every label escape. It also pins the
+// cost side: scrapes of an unchanged membership rebuild no order.
+func TestScrapeEqualsReferenceRenderThroughChurn(t *testing.T) {
+	epoch := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
+	clk := clock.NewManual(epoch)
+	hub := telemetry.NewHub()
+	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
+		return simple.New(start)
+	}, service.WithTelemetry(hub), service.WithShardCount(8))
+	api := NewAPI(mon, WithAPITelemetry(hub))
+	q := hub.QoS()
+
+	const weird = "we\"ird\\proc\nname"
+	id := func(i int) string { return fmt.Sprintf("proc-%03d", i) }
+	beat := func(id string, seq uint64) {
+		t.Helper()
+		if err := mon.Heartbeat(core.Heartbeat{From: id, Seq: seq, Arrived: clk.Now()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 120; i++ {
+		beat(id(i), 1)
+	}
+	beat(weird, 1)
+	requireReferenceRender(t, api, "registered, never sampled")
+
+	clk.Advance(time.Second)
+	q.Sample(mon)
+	clk.Advance(3 * time.Second) // silent past the reference threshold
+	q.Sample(mon)
+	for i := 0; i < 120; i += 2 {
+		beat(id(i), 2) // half the fleet recovers: T-transitions, finite T_M
+	}
+	clk.Advance(time.Second)
+	q.Sample(mon)
+	requireReferenceRender(t, api, "sampled")
+	if !bytes.Contains(scrapedPerProcessSection(api), []byte(`accrual_suspicion_level{proc="we\"ird\\proc\nname"} `)) {
+		t.Errorf("escaped id not rendered as the golden escaping rows are")
+	}
+
+	rebuilds := mon.ShardOrderRebuilds()
+	for i := 0; i < 5; i++ {
+		clk.Advance(time.Second)
+		q.Sample(mon)
+		requireReferenceRender(t, api, "steady state")
+	}
+	if got := mon.ShardOrderRebuilds(); got != rebuilds {
+		t.Errorf("steady-state scrapes rebuilt %d shard orders, want 0", got-rebuilds)
+	}
+
+	// Between scrapes: leave, join, and leave-and-rejoin (sampled and not).
+	for i := 0; i < 20; i++ {
+		mon.Deregister(id(i))
+	}
+	mon.Deregister(weird)
+	requireReferenceRender(t, api, "after deregistrations")
+	for i := 200; i < 230; i++ {
+		beat(id(i), 1)
+	}
+	for i := 0; i < 10; i++ {
+		beat(id(i), 1) // same ids, new bindings, fresh estimators to come
+	}
+	requireReferenceRender(t, api, "after registrations, before sampling")
+	clk.Advance(time.Second)
+	q.Sample(mon)
+	requireReferenceRender(t, api, "after registrations, sampled")
+
+	// During scrapes: churn, ingest and sampling run against concurrent
+	// renders; each time the writers stop, the next render must be exact.
+	for round := 0; round < 3; round++ {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		worker := func(fn func(i int)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					fn(i)
+				}
+			}()
+		}
+		worker(func(i int) { mon.Deregister(id(20 + (i*7)%100)) })
+		worker(func(i int) {
+			now := clk.Advance(time.Millisecond)
+			_ = mon.Heartbeat(core.Heartbeat{From: id(20 + i%100), Seq: uint64(10 + i), Arrived: now})
+		})
+		worker(func(i int) { q.Sample(mon) })
+		for r := 0; r < 30; r++ {
+			_ = scrapedPerProcessSection(api)
+		}
+		close(stop)
+		wg.Wait()
+		clk.Advance(time.Second)
+		q.Sample(mon)
+		requireReferenceRender(t, api, fmt.Sprintf("quiesced after concurrent churn, round %d", round))
+	}
+}
+
+// TestScrapeFollowsLateForget is the deregister → re-register → Forget
+// interleaving end to end: the successor binding is scraped (and caches
+// the predecessor's estimator) before the predecessor's Forget runs.
+// The monitor is built without the hub so the test, not Deregister,
+// decides when Forget happens.
+func TestScrapeFollowsLateForget(t *testing.T) {
+	epoch := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
+	clk := clock.NewManual(epoch)
+	hub := telemetry.NewHub()
+	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
+		return simple.New(start)
+	})
+	api := NewAPI(mon, WithAPITelemetry(hub))
+	q := hub.QoS()
+	beat := func(seq uint64) {
+		t.Helper()
+		if err := mon.Heartbeat(core.Heartbeat{From: "p", Seq: seq, Arrived: clk.Now()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// First life: one mistake, corrected — estimates a fresh estimator
+	// cannot reproduce.
+	beat(1)
+	q.Sample(mon)
+	clk.Advance(5 * time.Second)
+	q.Sample(mon)
+	beat(2)
+	q.Sample(mon)
+	clk.Advance(time.Second)
+	q.Sample(mon)
+	requireReferenceRender(t, api, "first life")
+	orphan, _ := q.Estimate("p")
+	if orphan.STransitions != 1 || orphan.TTransitions != 1 {
+		t.Fatalf("fixture: first life recorded %d S / %d T transitions, want 1 / 1", orphan.STransitions, orphan.TTransitions)
+	}
+
+	mon.Deregister("p")
+	beat(1) // second life, bound before the first one's Forget
+	requireReferenceRender(t, api, "successor scraped before Forget")
+	q.Forget("p", clk.Now())
+	requireReferenceRender(t, api, "after the late Forget")
+
+	clk.Advance(time.Second)
+	beat(2)
+	q.Sample(mon)
+	clk.Advance(time.Second)
+	q.Sample(mon)
+	requireReferenceRender(t, api, "successor sampled")
+	if strings.Contains(string(scrapedPerProcessSection(api)), fmt.Sprintf("%s{proc=\"p\"} %v\n", telemetry.MetricQoSTM, orphan.TM)) {
+		t.Errorf("scrape still renders the forgotten estimator's T_M %v", orphan.TM)
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.n < len(p) {
+		f.n = 0
+		return 0, errors.New("client went away")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestScrapeStopsWalkingForAGoneClient: once a flush has failed, the
+// render must stop visiting shards — their walk and estimate gather are
+// real work even when every Sample is a no-op.
+func TestScrapeStopsWalkingForAGoneClient(t *testing.T) {
+	clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
+	hub := telemetry.NewHub()
+	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
+		return simple.New(start)
+	}, service.WithTelemetry(hub), service.WithShardCount(64))
+	for i := 0; i < 640; i++ {
+		if err := mon.Heartbeat(core.Heartbeat{From: fmt.Sprintf("proc-%04d", i), Seq: 1, Arrived: clk.Now()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	api := NewAPI(mon, WithAPITelemetry(hub))
+	visited := 0
+	api.onScrapeShard = func(int) { visited++ }
+
+	if err := api.WriteMetrics(&failAfter{n: 1 << 30}); err != nil {
+		t.Fatal(err)
+	}
+	if visited != 64 {
+		t.Fatalf("healthy render visited %d shards, want 64", visited)
+	}
+
+	// A 1-byte chunk flushes after every line: the sink takes the global
+	// section plus a few shards' worth of bytes, then fails.
+	var whole bytes.Buffer
+	if err := api.WriteMetrics(&whole); err != nil {
+		t.Fatal(err)
+	}
+	perShard := len(scrapedPerProcessSection(api)) / 64
+	budget := whole.Len() - 60*perShard // dies about four shards in
+	visited = 0
+	mw := telemetry.AcquireMetricWriter(&failAfter{n: budget}, 1)
+	api.writeMetricsBody(mw, 0, 0)
+	mw.Flush()
+	if mw.Err() == nil {
+		t.Fatal("sink never failed")
+	}
+	mw.Release()
+	if visited < 1 || visited > 8 {
+		t.Errorf("render against a sink that failed about four shards in visited %d shards, want a handful, not all 64", visited)
+	}
+}
