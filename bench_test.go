@@ -291,6 +291,9 @@ func TestScrapeSteadyStateZeroAlloc(t *testing.T) {
 		{"phi", func(_ string, st time.Time) core.Detector {
 			return phi.New(st, phi.WithBootstrap(time.Second, time.Second/4))
 		}},
+		{"phi-erlang", func(_ string, st time.Time) core.Detector {
+			return phi.New(st, phi.WithBootstrap(time.Second, time.Second/4), phi.WithModel(phi.ModelErlang))
+		}},
 		{"kappa", func(_ string, st time.Time) core.Detector {
 			return kappa.New(st, kappa.PLater{}, kappa.WithFixedInterval(time.Second))
 		}},

@@ -7,7 +7,7 @@
 //
 //	accruald [-udp :7946] [-http :8080] [-detector phi] [-interval 1s]
 //	         [-ingest-workers N] [-ingest-queue 256] [-read-batch 16]
-//	         [-listeners 1] [-profile default] [-intern-max 1048576]
+//	         [-profile default] [-intern-max 1048576]
 //	         [-state-file accrual.state] [-state-interval 30s]
 //	         [-qos-high 2] [-qos-low 1] [-pprof-addr localhost:6060]
 //	         [-group east -peers host2:7946,host3:7946]
@@ -36,12 +36,10 @@
 // (see `accrualctl cluster`) and the gossip plane is observable through
 // the accrual_federation_* series on /v1/metrics.
 //
-// At large memberships, -listeners N binds N UDP sockets to the same
-// address with SO_REUSEPORT (Linux) so the kernel spreads heartbeat
-// flows across N independent read loops, and -profile compact trades
-// estimator-window depth for a smaller per-process footprint (see
-// docs/TUNING.md). The id intern table shared by the decode path and the
-// registry is capped at -intern-max distinct ids; past the cap, ids
+// At large memberships, -profile compact trades estimator-window depth
+// for a smaller per-process footprint (see docs/TUNING.md). The id
+// intern table shared by the decode path and the registry is capped at
+// -intern-max distinct ids; past the cap, ids
 // still work but each decode allocates (counted by
 // accrual_intern_overflow_total).
 //
@@ -129,7 +127,6 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		ingestWk  = fs.Int("ingest-workers", runtime.GOMAXPROCS(0), "parallel heartbeat ingest goroutines (0 = ingest from the read loop)")
 		ingestQ   = fs.Int("ingest-queue", 256, "per-worker ingest queue capacity; a full queue sheds newest packets (counted, never blocking the read loop)")
 		readBatch = fs.Int("read-batch", 16, "datagrams drained per read syscall via recvmmsg where available (1 = plain reads)")
-		listeners = fs.Int("listeners", 1, "UDP sockets sharing the heartbeat address via SO_REUSEPORT, each with its own read loop (degrades to 1 where unsupported)")
 		profName  = fs.String("profile", "default", "memory profile: default, or compact (more shards, shallower estimator windows) for very large memberships")
 		internMax = fs.Int("intern-max", 0, "max distinct process ids interned by the shared id table (0 = default 1048576)")
 		stateFile = fs.String("state-file", "", "persist detector state here for warm restarts (empty disables)")
@@ -261,9 +258,6 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 	if fed != nil {
 		lnOpts = append(lnOpts, transport.WithDigestHandler(fed.HandleDigest))
 	}
-	if *listeners > 1 {
-		lnOpts = append(lnOpts, transport.WithListenerSockets(*listeners))
-	}
 	if *ingestWk > 0 {
 		lnOpts = append(lnOpts, transport.WithIngestWorkers(*ingestWk))
 	}
@@ -278,8 +272,8 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		return err
 	}
 	defer listener.Close()
-	log.Printf("heartbeat listener on %s (detector=%s interval=%v ingest-workers=%d sockets=%d profile=%s)",
-		listener.Addr(), *detName, *interval, *ingestWk, listener.Sockets(), profile)
+	log.Printf("heartbeat listener on %s (detector=%s interval=%v ingest-workers=%d profile=%s)",
+		listener.Addr(), *detName, *interval, *ingestWk, profile)
 
 	apiOpts := []transport.APIOption{
 		transport.WithAPITelemetry(hub),

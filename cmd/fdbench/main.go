@@ -196,7 +196,7 @@ func runPairLink(seed uint64, det core.Detector, interval time.Duration, delay s
 		Jitter:   stats.Normal{Mu: 0, Sigma: 0.010},
 		CrashAt:  crashAt,
 		Until:    end,
-		Sink:     det.Report,
+		Sink:     func(hb core.Heartbeat) { det.Report(hb) },
 	}
 	em.Start()
 	res := runResult{start: start, end: end, crashAt: crashAt}
@@ -395,7 +395,7 @@ func sweepGST(seed uint64) {
 		Interval: hbInterval,
 		Jitter:   stats.Normal{Mu: 0, Sigma: 0.01},
 		Until:    end,
-		Sink:     det.Report,
+		Sink:     func(hb core.Heartbeat) { det.Report(hb) },
 	}
 	em.Start()
 	bin := transform.NewConstantThreshold(transform.FromDetector(det), 2)

@@ -68,7 +68,7 @@ func main() {
 		Interval: params.Interval,
 		CrashAt:  crashAt,
 		Until:    end,
-		Sink:     det.Report,
+		Sink:     func(hb core.Heartbeat) { det.Report(hb) },
 	}
 	em.Start()
 	// Interpret the accrual level with the planned margin: D_T at α.

@@ -43,7 +43,7 @@ func TestPipelineSimToQoS(t *testing.T) {
 		Jitter:   stats.Normal{Mu: 0, Sigma: 0.008},
 		CrashAt:  crashAt,
 		Until:    end,
-		Sink:     det.Report,
+		Sink:     func(hb core.Heartbeat) { det.Report(hb) },
 	}
 	em.Start()
 	bin := transform.NewHysteresis(transform.FromDetector(det), 5, 0.5)
@@ -92,7 +92,7 @@ func TestClockDriftStillWorks(t *testing.T) {
 			Jitter:    stats.Normal{Mu: 0, Sigma: 0.005},
 			CrashAt:   crashAt,
 			Until:     end,
-			Sink:      det.Report,
+			Sink:      func(hb core.Heartbeat) { det.Report(hb) },
 		}
 		em.Start()
 		var maxAlive core.Level
@@ -133,7 +133,7 @@ func TestPartitionRaisesAndHealsSuspicion(t *testing.T) {
 		Sim: s, Net: net, From: "p", To: "q",
 		Interval: 100 * time.Millisecond,
 		Until:    end,
-		Sink:     det.Report,
+		Sink:     func(hb core.Heartbeat) { det.Report(hb) },
 	}
 	em.Start()
 	s.RunUntil(partTo.Add(-time.Second))
@@ -409,7 +409,7 @@ func TestNetworkFlapping(t *testing.T) {
 		Sim: s, Net: net, From: "p", To: "q",
 		Interval: 100 * time.Millisecond,
 		Until:    end,
-		Sink:     det.Report,
+		Sink:     func(hb core.Heartbeat) { det.Report(hb) },
 	}
 	em.Start()
 	bin := transform.NewHysteresis(transform.FromDetector(det), 8, 0.5)
@@ -512,7 +512,7 @@ func runLitePair(seed uint64, w liteWorkload) liteRun {
 		Jitter:   stats.Normal{Mu: 0, Sigma: 0.008},
 		CrashAt:  crashAt,
 		Until:    end,
-		Sink:     det.Report,
+		Sink:     func(hb core.Heartbeat) { det.Report(hb) },
 	}
 	em.Start()
 	run := liteRun{crashAt: crashAt}

@@ -194,11 +194,11 @@ func TestConvergenceUnderLoss(t *testing.T) {
 	f := newFleet(t, 4, 0.3)
 	target := 600 * time.Millisecond
 	ctl, err := autotune.New(autotune.Config{
-		Monitor:  f.mon,
-		QoS:      f.hub.QoS(),
-		Counters: &f.hub.Autotune,
-		Targets:  chen.QoS{MaxDetectionTime: target, MinMistakeRecurrence: 10 * time.Second},
-		Detector: autotune.DetectorChen,
+		Monitor:   f.mon,
+		QoS:       f.hub.QoS(),
+		Counters:  &f.hub.Autotune,
+		Targets:   chen.QoS{MaxDetectionTime: target, MinMistakeRecurrence: 10 * time.Second},
+		Detector:  autotune.DetectorChen,
 		MinWindow: 16,
 		MaxWindow: 256,
 	})

@@ -116,15 +116,17 @@ func New(start time.Time, interval time.Duration, opts ...Option) *Detector {
 	return d
 }
 
-// Report records a heartbeat arrival: first the Jacobson error update
-// against the current prediction, then the estimator update.
-func (d *Detector) Report(hb core.Heartbeat) {
+// Report records a heartbeat arrival and reports whether it accepted
+// it: first the Jacobson error update against the current prediction
+// (only for the next expected sequence number, which the estimator
+// always accepts), then the estimator update, whose guard decides.
+func (d *Detector) Report(hb core.Heartbeat) bool {
 	if ea, ok := d.est.ExpectedArrival(); ok && hb.Seq == d.est.LastSeq()+1 {
 		errSec := hb.Arrived.Sub(ea).Seconds()
 		d.delay += d.gamma * errSec
 		d.dev += d.gamma * (math.Abs(errSec) - d.dev)
 	}
-	d.est.Report(hb)
+	return d.est.Report(hb)
 }
 
 // Margin returns the current adaptive safety margin.

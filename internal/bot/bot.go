@@ -199,7 +199,7 @@ func Run(cfg Config) (Metrics, error) {
 			Interval: cfg.HeartbeatInterval,
 			CrashAt:  cfg.Crashes[w],
 			Until:    cfg.Horizon,
-			Sink:     det.Report,
+			Sink:     func(hb core.Heartbeat) { det.Report(hb) },
 		}
 		em.Start()
 	}

@@ -89,11 +89,11 @@ func New(start time.Time, interval time.Duration, opts ...Option) *Detector {
 	return d
 }
 
-// Report records a heartbeat arrival. Stale and duplicate sequence
-// numbers are ignored.
-func (d *Detector) Report(hb core.Heartbeat) {
+// Report records a heartbeat arrival and reports whether it accepted
+// it: stale and duplicate sequence numbers are refused.
+func (d *Detector) Report(hb core.Heartbeat) bool {
 	if hb.Seq <= d.snLast {
-		return
+		return false
 	}
 	d.lost += hb.Seq - d.snLast - 1
 	d.snLast = hb.Seq
@@ -107,6 +107,7 @@ func (d *Detector) Report(hb core.Heartbeat) {
 	a := hb.Arrived.Sub(d.start).Seconds()
 	shift := d.interval.Seconds() * float64(hb.Seq)
 	d.window.Push(a - shift)
+	return true
 }
 
 // ExpectedArrival returns the estimated arrival time EA of the next

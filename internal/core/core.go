@@ -56,9 +56,10 @@ func (l Level) IsFinite() bool {
 type Heartbeat struct {
 	// From identifies the monitored process that emitted the heartbeat.
 	From string
-	// Seq is the heartbeat sequence number. Detectors ignore heartbeats
-	// whose sequence number is not larger than the last accepted one
-	// (stale or duplicated deliveries).
+	// Seq is the heartbeat sequence number: strictly increasing per
+	// sender, starting at 1. A detector accepts a heartbeat only if its
+	// number is larger than the last accepted one; a stale, duplicated or
+	// replayed delivery, and a Seq of 0, is refused (Detector.Report).
 	Seq uint64
 	// Sent is the sender-side emission timestamp according to the
 	// sender's local clock. It may be the zero time when the transport
@@ -86,8 +87,13 @@ type Heartbeat struct {
 // per-process lock).
 type Detector interface {
 	// Report records the arrival of a heartbeat from the monitored
-	// process.
-	Report(hb Heartbeat)
+	// process and reports whether it accepted it. It accepts exactly the
+	// heartbeats numbered above the last accepted one (seq > sn_last,
+	// Algorithm 4) and leaves its state untouched for any other. This is
+	// the module's one sequence guard: service.Monitor counts a refused
+	// heartbeat as stale and lets it move neither the level nor the
+	// last-arrival stamp.
+	Report(hb Heartbeat) bool
 	// Suspicion returns the suspicion level sl_qp(now): by contract
 	// EvalSnapshot().Level(now). now must be monotonically
 	// non-decreasing across calls for the accruement guarantees to hold.

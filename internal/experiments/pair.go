@@ -64,7 +64,7 @@ func RunPair(seed uint64, factory func(start time.Time) core.Detector, w PairWor
 		Jitter:   w.Jitter,
 		CrashAt:  crashAt,
 		Until:    end,
-		Sink:     det.Report,
+		Sink:     func(hb core.Heartbeat) { det.Report(hb) },
 	}
 	em.Start()
 	run := PairRun{Start: start, End: end, CrashAt: crashAt}

@@ -247,12 +247,12 @@ func New(start time.Time, contrib Contribution, opts ...Option) *Detector {
 	return d
 }
 
-// Report records a heartbeat arrival. Stale and duplicate sequence
-// numbers are ignored. Accepting sequence number s supersedes all
+// Report records a heartbeat arrival and reports whether it accepted
+// it: stale and duplicate sequence numbers are refused. Accepting sequence number s supersedes all
 // expectations with numbers <= s.
-func (d *Detector) Report(hb core.Heartbeat) {
+func (d *Detector) Report(hb core.Heartbeat) bool {
 	if hb.Seq <= d.snLast {
-		return
+		return false
 	}
 	d.lost += hb.Seq - d.snLast - 1
 	d.snLast = hb.Seq
@@ -272,6 +272,7 @@ func (d *Detector) Report(hb core.Heartbeat) {
 		d.fixed = d.pendingFixed
 		d.pendingFixed = -1
 	}
+	return true
 }
 
 // estimate returns the current inter-arrival estimate and whether one is

@@ -162,12 +162,12 @@ func New(start time.Time, opts ...Option) *Detector {
 	return d
 }
 
-// Report records a heartbeat arrival. Stale and duplicate sequence
-// numbers are ignored. The first accepted heartbeat only fixes t_last;
+// Report records a heartbeat arrival and reports whether it accepted
+// it: stale and duplicate sequence numbers are refused. The first accepted heartbeat only fixes t_last;
 // subsequent ones contribute inter-arrival samples.
-func (d *Detector) Report(hb core.Heartbeat) {
+func (d *Detector) Report(hb core.Heartbeat) bool {
 	if hb.Seq <= d.snLast {
-		return
+		return false
 	}
 	d.lost += hb.Seq - d.snLast - 1
 	d.snLast = hb.Seq
@@ -180,6 +180,7 @@ func (d *Detector) Report(hb core.Heartbeat) {
 	}
 	d.last = hb.Arrived
 	d.hasLast = true
+	return true
 }
 
 // Phi returns the raw φ value at time now: −log₁₀ P_later(now − t_last),

@@ -1,17 +1,19 @@
 package service
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
 	"accrual/internal/core"
+	"accrual/internal/transport/intern"
 )
 
-// batchRef is one heartbeat of a batch with its precomputed id hash and,
+// batchRef is one heartbeat of a run with its precomputed id hash and,
 // once resolved, its registry slot handle (entry + binding generation).
 // Hashing up front means the sort comparator and the shard grouping
 // never re-hash, and the resolved handle lets one registry probe serve
-// both the staleness report and the telemetry stripe.
+// both the report and the telemetry stripe.
 type batchRef struct {
 	h   uint32
 	gen uint64
@@ -26,6 +28,22 @@ var batchRefPool = sync.Pool{
 	},
 }
 
+// Heartbeat routes a heartbeat to the detector of its sender,
+// registering the sender first when auto-registration is on. It is the
+// one-beat case of HeartbeatBatch — the same shard run, with its one ref
+// on the stack and nothing to sort — and returns ErrUnknownProcess where
+// HeartbeatBatch counts a beat rejected. A process auto-registered by a
+// heartbeat is stamped with the heartbeat's arrival time when it carries
+// one, so replayed or simulated streams do not skew the first
+// inter-arrival sample with the ingestion-time clock reading.
+func (m *Monitor) Heartbeat(hb core.Heartbeat) error {
+	ref := [1]batchRef{{h: intern.Hash(hb.From), hb: hb}}
+	if _, rejected := m.ingestShardRun(ref[0].h&m.shardMask, ref[:]); rejected > 0 {
+		return fmt.Errorf("%w: %q", ErrUnknownProcess, hb.From)
+	}
+	return nil
+}
+
 // HeartbeatBatch ingests a batch of heartbeats, acquiring each registry
 // shard lock once per batch instead of once per beat: the beats are
 // stably sorted by shard (stable, so one process's beats keep their
@@ -35,25 +53,18 @@ var batchRefPool = sync.Pool{
 // O(shards touched), never O(beats).
 //
 // It returns how many beats were accepted and how many rejected
-// (unknown process with auto-registration off); unlike Heartbeat, a
-// rejection does not abort the rest of the batch. The steady-state path
+// (unknown process with auto-registration off); a rejection does not
+// abort the rest of the batch. A stale beat is accepted — the registry
+// took it — and counted stale (see entry.report). The steady-state path
 // (all senders known) performs zero allocations.
 func (m *Monitor) HeartbeatBatch(beats []core.Heartbeat) (accepted, rejected int) {
-	switch len(beats) {
-	case 0:
+	if len(beats) == 0 {
 		return 0, 0
-	case 1:
-		// No grouping to amortise; take the single-beat path and its
-		// exact error semantics.
-		if err := m.Heartbeat(beats[0]); err != nil {
-			return 0, 1
-		}
-		return 1, 0
 	}
 	refsP := batchRefPool.Get().(*[]batchRef)
 	refs := (*refsP)[:0]
 	for _, hb := range beats {
-		refs = append(refs, batchRef{h: fnv1a(hb.From), hb: hb})
+		refs = append(refs, batchRef{h: intern.Hash(hb.From), hb: hb})
 	}
 	mask := m.shardMask
 	slices.SortStableFunc(refs, func(a, b batchRef) int {
@@ -76,9 +87,11 @@ func (m *Monitor) HeartbeatBatch(beats []core.Heartbeat) (accepted, rejected int
 	return accepted, rejected
 }
 
-// ingestShardRun ingests one same-shard run of a batch. Entry resolution
-// takes the shard read lock exactly once; only a run containing unseen
-// senders pays one additional write acquisition to register them all.
+// ingestShardRun ingests one same-shard run of heartbeats — the one
+// ingest path every heartbeat takes, alone or in a batch. Entry
+// resolution takes the shard read lock exactly once; only a run
+// containing unseen senders pays one additional write acquisition to
+// register them all.
 func (m *Monitor) ingestShardRun(si uint32, refs []batchRef) (accepted, rejected int) {
 	sh := &m.shards[si]
 	m.noteShardLock(si, false)
@@ -129,9 +142,9 @@ func (m *Monitor) ingestShardRun(si uint32, refs []batchRef) (accepted, rejected
 		// drops the beat but still counts it accepted: the registry took
 		// it, its target vanished — the same outcome the pre-slab
 		// registry gave a racing orphaned entry.
-		stale, ok := refs[i].e.report(refs[i].gen, refs[i].hb)
+		fresh, ok := refs[i].e.report(refs[i].gen, refs[i].hb)
 		if ok && m.tel != nil {
-			m.tel.Counters.Heartbeat(refs[i].h, stale)
+			m.tel.Counters.Heartbeat(refs[i].h, !fresh)
 		}
 		accepted++
 	}

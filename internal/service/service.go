@@ -170,12 +170,9 @@ func (p Profile) EstimatorWindow(def int) int {
 // parameters. Full-registry walks evaluate levels from the captured
 // snapshot alone — zero locks, zero detector calls.
 type entry struct {
-	mu sync.Mutex
-	// lastSeq is the highest heartbeat sequence number seen (0 until a
-	// numbered heartbeat arrives), guarded by mu like the detector.
-	lastSeq uint64
-	gen     atomic.Uint64
-	det     core.Detector
+	mu  sync.Mutex
+	gen atomic.Uint64
+	det core.Detector
 	// lastArrival is the arrival time of the newest heartbeat (the bind
 	// time until one arrives), guarded by mu like the detector; its
 	// UnixNano is mirrored into evalLast for lock-free readers.
@@ -296,35 +293,31 @@ func (e *entry) loadEval() (meta *entryMeta, snap core.EvalSnapshot, last int64,
 	return meta, snap, last, true
 }
 
-// report feeds one heartbeat to the detector and reports whether it was
-// stale — numbered at or below a sequence already seen (duplicate or
-// out-of-order delivery). Stale heartbeats still reach the detector:
-// they are real arrivals and the sampling-window estimators want them;
-// staleness is a telemetry signal, not a filter. ok is false when the
-// slot's generation no longer matches gen (the process was deregistered
-// after the caller resolved the handle); the heartbeat is then dropped.
-func (e *entry) report(gen uint64, hb core.Heartbeat) (stale, ok bool) {
+// report feeds one heartbeat to the detector and reports whether the
+// detector accepted it. The detector's sequence guard is the only one
+// (core.Detector.Report): a beat it refuses — a duplicate, a reordered
+// or replayed number, Seq 0 — is no evidence of liveness now, so it
+// moves neither lastArrival nor the eval cell, and the caller counts it
+// stale. ok is false when the slot's generation no longer matches gen
+// (the process was deregistered after the caller resolved the handle);
+// the heartbeat is then dropped.
+func (e *entry) report(gen uint64, hb core.Heartbeat) (accepted, ok bool) {
 	e.mu.Lock()
 	if e.gen.Load() != gen {
 		e.mu.Unlock()
 		return false, false
 	}
-	if hb.Seq != 0 {
-		if hb.Seq <= e.lastSeq {
-			stale = true
-		} else {
-			e.lastSeq = hb.Seq
+	if accepted = e.det.Report(hb); accepted {
+		// An accepted number can still carry an older arrival stamp (a
+		// replayed trace): the stamp digests are built from only moves
+		// forward.
+		if hb.Arrived.After(e.lastArrival) {
+			e.lastArrival = hb.Arrived
 		}
+		e.publishEval(nil, false)
 	}
-	e.det.Report(hb)
-	// Liveness evidence only accrues forward: a reordered or duplicate
-	// beat must not regress the last-arrival stamp digests are built from.
-	if hb.Arrived.After(e.lastArrival) {
-		e.lastArrival = hb.Arrived
-	}
-	e.publishEval(nil, false)
 	e.mu.Unlock()
-	return stale, true
+	return accepted, true
 }
 
 const (
@@ -402,7 +395,6 @@ func (sh *shard) bind(id string, det core.Detector, group string, start time.Tim
 	idx, e := sh.slab.alloc()
 	e.mu.Lock()
 	e.det = det
-	e.lastSeq = 0
 	e.lastArrival = start
 	e.gen.Add(1) // even → odd: bound
 	gen := e.gen.Load()
@@ -434,7 +426,6 @@ func (sh *shard) unbind(id string) bool {
 	e.mu.Lock()
 	e.gen.Add(1) // odd → even: free
 	e.det = nil
-	e.lastSeq = 0
 	e.lastArrival = time.Time{}
 	// Clear the eval cell inside one seqlock window; concurrent walks
 	// observe the slot as stably free and skip it.
@@ -581,17 +572,6 @@ func NewMonitor(clk clock.Clock, factory Factory, opts ...MonitorOption) *Monito
 // Profile returns the registry profile the monitor was built with.
 func (m *Monitor) Profile() Profile { return m.profile }
 
-// fnv1a is the 32-bit FNV-1a hash, inlined so shard selection costs a few
-// nanoseconds and zero allocations.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // shardAt maps a precomputed id hash to its shard; hot paths hash once
 // and reuse the value for both shard selection and counter striping.
 func (m *Monitor) shardAt(h uint32) *shard {
@@ -599,7 +579,7 @@ func (m *Monitor) shardAt(h uint32) *shard {
 }
 
 func (m *Monitor) shardFor(id string) *shard {
-	return m.shardAt(fnv1a(id))
+	return m.shardAt(intern.Hash(id))
 }
 
 // groupOf resolves a process id's group tag ("" without WithGroupFn).
@@ -624,7 +604,7 @@ func (m *Monitor) lookup(id string) (*entry, uint64) {
 // the id is already present.
 func (m *Monitor) Register(id string) error {
 	id = m.ids.InternString(id)
-	h := fnv1a(id)
+	h := intern.Hash(id)
 	sh := m.shardAt(h)
 	sh.mu.Lock()
 	if _, ok := sh.procs[id]; ok {
@@ -647,7 +627,7 @@ func (m *Monitor) Register(id string) error {
 // shard's free list for the next registration — a register/deregister
 // storm cycles slots instead of growing the arena.
 func (m *Monitor) Deregister(id string) bool {
-	h := fnv1a(id)
+	h := intern.Hash(id)
 	sh := m.shardAt(h)
 	sh.mu.Lock()
 	ok := sh.unbind(id)
@@ -712,49 +692,9 @@ func (m *Monitor) appendIDs(buf []string) []string {
 // very large memberships) walks shards [cursor, cursor+k) per page.
 func (m *Monitor) ShardCount() int { return len(m.shards) }
 
-// Heartbeat routes a heartbeat to the detector of its sender,
-// registering the sender first when auto-registration is on. A process
-// auto-registered by a heartbeat is stamped with the heartbeat's arrival
-// time when it carries one, so replayed or simulated streams do not skew
-// the first inter-arrival sample with the ingestion-time clock reading.
-func (m *Monitor) Heartbeat(hb core.Heartbeat) error {
-	h := fnv1a(hb.From)
-	sh := m.shardAt(h)
-	sh.mu.RLock()
-	e, gen := sh.get(hb.From)
-	sh.mu.RUnlock()
-	if e == nil {
-		if !m.autoRegister {
-			return fmt.Errorf("%w: %q", ErrUnknownProcess, hb.From)
-		}
-		start := hb.Arrived
-		if start.IsZero() {
-			start = m.clk.Now()
-		}
-		id := m.ids.InternString(hb.From)
-		sh.mu.Lock()
-		if e, gen = sh.get(id); e == nil {
-			e, gen = sh.bind(id, m.factory(id, start), m.groupOf(id), start)
-			if m.tel != nil {
-				m.tel.Counters.Registered(h)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	// A generation mismatch means the process was deregistered between
-	// the lookup and the report; the beat is for a process that no
-	// longer exists, so it is dropped without error (the same observable
-	// outcome the pre-slab registry gave a racing orphaned entry).
-	stale, ok := e.report(gen, hb)
-	if ok && m.tel != nil {
-		m.tel.Counters.Heartbeat(h, stale)
-	}
-	return nil
-}
-
 // Suspicion returns the current suspicion level of one process.
 func (m *Monitor) Suspicion(id string) (core.Level, error) {
-	h := fnv1a(id)
+	h := intern.Hash(id)
 	sh := m.shardAt(h)
 	sh.mu.RLock()
 	e, _ := sh.get(id)
@@ -834,7 +774,7 @@ func (m *Monitor) Now() time.Time { return m.clk.Now() }
 // find a re-registered successor, or nothing — then it reports zero).
 // Each query is one lock-free snapshot evaluation.
 func (m *Monitor) levelFunc(id string) transform.LevelFunc {
-	h := fnv1a(id)
+	h := intern.Hash(id)
 	var cached *entry
 	return func(now time.Time) core.Level {
 		if cached != nil {

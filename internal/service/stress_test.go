@@ -23,13 +23,13 @@ type seqDetector struct {
 	nonMonotone bool
 }
 
-func (d *seqDetector) Report(hb core.Heartbeat) {
+func (d *seqDetector) Report(hb core.Heartbeat) bool {
 	if hb.Seq <= d.lastSeq {
 		d.nonMonotone = true
 	}
 	d.lastSeq = hb.Seq
 	d.reports++
-	d.Detector.Report(hb)
+	return d.Detector.Report(hb)
 }
 
 // TestMonitorStress hammers one Monitor from many goroutines mixing every

@@ -11,6 +11,7 @@ import (
 	"accrual/internal/clock"
 	"accrual/internal/core"
 	"accrual/internal/telemetry"
+	"accrual/internal/transport/intern"
 )
 
 // registerFleet seeds n processes with a few accepted heartbeats each,
@@ -179,16 +180,12 @@ func TestSharedWalkCoalesces(t *testing.T) {
 // allocations per full-fleet pass: the whole point of the eval plane is
 // that readers touch only slab arrays and atomics, never the heap. It
 // runs on every detector kind — a level function that allocates per
-// evaluation is invisible on the cheapest kind — except φ-Erlang, whose
-// log-sum-exp scratch is the documented exception.
+// evaluation is invisible on the cheapest kind.
 func TestWalkSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are meaningless under the race detector")
 	}
 	for _, k := range detectorKinds {
-		if k.name == "phi-erlang" {
-			continue
-		}
 		k := k
 		t.Run(k.name, func(t *testing.T) {
 			clk := clock.NewManual(start)
@@ -285,7 +282,7 @@ func TestShardOrderFollowsMembership(t *testing.T) {
 	touched := func(ids ...string) uint64 {
 		set := map[uint32]bool{}
 		for _, id := range ids {
-			set[fnv1a(id)&m.shardMask] = true
+			set[intern.Hash(id)&m.shardMask] = true
 		}
 		return uint64(len(set))
 	}

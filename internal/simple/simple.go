@@ -65,19 +65,21 @@ func New(start time.Time, opts ...Option) *Detector {
 	return d
 }
 
-// Report records a heartbeat arrival, keeping only heartbeats with a
-// sequence number greater than the last accepted one (lines 7–10 of
-// Algorithm 4).
-func (d *Detector) Report(hb core.Heartbeat) {
-	if hb.Seq > d.snLast {
-		d.lost += hb.Seq - d.snLast - 1
-		d.snLast = hb.Seq
-		d.accepted++
-		if d.firstA.IsZero() {
-			d.firstA = hb.Arrived
-		}
-		d.tLast = hb.Arrived
+// Report records a heartbeat arrival and reports whether it accepted
+// it, keeping only heartbeats with a sequence number greater than the
+// last accepted one (lines 7–10 of Algorithm 4).
+func (d *Detector) Report(hb core.Heartbeat) bool {
+	if hb.Seq <= d.snLast {
+		return false
 	}
+	d.lost += hb.Seq - d.snLast - 1
+	d.snLast = hb.Seq
+	d.accepted++
+	if d.firstA.IsZero() {
+		d.firstA = hb.Arrived
+	}
+	d.tLast = hb.Arrived
+	return true
 }
 
 // Suspicion returns sl(now) = now − T_last in level units, quantised to

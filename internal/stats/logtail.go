@@ -56,7 +56,10 @@ func (d Exponential) LogTail(x float64) float64 {
 
 // LogTail returns ln P(X > x) for the Erlang distribution, computed in
 // log space with a log-sum-exp over the truncated Poisson series so that
-// it remains finite for arbitrarily large x.
+// it remains finite for arbitrarily large x. The log-sum-exp takes two
+// passes, the first for the largest term and the second for the sum, and
+// the second recomputes each term instead of storing it, so evaluation
+// allocates nothing.
 func (d Erlang) LogTail(x float64) float64 {
 	if x <= 0 {
 		return 0
@@ -68,19 +71,22 @@ func (d Erlang) LogTail(x float64) float64 {
 	loglx := math.Log(lx)
 	// log term_n = n·ln(λx) − lnΓ(n+1)
 	maxLog := math.Inf(-1)
-	logs := make([]float64, d.K)
 	lgamma := 0.0 // ln(0!) = 0
 	for n := 0; n < d.K; n++ {
 		if n > 0 {
 			lgamma += math.Log(float64(n))
 		}
-		logs[n] = float64(n)*loglx - lgamma
-		if logs[n] > maxLog {
-			maxLog = logs[n]
+		if lg := float64(n)*loglx - lgamma; lg > maxLog {
+			maxLog = lg
 		}
 	}
 	sum := 0.0
-	for _, lg := range logs {
+	lgamma = 0
+	for n := 0; n < d.K; n++ {
+		if n > 0 {
+			lgamma += math.Log(float64(n))
+		}
+		lg := float64(n)*loglx - lgamma
 		sum += math.Exp(lg - maxLog)
 	}
 	return -lx + maxLog + math.Log(sum)

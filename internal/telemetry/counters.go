@@ -134,7 +134,7 @@ type TransportCounters struct {
 	// -intern-max budget is below the live id cardinality.
 	InternOverflow atomic.Uint64
 
-	// sockets holds the per-SO_REUSEPORT-socket counter cells, installed
+	// sockets holds the listener's per-socket counter cells, installed
 	// once by the listener via RegisterSockets and read lock-free by the
 	// scrape. An atomic pointer (not a plain slice) so a scrape racing
 	// listener startup is safe.
@@ -144,7 +144,7 @@ type TransportCounters struct {
 	batchHighWater atomic.Int64
 }
 
-// SocketCell is one SO_REUSEPORT socket's read-loop counters. The label
+// SocketCell is one listener socket's read-loop counters. The label
 // is precomputed at registration so the scrape can emit the per-socket
 // series without a per-scrape itoa allocation; cells are cache-line
 // padded because each read loop hammers its own cell from its own core.

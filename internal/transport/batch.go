@@ -29,8 +29,9 @@ import (
 //
 // A decoder either accepts the whole frame or rejects the whole frame:
 // a truncated or corrupted batch yields ErrLengthMismatch and zero
-// heartbeats, never a half-applied prefix. Single-beat AFD1 datagrams
-// remain accepted alongside AFB1 for backward compatibility.
+// heartbeats, never a half-applied prefix. A single-beat AFD1 datagram
+// carries the same record once behind its own header; the listener
+// decodes it as the one-record case of a frame.
 const (
 	batchVersion = 1
 	// batchHeaderLen is magic + version + uint16 count.
@@ -152,6 +153,27 @@ func appendBeatRecord(dst []byte, hb core.Heartbeat) []byte {
 	return append(dst, tail[:]...)
 }
 
+// decodeRecord decodes the (idlen, id, seq, sent) record at buf[off:] —
+// the record an AFB1 frame repeats and an AFD1 datagram carries once —
+// and returns the beat and the offset just past it. ok is false, with
+// nothing interned, when the id is empty or the record overruns buf.
+func decodeRecord(buf []byte, off int, ids *IDInterner) (hb core.Heartbeat, next int, ok bool) {
+	if off >= len(buf) {
+		return hb, off, false
+	}
+	n := int(buf[off])
+	if n == 0 || off+1+n+trailerLen > len(buf) {
+		return hb, off, false
+	}
+	hb.From = ids.Intern(buf[off+1 : off+1+n])
+	off += 1 + n
+	hb.Seq = binary.BigEndian.Uint64(buf[off:])
+	if sentNano := int64(binary.BigEndian.Uint64(buf[off+8:])); sentNano != 0 {
+		hb.Sent = unixNano(sentNano)
+	}
+	return hb, off + trailerLen, true
+}
+
 // MarshalBatch encodes beats as one AFB1 frame — the convenience wrapper
 // over BatchEncoder for tests and one-shot callers; hot paths hold an
 // encoder instead.
@@ -195,25 +217,13 @@ func UnmarshalBatch(buf []byte, dst []core.Heartbeat, ids *IDInterner) ([]core.H
 	orig := len(dst)
 	off := batchHeaderLen
 	for i := 0; i < count; i++ {
-		if off >= len(buf) {
-			return dst[:orig], fmt.Errorf("%w: batch truncated at record %d/%d", ErrLengthMismatch, i+1, count)
+		hb, next, ok := decodeRecord(buf, off, ids)
+		if !ok {
+			return dst[:orig], fmt.Errorf("%w: batch record %d/%d (%d bytes left)",
+				ErrLengthMismatch, i+1, count, len(buf)-off)
 		}
-		n := int(buf[off])
-		if n == 0 || off+1+n+trailerLen > len(buf) {
-			return dst[:orig], fmt.Errorf("%w: batch record %d/%d (id %d, %d bytes left)",
-				ErrLengthMismatch, i+1, count, n, len(buf)-off)
-		}
-		id := ids.Intern(buf[off+1 : off+1+n])
-		off += 1 + n
-		hb := core.Heartbeat{
-			From: id,
-			Seq:  binary.BigEndian.Uint64(buf[off:]),
-		}
-		if sentNano := int64(binary.BigEndian.Uint64(buf[off+8:])); sentNano != 0 {
-			hb.Sent = unixNano(sentNano)
-		}
-		off += trailerLen
 		dst = append(dst, hb)
+		off = next
 	}
 	if off != len(buf) {
 		return dst[:orig], fmt.Errorf("%w: %d trailing bytes after %d records",

@@ -7,10 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"accrual/internal/clock"
 	"accrual/internal/core"
 	"accrual/internal/faultinject"
-	"accrual/internal/telemetry"
 	"accrual/internal/transport/intern"
 )
 
@@ -434,55 +432,6 @@ func (discardConn) RemoteAddr() net.Addr             { return nil }
 func (discardConn) SetDeadline(time.Time) error      { return nil }
 func (discardConn) SetReadDeadline(time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
-
-// TestListenerBatchIngestZeroAlloc pins the synchronous receive path —
-// decode, interning, arrival stamping, Monitor.HeartbeatBatch — at zero
-// allocations per frame in steady state (satellite of the zero-alloc
-// pipeline; the worker fan-out path reuses pooled groups on top of this).
-func TestListenerBatchIngestZeroAlloc(t *testing.T) {
-	mon := newMonitor()
-	l := &Listener{
-		clk: clock.Wall{},
-		mon: mon,
-		tel: new(telemetry.TransportCounters),
-		ids: NewIDInterner(),
-	}
-	cells := l.tel.RegisterSockets(1)
-	sl := &sockLoop{l: l, cell: &cells[0]}
-	beats := batchBeats(32, 8, 1)
-	enc := NewBatchEncoder(32)
-	seq := uint64(0)
-	oneFrame := func() {
-		seq++
-		enc.Reset()
-		for i := range beats {
-			beats[i].Seq = seq
-			if err := enc.Add(beats[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sl.handleDatagram(enc.Bytes(), beats[0].Sent)
-	}
-	oneFrame() // warm: registers processes, grows scratch
-	if allocs := testing.AllocsPerRun(1000, oneFrame); allocs != 0 {
-		t.Errorf("batch frame ingest: %.1f allocs/op, want 0", allocs)
-	}
-	if got := l.tel.Snapshot(); got.Delivered == 0 || got.Dropped() != 0 {
-		t.Errorf("delivered %d, dropped %d", got.Delivered, got.Dropped())
-	}
-
-	// The single-beat AFD1 path through the same dispatcher, same budget.
-	single, err := AppendHeartbeat(nil, core.Heartbeat{From: "proc-00", Seq: seq, Sent: beats[0].Sent})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl.handleDatagram(single, beats[0].Sent)
-	if allocs := testing.AllocsPerRun(1000, func() {
-		sl.handleDatagram(single, beats[0].Sent)
-	}); allocs != 0 {
-		t.Errorf("single frame ingest: %.1f allocs/op, want 0", allocs)
-	}
-}
 
 // TestTruncateRecordRejectsWholeBatch drives the faultinject mid-record
 // truncation mode across many seeds (many cut points): every mangled

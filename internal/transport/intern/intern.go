@@ -1,18 +1,19 @@
 // Package intern provides a shared, concurrency-safe string interner for
-// process ids. One Table is meant to back the whole daemon: every UDP
-// read loop canonicalises decoded id bytes through it, and the Monitor
+// process ids. One Table is meant to back the whole daemon: the UDP read
+// loop canonicalises decoded id bytes through it, and the Monitor
 // registers its processes through the same table, so each process id is
-// one string allocation no matter how many sockets, workers and registry
-// shards handle it. At a million monitored processes that is the
+// one string allocation no matter how many workers and registry shards
+// handle it. At a million monitored processes that is the
 // difference between one id heap object per process and one per layer
 // that ever touched the id.
 //
-// The table is sharded 64 ways by the same FNV-1a hash the registry and
-// the ingest workers use. The hit path — all steady-state traffic — is a
-// shard read-lock around a map probe whose []byte key is converted
-// without allocating (the compiler-recognised m[string(b)] pattern), so
-// interning stays zero-alloc and mostly uncontended even with several
-// SO_REUSEPORT read loops interning concurrently.
+// The table is sharded 64 ways by Hash, the one id hash of the daemon:
+// registry shards, counter stripes and ingest workers are placed by it
+// too. The hit path — all steady-state traffic — is a shard read-lock
+// around a map probe whose []byte key is converted without allocating
+// (the compiler-recognised m[string(b)] pattern), so interning stays
+// zero-alloc and mostly uncontended while the read loop and the
+// registry intern concurrently.
 //
 // Capacity is bounded: beyond the configured cap a new id is converted
 // but not remembered, and the fallback is counted instead of silently
@@ -90,18 +91,12 @@ func New(opts ...Option) *Table {
 	return t
 }
 
-// fnv1a is the 32-bit FNV-1a hash over a byte slice — the same function
-// the registry shards and the ingest workers route by.
-func fnv1a(b []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func fnv1aString(s string) uint32 {
+// Hash is the one process-id hash of the daemon: 32-bit FNV-1a over the
+// id's bytes. Interner stripes, registry shards, counter stripes and
+// ingest-worker routing all derive from it, so an id still in its decode
+// buffer and the same id held as a string land in the same place. It
+// does not allocate.
+func Hash[T ~string | ~[]byte](s T) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
@@ -117,7 +112,7 @@ func (t *Table) Intern(b []byte) string {
 	if t == nil {
 		return string(b)
 	}
-	sh := &t.shards[fnv1a(b)&(numShards-1)]
+	sh := &t.shards[Hash(b)&(numShards-1)]
 	sh.mu.RLock()
 	s, ok := sh.m[string(b)] // compiler-optimised: no conversion alloc
 	sh.mu.RUnlock()
@@ -134,7 +129,7 @@ func (t *Table) InternString(s string) string {
 	if t == nil {
 		return s
 	}
-	sh := &t.shards[fnv1aString(s)&(numShards-1)]
+	sh := &t.shards[Hash(s)&(numShards-1)]
 	sh.mu.RLock()
 	got, ok := sh.m[s]
 	sh.mu.RUnlock()

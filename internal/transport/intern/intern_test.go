@@ -1,7 +1,10 @@
 package intern
 
 import (
+	"bytes"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -158,4 +161,34 @@ func TestConcurrentIntern(t *testing.T) {
 	if tab.Len() != 256 {
 		t.Fatalf("Len = %d, want 256", tab.Len())
 	}
+}
+
+// TestHashMatchesFNV1a pins Hash to hash/fnv's 32-bit FNV-1a for both
+// type arguments — seeded random ids, the empty id and a 255-byte one —
+// and at zero allocations.
+func TestHashMatchesFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xFA1))
+	ids := [][]byte{{}, bytes.Repeat([]byte{0xA5}, 255)}
+	for i := 0; i < 1000; i++ {
+		id := make([]byte, 1+rng.Intn(255))
+		rng.Read(id)
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		ref := fnv.New32a()
+		ref.Write(id)
+		want := ref.Sum32()
+		if got := Hash(id); got != want {
+			t.Fatalf("Hash([]byte %x) = %#x, want %#x", id, got, want)
+		}
+		if got := Hash(string(id)); got != want {
+			t.Fatalf("Hash(string %x) = %#x, want %#x", id, got, want)
+		}
+	}
+	b, s := []byte("proc-000042"), "proc-000042"
+	var sink uint32
+	if allocs := testing.AllocsPerRun(1000, func() { sink += Hash(b) + Hash(s) }); allocs != 0 {
+		t.Errorf("Hash: %.1f allocs/op, want 0", allocs)
+	}
+	_ = sink
 }

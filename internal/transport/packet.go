@@ -7,7 +7,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -88,33 +87,33 @@ func unixNano(nanos int64) time.Time { return time.Unix(0, nanos) }
 // UnmarshalHeartbeat decodes a wire packet. The returned heartbeat has a
 // zero Arrived time; the caller stamps it on receipt.
 func UnmarshalHeartbeat(buf []byte) (core.Heartbeat, error) {
-	return unmarshalHeartbeat(buf, nil)
+	var one [1]core.Heartbeat
+	beats, err := appendSingle(buf, one[:0], nil)
+	if err != nil {
+		return core.Heartbeat{}, err
+	}
+	return beats[0], nil
 }
 
-// unmarshalHeartbeat is UnmarshalHeartbeat with an optional id interner,
-// so the listener's steady-state decode of known senders does not
-// allocate a fresh id string per datagram.
-func unmarshalHeartbeat(buf []byte, ids *IDInterner) (core.Heartbeat, error) {
+// appendSingle decodes an AFD1 datagram — the one-record case of an AFB1
+// frame, through the same record decoder — and appends its beat to dst.
+// On error dst is returned unchanged. A non-nil interner canonicalises
+// the id, as in UnmarshalBatch.
+func appendSingle(buf []byte, dst []core.Heartbeat, ids *IDInterner) ([]core.Heartbeat, error) {
 	if len(buf) < headerLen+1+trailerLen {
-		return core.Heartbeat{}, fmt.Errorf("%w: %d bytes", ErrPacketShort, len(buf))
+		return dst, fmt.Errorf("%w: %d bytes", ErrPacketShort, len(buf))
 	}
 	if [4]byte(buf[0:4]) != packetMagic {
-		return core.Heartbeat{}, ErrBadMagic
+		return dst, ErrBadMagic
 	}
 	if buf[4] != packetVersion {
-		return core.Heartbeat{}, fmt.Errorf("%w: version %d", ErrBadVersion, buf[4])
+		return dst, fmt.Errorf("%w: version %d", ErrBadVersion, buf[4])
 	}
-	n := int(buf[5])
-	if n == 0 || len(buf) != headerLen+n+trailerLen {
-		return core.Heartbeat{}, fmt.Errorf("%w: id %d, packet %d", ErrLengthMismatch, n, len(buf))
+	// The one record must fill the datagram exactly; checked before
+	// decoding, so a malformed datagram interns nothing.
+	if n := int(buf[5]); n == 0 || len(buf) != headerLen+n+trailerLen {
+		return dst, fmt.Errorf("%w: id %d, packet %d", ErrLengthMismatch, n, len(buf))
 	}
-	id := ids.Intern(buf[headerLen : headerLen+n])
-	off := headerLen + n
-	seq := binary.BigEndian.Uint64(buf[off:])
-	sentNano := int64(binary.BigEndian.Uint64(buf[off+8:]))
-	var sent time.Time
-	if sentNano != 0 {
-		sent = unixNano(sentNano)
-	}
-	return core.Heartbeat{From: id, Seq: seq, Sent: sent}, nil
+	hb, _, _ := decodeRecord(buf, headerLen-1, ids) // cannot fail: length checked above
+	return append(dst, hb), nil
 }

@@ -14,6 +14,7 @@ import (
 	"accrual/internal/core"
 	"accrual/internal/service"
 	"accrual/internal/simple"
+	"accrual/internal/transport/intern"
 )
 
 // blockingDetector parks every Report on a gate channel, simulating a
@@ -26,13 +27,13 @@ type blockingDetector struct {
 	reporting chan<- struct{}
 }
 
-func (d *blockingDetector) Report(hb core.Heartbeat) {
+func (d *blockingDetector) Report(hb core.Heartbeat) bool {
 	select {
 	case d.reporting <- struct{}{}:
 	default:
 	}
 	<-d.gate
-	d.Detector.Report(hb)
+	return d.Detector.Report(hb)
 }
 
 // idForWorker brute-forces a process id whose FNV-1a hash routes to the
@@ -41,7 +42,7 @@ func idForWorker(t *testing.T, prefix string, workers, want int) string {
 	t.Helper()
 	for i := 0; i < 10_000; i++ {
 		id := fmt.Sprintf("%s-%d", prefix, i)
-		if int(fnv1a(id)%uint32(workers)) == want {
+		if int(intern.Hash(id)%uint32(workers)) == want {
 			return id
 		}
 	}

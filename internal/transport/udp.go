@@ -26,10 +26,6 @@ const (
 	// maxReadBatch bounds WithReadBatch; each slot pins a full
 	// MaxBatchPacketSize buffer for the life of the listener.
 	maxReadBatch = 256
-	// maxListenerSockets bounds WithListenerSockets; each socket carries
-	// its own read loop and readSlots× full-size buffers, so the count is
-	// a per-core knob, not a per-process one.
-	maxListenerSockets = 64
 	// senderRedialAfter is how many consecutive write failures tear down
 	// the connected socket and switch the sender to backoff redialing. A
 	// connected UDP socket can fail transiently (ICMP unreachable races),
@@ -577,40 +573,33 @@ func (s *Sender) Stop() {
 // Listener receives heartbeats over UDP and feeds them into a
 // service.Monitor, stamping arrival times with the monitor host's clock —
 // the monitoring side of §5.1. Create one with Listen; Close stops and
-// joins the read loops.
+// joins the read loop.
 //
-// By default decoded heartbeats are ingested synchronously from the read
-// loop. With WithIngestWorkers the listener instead fans packets out to a
-// pool of ingest goroutines, routed by an FNV-1a hash of the sender id —
-// the same hash the Monitor shards on — so heartbeats from one process
-// are always ingested in arrival order while different processes proceed
-// on different cores.
-//
-// With WithListenerSockets(n > 1) the listener binds n SO_REUSEPORT
-// sockets to the same address, each with its own recvmmsg read loop, so
-// the kernel load-balances sender flows across n cores and the single
-// read loop stops being the ceiling. Worker routing stays id-hashed and
-// therefore shard-affine: whichever socket a beat arrives on, it lands
-// on the one worker owning its registry shards — per-process ordering
-// and cache locality are socket-count-independent.
+// Every heartbeat takes one path from the socket to its registry slot:
+// the read loop decodes each datagram into a run of beats — the records
+// of an AFB1 frame, or an AFD1 datagram as the one-record case — and the
+// run goes to Monitor.HeartbeatBatch. By default that happens on the
+// read loop itself. With WithIngestWorkers the listener instead fans
+// each run out to a pool of ingest goroutines, routed by intern.Hash of
+// the sender id — the hash the Monitor shards on — so heartbeats from
+// one process are always ingested in arrival order while different
+// processes proceed on different cores.
 type Listener struct {
-	conns     []*net.UDPConn
+	conn      *net.UDPConn
 	clk       clock.Clock
 	mon       *service.Monitor
 	workers   int
 	queueCap  int
 	readSlots int
-	sockets   int
 	internCap int
 
-	queues   []chan ingestItem
-	readerWG sync.WaitGroup
-	wg       sync.WaitGroup
-	stopped  chan struct{}
+	queues  []chan *beatGroup
+	wg      sync.WaitGroup
+	stopped chan struct{}
 
 	// ids is the interner backing decoded heartbeat id strings — the
-	// shared, concurrency-safe table every read loop (and, when wired
-	// with service.WithInterner, the Monitor) canonicalises through.
+	// shared, concurrency-safe table the read loop (and, when wired with
+	// service.WithInterner, the Monitor) canonicalises through.
 	ids *IDInterner
 
 	// tel counts packet dispositions. It defaults to a listener-private
@@ -623,21 +612,15 @@ type Listener struct {
 	// are decoded (and counted) but ignored — a non-federated daemon
 	// tolerates a misdirected peer without log spam.
 	digestFn func(d *Digest, arrived time.Time)
-}
 
-// sockLoop is one socket's read loop with its private decode scratch:
-// the batch buffer and per-worker groups are touched only by this loop's
-// goroutine, so n sockets decode concurrently with no shared mutable
-// state beyond the interner (concurrency-safe) and the worker queues.
-type sockLoop struct {
-	l           *Listener
-	conn        *net.UDPConn
+	// Read-loop state, touched only by the read goroutine and reused
+	// datagram after datagram: the socket's counter cell, the decode
+	// scratch, the per-worker groups being filled, and the digest decode
+	// scratch (the digest handler must copy anything it keeps).
 	cell        *telemetry.SocketCell
 	beatScratch []core.Heartbeat
-	groups      [][]core.Heartbeat
-	// dig is this loop's private digest decode scratch; the handler must
-	// copy anything it keeps past its return.
-	dig Digest
+	groups      []*beatGroup
+	dig         Digest
 }
 
 // ListenerOption configures a Listener.
@@ -703,26 +686,6 @@ func WithIngestQueueCap(n int) ListenerOption {
 	}
 }
 
-// WithListenerSockets binds n UDP sockets to the listener address with
-// SO_REUSEPORT (clamped to 1..64), each running its own read loop, so
-// the kernel spreads sender flows over n cores. On platforms without
-// SO_REUSEPORT — or with n < 2 — the listener keeps the single-socket
-// layout. Pair it with WithIngestWorkers at high fan-in: sockets scale
-// the decode side, workers the detector side, and the id-hash routing
-// between them keeps each process's beats ordered regardless of which
-// socket they arrived on.
-func WithListenerSockets(n int) ListenerOption {
-	return func(l *Listener) {
-		if n < 1 {
-			n = 1
-		}
-		if n > maxListenerSockets {
-			n = maxListenerSockets
-		}
-		l.sockets = n
-	}
-}
-
 // WithDigestHandler routes decoded AFG1 suspicion digests (gossiped by
 // federated accruald peers, sharing the heartbeat port) to fn, called
 // from the read loop with the frame's arrival time. The digest is the
@@ -756,19 +719,33 @@ func WithInternCapacity(n int) ListenerOption {
 	}
 }
 
-// Listen binds one or more UDP sockets on addr (host:port, port 0 for
-// ephemeral) and starts forwarding decoded heartbeats to mon.
+// Listen binds a UDP socket on addr (host:port, port 0 for ephemeral)
+// and starts forwarding decoded heartbeats to mon.
 func Listen(addr string, mon *service.Monitor, opts ...ListenerOption) (*Listener, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve %s: %w", addr, err)
 	}
+	conn, err := net.ListenUDP("udp", udpAddr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
+	}
+	l := newListener(mon, opts...)
+	l.conn = conn
+	l.cell = &l.tel.RegisterSockets(1)[0]
+	l.startWorkers()
+	go l.run()
+	return l, nil
+}
+
+// newListener applies the options and builds the intern table. It opens
+// no socket and starts no goroutine.
+func newListener(mon *service.Monitor, opts ...ListenerOption) *Listener {
 	l := &Listener{
 		clk:       clock.Wall{},
 		mon:       mon,
 		queueCap:  defaultQueueCap,
 		readSlots: defaultReadBatch,
-		sockets:   1,
 		stopped:   make(chan struct{}),
 		tel:       new(telemetry.TransportCounters),
 	}
@@ -784,108 +761,50 @@ func Listen(addr string, mon *service.Monitor, opts ...ListenerOption) (*Listene
 		}
 		l.ids = intern.New(iopts...)
 	}
-	if err := l.bindSockets(addr, udpAddr); err != nil {
-		return nil, err
-	}
-	if l.workers > 0 {
-		l.queues = make([]chan ingestItem, l.workers)
-		for i := range l.queues {
-			l.queues[i] = make(chan ingestItem, l.queueCap)
-			l.wg.Add(1)
-			go l.ingest(l.queues[i])
-		}
-	}
-	cells := l.tel.RegisterSockets(len(l.conns))
-	l.readerWG.Add(len(l.conns))
-	for i, conn := range l.conns {
-		sl := &sockLoop{l: l, conn: conn, cell: &cells[i]}
-		if l.workers > 0 {
-			sl.groups = make([][]core.Heartbeat, l.workers)
-		}
-		go sl.run()
-	}
-	// Supervisor: the worker queues close only after every read loop has
-	// exited (each loop may still be dispatching), then Close unblocks
-	// once the workers drain.
-	go func() {
-		l.readerWG.Wait()
-		for _, q := range l.queues {
-			close(q)
-		}
-		l.wg.Wait()
-		close(l.stopped)
-	}()
-	return l, nil
+	return l
 }
 
-// bindSockets opens the listener's socket set: one plain socket, or
-// sockets SO_REUSEPORT-bound ones sharing the address. The first bind
-// resolves an ephemeral port; the rest join that concrete address. A
-// platform without SO_REUSEPORT degrades to one socket rather than
-// failing — the flag is a throughput knob, not a semantic one.
-func (l *Listener) bindSockets(addr string, udpAddr *net.UDPAddr) error {
-	want := l.sockets
-	if want > 1 && !reusePortSupported {
-		want = 1
+// startWorkers launches the ingest workers, if any are configured.
+func (l *Listener) startWorkers() {
+	if l.workers < 1 {
+		return
 	}
-	if want <= 1 {
-		conn, err := net.ListenUDP("udp", udpAddr)
-		if err != nil {
-			return fmt.Errorf("transport: listen %s: %w", addr, err)
-		}
-		l.conns = []*net.UDPConn{conn}
-		return nil
+	l.queues = make([]chan *beatGroup, l.workers)
+	l.groups = make([]*beatGroup, l.workers)
+	for i := range l.queues {
+		l.queues[i] = make(chan *beatGroup, l.queueCap)
+		l.wg.Add(1)
+		go l.worker(l.queues[i])
 	}
-	first, err := listenReusePort(addr)
-	if err != nil {
-		// SO_REUSEPORT refused (restricted environment): degrade to the
-		// plain single-socket layout instead of failing startup.
-		conn, perr := net.ListenUDP("udp", udpAddr)
-		if perr != nil {
-			return fmt.Errorf("transport: listen %s: %w", addr, perr)
-		}
-		l.conns = []*net.UDPConn{conn}
-		return nil
-	}
-	conns := []*net.UDPConn{first}
-	bound := first.LocalAddr().String()
-	for i := 1; i < want; i++ {
-		c, err := listenReusePort(bound)
-		if err != nil {
-			for _, pc := range conns {
-				_ = pc.Close()
-			}
-			return fmt.Errorf("transport: listen %s (socket %d/%d): %w", bound, i+1, want, err)
-		}
-		conns = append(conns, c)
-	}
-	l.conns = conns
-	return nil
 }
 
-// Addr returns the bound UDP address (shared by every socket).
-func (l *Listener) Addr() net.Addr { return l.conns[0].LocalAddr() }
-
-// Sockets returns how many UDP sockets the listener actually bound —
-// the WithListenerSockets request after platform clamping.
-func (l *Listener) Sockets() int { return len(l.conns) }
-
-// ingestItem is one unit of work for an ingest worker: either a single
-// heartbeat (group == nil) or a pooled per-shard group of beats from one
-// or more batch frames.
-type ingestItem struct {
-	hb    core.Heartbeat
-	group *beatGroup
+// stopWorkers closes the worker queues and waits until the workers have
+// drained them. Only the read loop dispatches, so it runs this once it
+// has exited.
+func (l *Listener) stopWorkers() {
+	for _, q := range l.queues {
+		close(q)
+	}
+	l.wg.Wait()
 }
 
-// beatGroup carries the beats of one batch frame routed to one worker.
-// Groups are pooled and their backing slices reused, so the batch fan-out
-// path does not allocate in steady state.
+// Addr returns the bound UDP address.
+func (l *Listener) Addr() net.Addr { return l.conn.LocalAddr() }
+
+// beatGroup carries the beats of one decoded datagram routed to one
+// worker. Groups are pooled and their backing slices reused, so the
+// worker fan-out does not allocate in steady state.
 type beatGroup struct {
 	beats []core.Heartbeat
 }
 
 var groupPool = sync.Pool{New: func() any { return new(beatGroup) }}
+
+// release empties g and returns it to the pool.
+func (g *beatGroup) release() {
+	g.beats = g.beats[:0]
+	groupPool.Put(g)
+}
 
 // readOne is the shared single-datagram read used by the portable
 // fallback and by single-slot readers. conn.Read (not ReadFromUDP) keeps
@@ -899,66 +818,69 @@ func (br *batchReader) readOne() (int, error) {
 	return 1, nil
 }
 
-// run is one socket's read loop: drain datagrams (recvmmsg where
-// available), decode with loop-private scratch, dispatch to the shared
-// worker queues. The loop exits when its socket is closed.
-func (sl *sockLoop) run() {
-	defer sl.l.readerWG.Done()
-	br := newBatchReader(sl.conn, sl.l.readSlots)
+// run is the read loop: drain datagrams (recvmmsg where available) and
+// handle each. Once the socket is closed it stops the workers, then
+// releases Close.
+func (l *Listener) run() {
+	defer close(l.stopped)
+	defer l.stopWorkers()
+	br := newBatchReader(l.conn, l.readSlots)
 	for {
 		n, err := br.read()
 		if err != nil {
 			return // closed
 		}
-		sl.cell.Batches.Add(1)
-		sl.cell.Packets.Add(uint64(n))
+		l.cell.Batches.Add(1)
+		l.cell.Packets.Add(uint64(n))
 		// One clock read per drained batch: every datagram pulled by this
 		// syscall was already on the socket, so one timestamp is the most
 		// honest arrival time available for all of them.
-		arrived := sl.l.clk.Now()
+		arrived := l.clk.Now()
 		for i := 0; i < n; i++ {
-			sl.handleDatagram(br.bufs[i][:br.sizes[i]], arrived)
+			l.handleDatagram(br.bufs[i][:br.sizes[i]], arrived)
 		}
 	}
 }
 
-// handleDatagram decodes one datagram — AFG1 digest, AFB1 batch or
-// single-beat AFD1, told apart by the magic — counts its disposition,
-// and hands the decoded beats to ingest (or the digest to its handler).
-func (sl *sockLoop) handleDatagram(buf []byte, arrived time.Time) {
-	l := sl.l
+// handleDatagram decodes one datagram, told apart by its magic: an AFG1
+// digest goes to the digest handler; an AFB1 frame, or an AFD1 datagram
+// as its one-record case, becomes a run of beats for dispatch. It counts
+// the datagram's disposition either way; the accrual_udp_batch* counters
+// see AFB1 frames only.
+func (l *Listener) handleDatagram(buf []byte, arrived time.Time) {
 	l.tel.PacketsReceived.Add(1)
 	if IsDigestFrame(buf) {
-		if err := UnmarshalDigest(buf, &sl.dig, l.ids); err != nil {
+		if err := UnmarshalDigest(buf, &l.dig, l.ids); err != nil {
 			l.countDecodeError(err)
 			return
 		}
 		if l.digestFn != nil {
-			l.digestFn(&sl.dig, arrived)
+			l.digestFn(&l.dig, arrived)
 		}
 		return
 	}
-	if IsBatchFrame(buf) {
-		beats, err := UnmarshalBatch(buf, sl.beatScratch[:0], l.ids)
-		if err != nil {
-			l.countDecodeError(err)
-			return
-		}
-		sl.beatScratch = beats[:0] // keep the grown capacity for the next frame
-		l.tel.ObserveBatch(len(beats))
-		for i := range beats {
-			beats[i].Arrived = arrived
-		}
-		sl.dispatchBatch(beats)
-		return
+	batch := IsBatchFrame(buf)
+	var beats []core.Heartbeat
+	var err error
+	if batch {
+		beats, err = UnmarshalBatch(buf, l.beatScratch[:0], l.ids)
+	} else {
+		beats, err = appendSingle(buf, l.beatScratch[:0], l.ids)
 	}
-	hb, err := unmarshalHeartbeat(buf, l.ids)
 	if err != nil {
 		l.countDecodeError(err)
 		return
 	}
-	hb.Arrived = arrived
-	l.dispatchOne(hb, false)
+	l.beatScratch = beats[:0] // keep the grown capacity for the next datagram
+	if batch {
+		l.tel.ObserveBatch(len(beats))
+	}
+	for i := range beats {
+		beats[i].Arrived = arrived
+	}
+	if shed := l.dispatch(beats); batch && shed > 0 {
+		l.tel.BatchBeatsShed.Add(shed)
+	}
 }
 
 // countDecodeError buckets a decode failure into the drop taxonomy.
@@ -975,106 +897,59 @@ func (l *Listener) countDecodeError(err error) {
 	}
 }
 
-// dispatchOne routes a single decoded heartbeat: synchronously into the
-// monitor without workers, otherwise onto the owning worker's queue.
-func (l *Listener) dispatchOne(hb core.Heartbeat, fromBatch bool) {
+// dispatch routes one decoded run of beats and returns how many it shed.
+// Without workers the run goes straight to the monitor. With workers it
+// is partitioned by intern.Hash into pooled per-worker groups — one
+// process always to the same worker, so per-process order holds — and
+// each group is queued whole. The read loop never blocks on a worker: a
+// full queue sheds that worker's group, counted per beat, and leaves
+// the rest alone, because the next heartbeat from the same process
+// carries strictly fresher information — drop-newest loses nothing the
+// detector needs.
+func (l *Listener) dispatch(beats []core.Heartbeat) (shed uint64) {
 	if l.queues == nil {
-		l.deliver(hb)
-		return
+		l.ingestRun(beats)
+		return 0
 	}
-	q := l.queues[fnv1a(hb.From)%uint32(len(l.queues))]
-	// Never block the shared read loop on one worker's full queue:
-	// shed the newest packet for that shard and count it. The next
-	// heartbeat from the same process carries strictly fresher
-	// information, so drop-newest loses nothing the detector needs.
-	select {
-	case q <- ingestItem{hb: hb}:
-		l.tel.ObserveQueueDepth(len(q))
-	default:
-		l.tel.PacketsShed.Add(1)
-		if fromBatch {
-			l.tel.BatchBeatsShed.Add(1)
-		}
-	}
-}
-
-// dispatchBatch routes one decoded batch frame. Without workers the whole
-// frame goes straight into Monitor.HeartbeatBatch; with workers the frame
-// is partitioned by the worker hash — the same FNV-1a the Monitor shards
-// on — into per-worker groups so each worker can in turn hand its group
-// to HeartbeatBatch, preserving per-process order throughout. Shedding
-// stays all-or-nothing per group: a full worker queue drops that worker's
-// share of the frame (counted per beat) without touching the rest.
-func (sl *sockLoop) dispatchBatch(beats []core.Heartbeat) {
-	l := sl.l
-	if l.queues == nil {
-		acc, rej := l.mon.HeartbeatBatch(beats)
-		l.tel.Delivered.Add(uint64(acc))
-		l.tel.Rejected.Add(uint64(rej))
-		return
-	}
-	if len(beats) == 1 {
-		l.dispatchOne(beats[0], true)
-		return
-	}
-	for i := range sl.groups {
-		sl.groups[i] = sl.groups[i][:0]
-	}
+	n := uint32(len(l.queues))
 	for _, hb := range beats {
-		w := fnv1a(hb.From) % uint32(len(l.queues))
-		sl.groups[w] = append(sl.groups[w], hb)
+		w := intern.Hash(hb.From) % n
+		if l.groups[w] == nil {
+			l.groups[w] = groupPool.Get().(*beatGroup)
+		}
+		l.groups[w].beats = append(l.groups[w].beats, hb)
 	}
-	for w, g := range sl.groups {
-		if len(g) == 0 {
+	for w, g := range l.groups {
+		if g == nil {
 			continue
 		}
-		bg := groupPool.Get().(*beatGroup)
-		bg.beats = append(bg.beats[:0], g...)
+		l.groups[w] = nil
 		select {
-		case l.queues[w] <- ingestItem{group: bg}:
+		case l.queues[w] <- g:
 			l.tel.ObserveQueueDepth(len(l.queues[w]))
 		default:
-			l.tel.PacketsShed.Add(uint64(len(g)))
-			l.tel.BatchBeatsShed.Add(uint64(len(g)))
-			bg.beats = bg.beats[:0]
-			groupPool.Put(bg)
+			l.tel.PacketsShed.Add(uint64(len(g.beats)))
+			shed += uint64(len(g.beats))
+			g.release()
 		}
 	}
+	return shed
 }
 
-// ingest drains one worker queue into the monitor.
-func (l *Listener) ingest(q <-chan ingestItem) {
+// worker drains one ingest queue into the monitor.
+func (l *Listener) worker(q <-chan *beatGroup) {
 	defer l.wg.Done()
-	for it := range q {
-		if it.group == nil {
-			l.deliver(it.hb)
-			continue
-		}
-		acc, rej := l.mon.HeartbeatBatch(it.group.beats)
-		l.tel.Delivered.Add(uint64(acc))
-		l.tel.Rejected.Add(uint64(rej))
-		it.group.beats = it.group.beats[:0]
-		groupPool.Put(it.group)
+	for g := range q {
+		l.ingestRun(g.beats)
+		g.release()
 	}
 }
 
-func (l *Listener) deliver(hb core.Heartbeat) {
-	if err := l.mon.Heartbeat(hb); err != nil {
-		l.tel.Rejected.Add(1)
-		return
-	}
-	l.tel.Delivered.Add(1)
-}
-
-// fnv1a is the 32-bit FNV-1a hash used for worker routing; it matches the
-// Monitor's shard hash so one process's heartbeats stay on one worker.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
+// ingestRun hands one run of beats to the monitor and counts the outcome.
+func (l *Listener) ingestRun(beats []core.Heartbeat) {
+	acc, rej := l.mon.HeartbeatBatch(beats)
+	l.tel.Delivered.Add(uint64(acc))
+	l.tel.Rejected.Add(uint64(rej))
 }
 
 // ListenerStats is a point-in-time snapshot of the listener's packet
@@ -1089,15 +964,10 @@ func (l *Listener) Stats() ListenerStats {
 	return l.tel.Snapshot()
 }
 
-// Close stops every read loop, drains the ingest workers and waits for
+// Close stops the read loop, drains the ingest workers and waits for
 // all of them to exit.
 func (l *Listener) Close() error {
-	var err error
-	for _, conn := range l.conns {
-		if cerr := conn.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
+	err := l.conn.Close()
 	<-l.stopped
 	return err
 }
