@@ -6,7 +6,7 @@
 // Usage:
 //
 //	accruald [-udp :7946] [-http :8080] [-detector phi] [-interval 1s]
-//	         [-ingest-workers N] [-ingest-queue 256] [-read-batch 16]
+//	         [-read-batch 16]
 //	         [-profile default] [-intern-max 1048576]
 //	         [-state-file accrual.state] [-state-interval 30s]
 //	         [-qos-high 2] [-qos-low 1] [-pprof-addr localhost:6060]
@@ -39,15 +39,14 @@
 // At large memberships, -profile compact trades estimator-window depth
 // for a smaller per-process footprint (see docs/TUNING.md). The id
 // intern table shared by the decode path and the registry is capped at
-// -intern-max distinct ids; past the cap, ids
-// still work but each decode allocates (counted by
-// accrual_intern_overflow_total).
+// -intern-max distinct ids; past the cap, new ids still register but
+// are not remembered (counted by accrual_intern_overflow_total).
 //
-// Ingest never blocks on a slow shard: each ingest worker owns a bounded
-// queue (-ingest-queue) and a full queue sheds its newest packets with a
-// counted drop (accrual_udp_packets_shed_total) instead of stalling the
-// shared UDP read loop — one overloaded process degrades only its own
-// heartbeat stream.
+// Ingest runs on the UDP read loop: each datagram is decoded and every
+// beat resolved against its registry slot and reported in place, with no
+// queue in between. Under overload the socket's receive buffer is the
+// queue and the kernel's drops are the loss (see docs/TUNING.md).
+// -ingest-queue still parses for old command lines and is ignored.
 //
 // The daemon is observable while it runs: GET /v1/metrics serves
 // hot-path counters, UDP packet dispositions and online QoS estimates
@@ -83,7 +82,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -124,8 +122,6 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		logTrans  = fs.Bool("log-transitions", true, "log S-/T-transitions observed by an internal Algorithm 1 view")
 		history   = fs.Int("history", 600, "level samples kept per process for /v1/history (0 disables)")
 		shards    = fs.Int("shards", 0, "monitor registry shard count, rounded up to a power of two (0 = default 64)")
-		ingestWk  = fs.Int("ingest-workers", runtime.GOMAXPROCS(0), "parallel heartbeat ingest goroutines (0 = ingest from the read loop)")
-		ingestQ   = fs.Int("ingest-queue", 256, "per-worker ingest queue capacity; a full queue sheds newest packets (counted, never blocking the read loop)")
 		readBatch = fs.Int("read-batch", 16, "datagrams drained per read syscall via recvmmsg where available (1 = plain reads)")
 		profName  = fs.String("profile", "default", "memory profile: default, or compact (more shards, shallower estimator windows) for very large memberships")
 		internMax = fs.Int("intern-max", 0, "max distinct process ids interned by the shared id table (0 = default 1048576)")
@@ -146,6 +142,7 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		digestTop = fs.Int("digest-topk", federation.DefaultTopK, "most-suspected processes carried per gossiped digest")
 		group     = fs.String("group", "", "group tag for locally monitored processes; doubles as this daemon's federation identity")
 	)
+	fs.Int("ingest-queue", 0, "ignored: heartbeats are ingested on the read loop with no queue (kept so existing command lines parse)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -258,12 +255,6 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 	if fed != nil {
 		lnOpts = append(lnOpts, transport.WithDigestHandler(fed.HandleDigest))
 	}
-	if *ingestWk > 0 {
-		lnOpts = append(lnOpts, transport.WithIngestWorkers(*ingestWk))
-	}
-	if *ingestQ > 0 {
-		lnOpts = append(lnOpts, transport.WithIngestQueueCap(*ingestQ))
-	}
 	if *readBatch > 0 {
 		lnOpts = append(lnOpts, transport.WithReadBatch(*readBatch))
 	}
@@ -272,8 +263,8 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		return err
 	}
 	defer listener.Close()
-	log.Printf("heartbeat listener on %s (detector=%s interval=%v ingest-workers=%d profile=%s)",
-		listener.Addr(), *detName, *interval, *ingestWk, profile)
+	log.Printf("heartbeat listener on %s (detector=%s interval=%v profile=%s)",
+		listener.Addr(), *detName, *interval, profile)
 
 	apiOpts := []transport.APIOption{
 		transport.WithAPITelemetry(hub),

@@ -57,6 +57,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		done <- run(ctx, []string{
 			"-udp", "127.0.0.1:0", "-http", "127.0.0.1:0",
 			"-interval", "20ms", "-log-transitions=false",
+			"-ingest-queue", "4096", // ignored, but existing command lines must still parse
 		}, ready)
 	}()
 	var addrs [2]string

@@ -93,8 +93,8 @@ func benchQuery(b *testing.B) {
 // benchBatch measures the userspace half of the coalesced heartbeat
 // pipeline per beat: encode 32 beats into one AFB1 frame with a reused
 // encoder, decode it with a warm id interner, and ingest the batch
-// through Monitor.HeartbeatBatch (one shard-lock acquisition per shard
-// per frame). Sockets are deliberately excluded so the number is
+// through Monitor.HeartbeatBatch (one hash and one shard probe per
+// beat). Sockets are deliberately excluded so the number is
 // deterministic and the zero-alloc gate in CI is meaningful; the
 // syscall amortisation on top of this is measured by the repo's
 // BenchmarkIngestBatch over real loopback sockets.

@@ -10,6 +10,7 @@ import (
 	"accrual/internal/core"
 	"accrual/internal/simple"
 	"accrual/internal/telemetry"
+	"accrual/internal/transport/intern"
 )
 
 func batchTestMonitor(opts ...MonitorOption) *Monitor {
@@ -70,74 +71,9 @@ func TestHeartbeatBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestHeartbeatBatchLockOncePerShard is the lock-amortisation contract:
-// in steady state (every sender registered) one batch acquires each
-// touched shard lock exactly once, read-mode, no matter how many beats
-// land on the shard — the syscall-batching win carried through to the
-// registry. A batch with unseen senders pays at most one extra write
-// acquisition per touched shard.
-func TestHeartbeatBatchLockOncePerShard(t *testing.T) {
-	mon := batchTestMonitor()
-	at := mon.Now().Add(time.Second)
-	const procs = 64
-	var beats []core.Heartbeat
-	for p := 0; p < procs; p++ {
-		beats = append(beats, core.Heartbeat{
-			From: fmt.Sprintf("proc-%02d", p), Seq: 1, Arrived: at,
-		})
-	}
-
-	type acquisition struct {
-		reads, writes int
-	}
-	locks := map[uint32]*acquisition{}
-	mon.onShardLock = func(si uint32, write bool) {
-		a := locks[si]
-		if a == nil {
-			a = &acquisition{}
-			locks[si] = a
-		}
-		if write {
-			a.writes++
-		} else {
-			a.reads++
-		}
-	}
-
-	// Cold batch: every sender unseen — one read plus one write per shard.
-	if acc, rej := mon.HeartbeatBatch(beats); acc != procs || rej != 0 {
-		t.Fatalf("cold HeartbeatBatch = (%d, %d), want (%d, 0)", acc, rej, procs)
-	}
-	for si, a := range locks {
-		if a.reads != 1 || a.writes > 1 {
-			t.Errorf("cold batch shard %d: %d read / %d write acquisitions, want 1 / <=1", si, a.reads, a.writes)
-		}
-	}
-
-	// Steady state: same senders again — exactly one read, zero writes,
-	// even with many beats per shard.
-	clear(locks)
-	for i := range beats {
-		beats[i].Seq = 2
-		beats[i].Arrived = at.Add(100 * time.Millisecond)
-	}
-	if acc, _ := mon.HeartbeatBatch(beats); acc != procs {
-		t.Fatalf("steady HeartbeatBatch accepted %d, want %d", acc, procs)
-	}
-	if len(locks) == 0 {
-		t.Fatal("lock observer saw no acquisitions")
-	}
-	for si, a := range locks {
-		if a.reads != 1 || a.writes != 0 {
-			t.Errorf("steady batch shard %d: %d read / %d write acquisitions, want exactly 1 / 0", si, a.reads, a.writes)
-		}
-	}
-}
-
-// TestHeartbeatBatchPreservesPerProcessOrder feeds one process's beats
-// out of natural shard-sort stability traps: the grouping sort must keep
-// each process's beats in batch order, or sequence tracking would
-// misreport staleness.
+// TestHeartbeatBatchPreservesPerProcessOrder interleaves two processes'
+// beats: each process's beats must be ingested in batch order, or
+// sequence tracking would misreport staleness.
 func TestHeartbeatBatchPreservesPerProcessOrder(t *testing.T) {
 	hub := telemetry.NewHub()
 	mon := batchTestMonitor(WithTelemetry(hub))
@@ -210,8 +146,8 @@ func TestHeartbeatBatchZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestHeartbeatBatchConcurrent hammers HeartbeatBatch alongside single
-// beats, queries and deregistrations under -race.
+// TestHeartbeatBatchConcurrent hammers HeartbeatBatch alongside
+// byte-keyed beats, queries and deregistrations under -race.
 func TestHeartbeatBatchConcurrent(t *testing.T) {
 	mon := batchTestMonitor(WithTelemetry(telemetry.NewHub()))
 	at := mon.Now()
@@ -233,7 +169,22 @@ func TestHeartbeatBatchConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(2)
+	wg.Add(3)
+	go func() {
+		// The read loop's path: ids as raw bytes, interned only when new.
+		defer wg.Done()
+		tab := intern.New()
+		for round := 0; round < 200; round++ {
+			for i := 0; i < 16; i++ {
+				id := fmt.Appendf(nil, "g1-proc-%d", i)
+				hb := core.Heartbeat{Seq: uint64(round + 1), Arrived: at}
+				if !mon.HeartbeatID(id, hb) {
+					hb.From = tab.Intern(id)
+					_ = mon.Heartbeat(hb) // auto-registration is on
+				}
+			}
+		}
+	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {

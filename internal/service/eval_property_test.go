@@ -127,7 +127,7 @@ func comparePublishedToLocked(t *testing.T, m *Monitor, now time.Time) {
 		sh := &m.shards[i]
 		sh.mu.RLock()
 		for id := range sh.procs {
-			e, _ := sh.get(id)
+			e, _ := get(sh, id)
 			e.mu.Lock()
 			want := e.det.EvalSnapshot().Level(now)
 			e.mu.Unlock()

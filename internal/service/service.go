@@ -293,20 +293,22 @@ func (e *entry) loadEval() (meta *entryMeta, snap core.EvalSnapshot, last int64,
 	return meta, snap, last, true
 }
 
-// report feeds one heartbeat to the detector and reports whether the
-// detector accepted it. The detector's sequence guard is the only one
-// (core.Detector.Report): a beat it refuses — a duplicate, a reordered
-// or replayed number, Seq 0 — is no evidence of liveness now, so it
-// moves neither lastArrival nor the eval cell, and the caller counts it
-// stale. ok is false when the slot's generation no longer matches gen
-// (the process was deregistered after the caller resolved the handle);
-// the heartbeat is then dropped.
+// report feeds one heartbeat to the detector, with hb.From set to the
+// binding's canonical id, and reports whether the detector accepted it.
+// The detector's sequence guard is the only one (core.Detector.Report):
+// a beat it refuses — a duplicate, a reordered or replayed number, Seq
+// 0 — is no evidence of liveness now, so it moves neither lastArrival
+// nor the eval cell, and the caller counts it stale. ok is false when
+// the slot's generation no longer matches gen (the process was
+// deregistered after the caller resolved the handle); the heartbeat is
+// then dropped.
 func (e *entry) report(gen uint64, hb core.Heartbeat) (accepted, ok bool) {
 	e.mu.Lock()
 	if e.gen.Load() != gen {
 		e.mu.Unlock()
 		return false, false
 	}
+	hb.From = e.meta.Load().id
 	if accepted = e.det.Report(hb); accepted {
 		// An accepted number can still carry an older arrival stamp (a
 		// replayed trace): the stamp digests are built from only moves
@@ -375,11 +377,12 @@ type shard struct {
 	order sortedOrder
 }
 
-// get resolves id to its entry and current generation. Caller holds
-// sh.mu (read or write); the returned gen is the binding observed under
-// that lock, and stays verifiable after the lock is released.
-func (sh *shard) get(id string) (*entry, uint64) {
-	idx, ok := sh.procs[id]
+// get resolves id — a string, or raw bytes probed without a conversion
+// allocation — to its entry and current generation. Caller holds sh.mu
+// (read or write); the returned gen is the binding observed under that
+// lock, and stays verifiable after the lock is released.
+func get[T ~string | ~[]byte](sh *shard, id T) (*entry, uint64) {
+	idx, ok := sh.procs[string(id)]
 	if !ok {
 		return nil, 0
 	}
@@ -464,12 +467,6 @@ type Monitor struct {
 	// hash to pick a counter stripe, so instrumentation costs one
 	// uncontended atomic add and zero allocations per operation.
 	tel *telemetry.Hub
-
-	// onShardLock, when non-nil, observes every shard-lock acquisition
-	// HeartbeatBatch performs (shard index, write?). Tests use it to
-	// verify the once-per-shard-per-batch contract; production monitors
-	// leave it nil.
-	onShardLock func(shard uint32, write bool)
 
 	// coal is the single-flight coalescer behind the Shared walk
 	// variants (walk.go).
@@ -595,7 +592,7 @@ func (m *Monitor) groupOf(id string) string {
 func (m *Monitor) lookup(id string) (*entry, uint64) {
 	sh := m.shardFor(id)
 	sh.mu.RLock()
-	e, gen := sh.get(id)
+	e, gen := get(sh, id)
 	sh.mu.RUnlock()
 	return e, gen
 }
@@ -604,18 +601,8 @@ func (m *Monitor) lookup(id string) (*entry, uint64) {
 // the id is already present.
 func (m *Monitor) Register(id string) error {
 	id = m.ids.InternString(id)
-	h := intern.Hash(id)
-	sh := m.shardAt(h)
-	sh.mu.Lock()
-	if _, ok := sh.procs[id]; ok {
-		sh.mu.Unlock()
+	if _, _, bound := m.bindOnce(intern.Hash(id), id, time.Time{}); !bound {
 		return fmt.Errorf("%w: %q", ErrAlreadyRegistered, id)
-	}
-	now := m.clk.Now()
-	sh.bind(id, m.factory(id, now), m.groupOf(id), now)
-	sh.mu.Unlock()
-	if m.tel != nil {
-		m.tel.Counters.Registered(h)
 	}
 	return nil
 }
@@ -697,7 +684,7 @@ func (m *Monitor) Suspicion(id string) (core.Level, error) {
 	h := intern.Hash(id)
 	sh := m.shardAt(h)
 	sh.mu.RLock()
-	e, _ := sh.get(id)
+	e, _ := get(sh, id)
 	sh.mu.RUnlock()
 	if e == nil {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownProcess, id)

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"accrual/internal/core"
+	"accrual/internal/transport/intern"
 )
 
 // ProcessState pairs a monitored process id with its detector's
@@ -65,13 +67,7 @@ func (m *Monitor) ImportState(st MonitorState) (restored int, err error) {
 		e, gen := m.lookup(ps.ID)
 		if e == nil {
 			id := m.ids.InternString(ps.ID)
-			sh := m.shardFor(id)
-			sh.mu.Lock()
-			if e, gen = sh.get(id); e == nil {
-				now := m.clk.Now()
-				e, gen = sh.bind(id, m.factory(id, now), m.groupOf(id), now)
-			}
-			sh.mu.Unlock()
+			e, gen, _ = m.bindOnce(intern.Hash(id), id, time.Time{})
 		}
 		e.mu.Lock()
 		if e.gen.Load() != gen {

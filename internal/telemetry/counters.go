@@ -85,7 +85,7 @@ func (c *Counters) Totals() CounterTotals {
 
 // TransportCounters counts UDP packet dispositions in the heartbeat
 // listener. The read loop is a single goroutine, so plain (unstriped)
-// atomics suffice; the queue high-water mark is maintained with a CAS
+// atomics suffice; the batch high-water mark is maintained with a CAS
 // loop that only runs when the mark is actually exceeded.
 type TransportCounters struct {
 	// PacketsReceived counts every datagram read from the socket.
@@ -99,11 +99,6 @@ type TransportCounters struct {
 	// PacketsMalformed counts datagrams that failed decoding for any
 	// other reason (length mismatch, zero-length id).
 	PacketsMalformed atomic.Uint64
-	// PacketsShed counts decoded heartbeats dropped at the ingest queue
-	// because the target worker's bounded queue was full (drop-newest
-	// shed policy). Shedding is per shard: one stalled worker sheds its
-	// own traffic while the read loop keeps serving every other shard.
-	PacketsShed atomic.Uint64
 	// Rejected counts decoded heartbeats the monitor refused (unknown
 	// process with auto-registration off).
 	Rejected atomic.Uint64
@@ -115,11 +110,6 @@ type TransportCounters struct {
 	// BatchBeats counts heartbeats carried inside decoded AFB1 batch
 	// frames (single-beat AFD1 datagrams are not included).
 	BatchBeats atomic.Uint64
-	// BatchBeatsShed counts heartbeats from batch frames dropped at a
-	// full ingest queue — the batch-path subset of PacketsShed, kept
-	// separately so shed-per-batch is observable (a burst of shed batch
-	// beats means coalescing is overrunning a stalled shard).
-	BatchBeatsShed atomic.Uint64
 
 	// SendFailures counts heartbeats a Sender failed to put on the wire:
 	// write errors plus ticks skipped while disconnected awaiting a
@@ -140,7 +130,6 @@ type TransportCounters struct {
 	// listener startup is safe.
 	sockets atomic.Pointer[[]SocketCell]
 
-	queueHighWater atomic.Int64
 	batchHighWater atomic.Int64
 }
 
@@ -220,26 +209,6 @@ func (t *TransportCounters) BatchHighWater() int {
 	return int(t.batchHighWater.Load())
 }
 
-// ObserveQueueDepth records an ingest-queue depth sample, keeping the
-// high-water mark.
-func (t *TransportCounters) ObserveQueueDepth(depth int) {
-	d := int64(depth)
-	for {
-		cur := t.queueHighWater.Load()
-		if d <= cur {
-			return
-		}
-		if t.queueHighWater.CompareAndSwap(cur, d) {
-			return
-		}
-	}
-}
-
-// QueueHighWater returns the deepest ingest-queue depth observed.
-func (t *TransportCounters) QueueHighWater() int {
-	return int(t.queueHighWater.Load())
-}
-
 // TransportStats is a point-in-time snapshot of TransportCounters.
 type TransportStats struct {
 	PacketsReceived   uint64
@@ -247,17 +216,18 @@ type TransportStats struct {
 	PacketsBadMagic   uint64
 	PacketsBadVersion uint64
 	PacketsMalformed  uint64
-	PacketsShed       uint64
-	Rejected          uint64
-	Delivered         uint64
-	BatchesReceived   uint64
-	BatchBeats        uint64
-	BatchBeatsShed    uint64
-	SendFailures      uint64
-	Redials           uint64
-	InternOverflow    uint64
-	QueueHighWater    int
-	BatchHighWater    int
+	// PacketsShed is always 0: the listener reports every decoded beat
+	// on its read loop, with no queue to shed from. It stays for callers
+	// that still assert on it.
+	PacketsShed     uint64
+	Rejected        uint64
+	Delivered       uint64
+	BatchesReceived uint64
+	BatchBeats      uint64
+	SendFailures    uint64
+	Redials         uint64
+	InternOverflow  uint64
+	BatchHighWater  int
 }
 
 // Snapshot reads every counter once.
@@ -268,26 +238,23 @@ func (t *TransportCounters) Snapshot() TransportStats {
 		PacketsBadMagic:   t.PacketsBadMagic.Load(),
 		PacketsBadVersion: t.PacketsBadVersion.Load(),
 		PacketsMalformed:  t.PacketsMalformed.Load(),
-		PacketsShed:       t.PacketsShed.Load(),
 		Rejected:          t.Rejected.Load(),
 		Delivered:         t.Delivered.Load(),
 		BatchesReceived:   t.BatchesReceived.Load(),
 		BatchBeats:        t.BatchBeats.Load(),
-		BatchBeatsShed:    t.BatchBeatsShed.Load(),
 		SendFailures:      t.SendFailures.Load(),
 		Redials:           t.Redials.Load(),
 		InternOverflow:    t.InternOverflow.Load(),
-		QueueHighWater:    t.QueueHighWater(),
 		BatchHighWater:    t.BatchHighWater(),
 	}
 }
 
 // Dropped sums every packet that was received but never reached a
-// detector: undecodable datagrams, heartbeats shed at a full ingest
-// queue, and heartbeats the monitor refused. Together with Delivered and
-// any heartbeats still queued it accounts for every received datagram —
-// nothing is dropped silently.
+// detector: undecodable datagrams and heartbeats the monitor refused.
+// Together with Delivered it accounts for every received heartbeat
+// datagram once the read loop has handled it — nothing is dropped
+// silently.
 func (s TransportStats) Dropped() uint64 {
 	return s.PacketsShort + s.PacketsBadMagic + s.PacketsBadVersion +
-		s.PacketsMalformed + s.PacketsShed + s.Rejected
+		s.PacketsMalformed + s.Rejected
 }

@@ -48,12 +48,12 @@ func TestCountersConcurrentSums(t *testing.T) {
 	}
 }
 
-// TestTransportCountersHighWater checks the CAS high-water mark under
-// concurrent observers.
+// TestTransportCountersHighWater checks the CAS batch high-water mark
+// under concurrent observers.
 func TestTransportCountersHighWater(t *testing.T) {
 	var tc telemetry.TransportCounters
-	if tc.QueueHighWater() != 0 {
-		t.Fatalf("initial high water = %d", tc.QueueHighWater())
+	if tc.BatchHighWater() != 0 {
+		t.Fatalf("initial high water = %d", tc.BatchHighWater())
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -61,16 +61,16 @@ func TestTransportCountersHighWater(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i <= 1000; i++ {
-				tc.ObserveQueueDepth(i + g)
+				tc.ObserveBatch(i + g)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := tc.QueueHighWater(); got != 1003 {
+	if got := tc.BatchHighWater(); got != 1003 {
 		t.Errorf("high water = %d, want 1003", got)
 	}
-	tc.ObserveQueueDepth(5) // lower samples never regress the mark
-	if got := tc.QueueHighWater(); got != 1003 {
+	tc.ObserveBatch(5) // lower samples never regress the mark
+	if got := tc.BatchHighWater(); got != 1003 {
 		t.Errorf("high water after low sample = %d, want 1003", got)
 	}
 }

@@ -155,23 +155,51 @@ func appendBeatRecord(dst []byte, hb core.Heartbeat) []byte {
 
 // decodeRecord decodes the (idlen, id, seq, sent) record at buf[off:] —
 // the record an AFB1 frame repeats and an AFD1 datagram carries once —
-// and returns the beat and the offset just past it. ok is false, with
-// nothing interned, when the id is empty or the record overruns buf.
-func decodeRecord(buf []byte, off int, ids *IDInterner) (hb core.Heartbeat, next int, ok bool) {
-	if off >= len(buf) {
-		return hb, off, false
-	}
+// into its id bytes, which alias buf, and a beat without From, and
+// returns the offset just past it. The caller has validated the record
+// (batchRecords, checkSingle).
+func decodeRecord(buf []byte, off int) (id []byte, hb core.Heartbeat, next int) {
 	n := int(buf[off])
-	if n == 0 || off+1+n+trailerLen > len(buf) {
-		return hb, off, false
-	}
-	hb.From = ids.Intern(buf[off+1 : off+1+n])
+	id = buf[off+1 : off+1+n]
 	off += 1 + n
 	hb.Seq = binary.BigEndian.Uint64(buf[off:])
 	if sentNano := int64(binary.BigEndian.Uint64(buf[off+8:])); sentNano != 0 {
 		hb.Sent = unixNano(sentNano)
 	}
-	return hb, off + trailerLen, true
+	return id, hb, off + trailerLen
+}
+
+// batchRecords validates an AFB1 frame whole — header, every record in
+// bounds with a non-empty id, no trailing bytes — and returns its record
+// count; the records start at batchHeaderLen. Validation precedes any
+// decoding, so a truncated or corrupted frame never half-applies.
+func batchRecords(buf []byte) (int, error) {
+	if len(buf) < batchHeaderLen {
+		return 0, fmt.Errorf("%w: %d bytes", ErrPacketShort, len(buf))
+	}
+	if [4]byte(buf[0:4]) != batchMagic {
+		return 0, ErrBadMagic
+	}
+	if buf[4] != batchVersion {
+		return 0, fmt.Errorf("%w: batch version %d", ErrBadVersion, buf[4])
+	}
+	count := int(binary.BigEndian.Uint16(buf[5:7]))
+	if count == 0 || count > MaxBatchBeats {
+		return 0, fmt.Errorf("%w: batch count %d", ErrLengthMismatch, count)
+	}
+	off := batchHeaderLen
+	for i := 0; i < count; i++ {
+		if off >= len(buf) || buf[off] == 0 || off+1+int(buf[off])+trailerLen > len(buf) {
+			return 0, fmt.Errorf("%w: batch record %d/%d (%d bytes left)",
+				ErrLengthMismatch, i+1, count, len(buf)-off)
+		}
+		off += 1 + int(buf[off]) + trailerLen
+	}
+	if off != len(buf) {
+		return 0, fmt.Errorf("%w: %d trailing bytes after %d records",
+			ErrLengthMismatch, len(buf)-off, count)
+	}
+	return count, nil
 }
 
 // MarshalBatch encodes beats as one AFB1 frame — the convenience wrapper
@@ -201,33 +229,16 @@ func MarshalBatch(beats []core.Heartbeat) ([]byte, error) {
 // state decoding (all ids seen before) allocation-free; with nil each id
 // is freshly allocated.
 func UnmarshalBatch(buf []byte, dst []core.Heartbeat, ids *IDInterner) ([]core.Heartbeat, error) {
-	if len(buf) < batchHeaderLen {
-		return dst, fmt.Errorf("%w: %d bytes", ErrPacketShort, len(buf))
+	count, err := batchRecords(buf)
+	if err != nil {
+		return dst, err
 	}
-	if [4]byte(buf[0:4]) != batchMagic {
-		return dst, ErrBadMagic
-	}
-	if buf[4] != batchVersion {
-		return dst, fmt.Errorf("%w: batch version %d", ErrBadVersion, buf[4])
-	}
-	count := int(binary.BigEndian.Uint16(buf[5:7]))
-	if count == 0 || count > MaxBatchBeats {
-		return dst, fmt.Errorf("%w: batch count %d", ErrLengthMismatch, count)
-	}
-	orig := len(dst)
 	off := batchHeaderLen
 	for i := 0; i < count; i++ {
-		hb, next, ok := decodeRecord(buf, off, ids)
-		if !ok {
-			return dst[:orig], fmt.Errorf("%w: batch record %d/%d (%d bytes left)",
-				ErrLengthMismatch, i+1, count, len(buf)-off)
-		}
-		dst = append(dst, hb)
+		id, hb, next := decodeRecord(buf, off)
 		off = next
-	}
-	if off != len(buf) {
-		return dst[:orig], fmt.Errorf("%w: %d trailing bytes after %d records",
-			ErrLengthMismatch, len(buf)-off, count)
+		hb.From = ids.Intern(id)
+		dst = append(dst, hb)
 	}
 	return dst, nil
 }

@@ -254,7 +254,7 @@ func TestListenerInternOverflowTelemetry(t *testing.T) {
 // its senders one at a time.
 func TestMixedWireEndToEnd(t *testing.T) {
 	mon := newMonitor()
-	l, err := Listen("127.0.0.1:0", mon, WithIngestWorkers(2))
+	l, err := Listen("127.0.0.1:0", mon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +613,7 @@ func BenchmarkIngestBatch(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			mon := newMonitor()
-			l, err := Listen("127.0.0.1:0", mon, WithIngestWorkers(2))
+			l, err := Listen("127.0.0.1:0", mon)
 			if err != nil {
 				b.Fatal(err)
 			}

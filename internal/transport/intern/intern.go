@@ -1,24 +1,23 @@
 // Package intern provides a shared, concurrency-safe string interner for
 // process ids. One Table is meant to back the whole daemon: the UDP read
-// loop canonicalises decoded id bytes through it, and the Monitor
-// registers its processes through the same table, so each process id is
-// one string allocation no matter how many workers and registry shards
-// handle it. At a million monitored processes that is the
-// difference between one id heap object per process and one per layer
-// that ever touched the id.
+// loop canonicalises the bytes of an id the registry does not hold yet
+// (and of digest ids) through it, and the Monitor registers its
+// processes through the same table, so each process id is one string
+// allocation no matter how many layers handle it. At a million monitored
+// processes that is the difference between one id heap object per
+// process and one per layer that ever touched the id. A known id never
+// reaches the table: the registry resolves it from the bytes directly.
 //
 // The table is sharded 64 ways by Hash, the one id hash of the daemon:
-// registry shards, counter stripes and ingest workers are placed by it
-// too. The hit path — all steady-state traffic — is a shard read-lock
-// around a map probe whose []byte key is converted without allocating
-// (the compiler-recognised m[string(b)] pattern), so interning stays
-// zero-alloc and mostly uncontended while the read loop and the
-// registry intern concurrently.
+// registry shards and counter stripes are placed by it too. The hit path
+// is a shard read-lock around a map probe whose []byte key is converted
+// without allocating (the compiler-recognised m[string(b)] pattern), so
+// interning stays zero-alloc and mostly uncontended.
 //
 // Capacity is bounded: beyond the configured cap a new id is converted
 // but not remembered, and the fallback is counted instead of silently
-// allocating per packet forever. An attacker spraying random ids costs
-// allocations and a visible counter, never unbounded memory.
+// allocating forever. An attacker spraying random ids costs allocations
+// and a visible counter, never unbounded memory.
 package intern
 
 import (
@@ -92,8 +91,8 @@ func New(opts ...Option) *Table {
 }
 
 // Hash is the one process-id hash of the daemon: 32-bit FNV-1a over the
-// id's bytes. Interner stripes, registry shards, counter stripes and
-// ingest-worker routing all derive from it, so an id still in its decode
+// id's bytes. Interner stripes, registry shards and counter stripes all
+// derive from it, so an id still in its decode
 // buffer and the same id held as a string land in the same place. It
 // does not allocate.
 func Hash[T ~string | ~[]byte](s T) uint32 {
@@ -105,39 +104,31 @@ func Hash[T ~string | ~[]byte](s T) uint32 {
 	return h
 }
 
-// Intern returns the canonical string for b, remembering it for next
-// time (up to the capacity). The hit path performs no allocations. A nil
-// table degrades to a plain conversion.
-func (t *Table) Intern(b []byte) string {
+// canonical returns t's canonical string for s, given as a string or as
+// raw bytes, remembering it for next time (up to the capacity). The hit
+// path performs no allocations: the stripe's map is probed with the
+// bytes themselves. A nil table degrades to a plain conversion.
+func canonical[T ~string | ~[]byte](t *Table, s T) string {
 	if t == nil {
-		return string(b)
-	}
-	sh := &t.shards[Hash(b)&(numShards-1)]
-	sh.mu.RLock()
-	s, ok := sh.m[string(b)] // compiler-optimised: no conversion alloc
-	sh.mu.RUnlock()
-	if ok {
-		return s
-	}
-	return t.miss(sh, string(b))
-}
-
-// InternString is Intern for an id already held as a string — the
-// registry's registration path, where interning makes the map key share
-// storage with the decode path's canonical id.
-func (t *Table) InternString(s string) string {
-	if t == nil {
-		return s
+		return string(s)
 	}
 	sh := &t.shards[Hash(s)&(numShards-1)]
 	sh.mu.RLock()
-	got, ok := sh.m[s]
+	got, ok := sh.m[string(s)] // compiler-optimised: no conversion alloc
 	sh.mu.RUnlock()
 	if ok {
 		return got
 	}
-	return t.miss(sh, s)
+	return t.miss(sh, string(s))
 }
+
+// Intern is canonical for decoded id bytes.
+func (t *Table) Intern(b []byte) string { return canonical(t, b) }
+
+// InternString is canonical for an id already held as a string — the
+// registry's registration path, where interning makes the map key share
+// storage with the decode path's canonical id.
+func (t *Table) InternString(s string) string { return canonical(t, s) }
 
 // miss inserts s under the shard write lock, re-checking for a
 // concurrent insert. At capacity the id is returned unremembered and the

@@ -209,21 +209,19 @@ func (a *API) writeGlobalMetrics(mw *telemetry.MetricWriter) {
 			telemetry.Label{Name: "reason", Value: d.reason})
 	}
 	mw.Header("accrual_udp_packets_shed_total",
-		"Heartbeats shed at a full per-worker ingest queue (drop-newest policy), by reason", "counter")
-	mw.Sample("accrual_udp_packets_shed_total", float64(ts.PacketsShed),
+		"Always 0: beats are reported on the read loop with no queue to shed from; overload drops show in the kernel's UDP receive-buffer errors", "counter")
+	mw.Sample("accrual_udp_packets_shed_total", 0,
 		telemetry.Label{Name: "reason", Value: "queue_full"})
 	counter("accrual_udp_batches_received_total",
 		"AFB1 batch frames decoded from the heartbeat socket", ts.BatchesReceived)
 	counter("accrual_udp_batch_beats_total",
 		"Heartbeats carried inside decoded AFB1 batch frames", ts.BatchBeats)
-	counter("accrual_udp_batch_beats_shed_total",
-		"Batch-frame heartbeats shed at a full ingest queue (subset of accrual_udp_packets_shed_total)", ts.BatchBeatsShed)
 	mw.Header("accrual_udp_batch_beats_high_water",
 		"Largest decoded batch observed since start, in beats", "gauge")
 	mw.Sample("accrual_udp_batch_beats_high_water", float64(ts.BatchHighWater))
 	mw.Header("accrual_udp_ingest_queue_high_water",
-		"Deepest ingest-queue depth observed since start", "gauge")
-	mw.Sample("accrual_udp_ingest_queue_high_water", float64(ts.QueueHighWater))
+		"Always 0: no ingest queue sits between the socket and the registry", "gauge")
+	mw.Sample("accrual_udp_ingest_queue_high_water", 0)
 	counter("accrual_intern_overflow_total",
 		"Heartbeat ids decoded without interning because the id table was at capacity", ts.InternOverflow)
 	if a.hub.Transport.SocketCount() > 0 {

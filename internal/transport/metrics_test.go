@@ -65,7 +65,6 @@ func TestMetricsGolden(t *testing.T) {
 	hub.Transport.PacketsShort.Add(1)
 	hub.Transport.PacketsBadMagic.Add(2)
 	hub.Transport.Delivered.Add(7)
-	hub.Transport.ObserveQueueDepth(3)
 
 	rec := service.NewRecorder(mon, 4)
 	rec.Tick()

@@ -87,33 +87,29 @@ func unixNano(nanos int64) time.Time { return time.Unix(0, nanos) }
 // UnmarshalHeartbeat decodes a wire packet. The returned heartbeat has a
 // zero Arrived time; the caller stamps it on receipt.
 func UnmarshalHeartbeat(buf []byte) (core.Heartbeat, error) {
-	var one [1]core.Heartbeat
-	beats, err := appendSingle(buf, one[:0], nil)
-	if err != nil {
+	if err := checkSingle(buf); err != nil {
 		return core.Heartbeat{}, err
 	}
-	return beats[0], nil
+	id, hb, _ := decodeRecord(buf, headerLen-1)
+	hb.From = string(id)
+	return hb, nil
 }
 
-// appendSingle decodes an AFD1 datagram — the one-record case of an AFB1
-// frame, through the same record decoder — and appends its beat to dst.
-// On error dst is returned unchanged. A non-nil interner canonicalises
-// the id, as in UnmarshalBatch.
-func appendSingle(buf []byte, dst []core.Heartbeat, ids *IDInterner) ([]core.Heartbeat, error) {
+// checkSingle validates an AFD1 datagram: header, and the one record —
+// the record an AFB1 frame repeats, starting at headerLen-1 — filling
+// the datagram exactly.
+func checkSingle(buf []byte) error {
 	if len(buf) < headerLen+1+trailerLen {
-		return dst, fmt.Errorf("%w: %d bytes", ErrPacketShort, len(buf))
+		return fmt.Errorf("%w: %d bytes", ErrPacketShort, len(buf))
 	}
 	if [4]byte(buf[0:4]) != packetMagic {
-		return dst, ErrBadMagic
+		return ErrBadMagic
 	}
 	if buf[4] != packetVersion {
-		return dst, fmt.Errorf("%w: version %d", ErrBadVersion, buf[4])
+		return fmt.Errorf("%w: version %d", ErrBadVersion, buf[4])
 	}
-	// The one record must fill the datagram exactly; checked before
-	// decoding, so a malformed datagram interns nothing.
 	if n := int(buf[5]); n == 0 || len(buf) != headerLen+n+trailerLen {
-		return dst, fmt.Errorf("%w: id %d, packet %d", ErrLengthMismatch, n, len(buf))
+		return fmt.Errorf("%w: id %d, packet %d", ErrLengthMismatch, n, len(buf))
 	}
-	hb, _, _ := decodeRecord(buf, headerLen-1, ids) // cannot fail: length checked above
-	return append(dst, hb), nil
+	return nil
 }

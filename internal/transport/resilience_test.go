@@ -2,7 +2,6 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -10,141 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"accrual/internal/clock"
 	"accrual/internal/core"
-	"accrual/internal/service"
-	"accrual/internal/simple"
-	"accrual/internal/transport/intern"
 )
-
-// blockingDetector parks every Report on a gate channel, simulating a
-// detector (and therefore an ingest worker) that has stalled. It signals
-// on reporting when a Report has actually parked. The embedded real
-// detector supplies the rest of the core.Detector contract.
-type blockingDetector struct {
-	core.Detector
-	gate      <-chan struct{}
-	reporting chan<- struct{}
-}
-
-func (d *blockingDetector) Report(hb core.Heartbeat) bool {
-	select {
-	case d.reporting <- struct{}{}:
-	default:
-	}
-	<-d.gate
-	return d.Detector.Report(hb)
-}
-
-// idForWorker brute-forces a process id whose FNV-1a hash routes to the
-// given worker index.
-func idForWorker(t *testing.T, prefix string, workers, want int) string {
-	t.Helper()
-	for i := 0; i < 10_000; i++ {
-		id := fmt.Sprintf("%s-%d", prefix, i)
-		if int(intern.Hash(id)%uint32(workers)) == want {
-			return id
-		}
-	}
-	t.Fatal("no id found for worker")
-	return ""
-}
-
-// TestSaturatedShardDoesNotBlockOthers is the head-of-line-blocking
-// regression test: one worker's ingest queue is saturated behind a
-// stalled detector, yet a heartbeat for a process routed to the other
-// worker is delivered within one heartbeat interval, the read loop never
-// blocks, and every shed packet is accounted in Stats — received always
-// equals delivered plus dropped once the queues drain.
-func TestSaturatedShardDoesNotBlockOthers(t *testing.T) {
-	const (
-		workers    = 2
-		queueCap   = 2
-		hbInterval = time.Second
-		extra      = 10 // packets sent beyond the blocked+queued capacity
-	)
-	gate := make(chan struct{})
-	reporting := make(chan struct{}, 1)
-	slowID := idForWorker(t, "slow", workers, 0)
-	fastID := idForWorker(t, "fast", workers, 1)
-	mon := service.NewMonitor(clock.Wall{}, func(id string, start time.Time) core.Detector {
-		if id == slowID {
-			return &blockingDetector{Detector: simple.New(start), gate: gate, reporting: reporting}
-		}
-		return simple.New(start)
-	})
-	l, err := Listen("127.0.0.1:0", mon, WithIngestWorkers(workers), WithIngestQueueCap(queueCap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	conn, err := netDial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	send := func(id string, seq uint64) {
-		t.Helper()
-		buf, err := MarshalHeartbeat(core.Heartbeat{From: id, Seq: seq})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Stall worker 0: first slow heartbeat parks its ingest goroutine
-	// inside Report.
-	send(slowID, 1)
-	select {
-	case <-reporting:
-	case <-time.After(3 * time.Second):
-		t.Fatal("worker never reached the blocking detector")
-	}
-	// Fill the stalled worker's queue, then overflow it.
-	var seq uint64 = 1
-	for i := 0; i < queueCap+extra; i++ {
-		seq++
-		send(slowID, seq)
-	}
-	// The read loop must keep reading (it would deadlock here if it
-	// blocked on the full queue): the overflow packets are shed and
-	// counted, none silently.
-	waitUntil(t, 3*time.Second, func() bool {
-		return l.Stats().PacketsShed >= extra
-	})
-	if st := l.Stats(); st.PacketsShed != extra {
-		t.Errorf("shed = %d, want exactly %d (capacity %d absorbed, rest shed)", st.PacketsShed, extra, queueCap)
-	}
-
-	// A process on the healthy worker is delivered within one heartbeat
-	// interval while the other shard is still saturated.
-	send(fastID, 1)
-	waitUntil(t, hbInterval, func() bool {
-		return l.Stats().Delivered >= 1 && mon.Known(fastID)
-	})
-	if lvl, err := mon.Suspicion(fastID); err != nil || lvl > 1 {
-		t.Errorf("healthy process suspicion = %v (err %v), want fresh and small", lvl, err)
-	}
-
-	// Release the stalled worker and let the queues drain: every packet
-	// ever received is now accounted as delivered or dropped.
-	close(gate)
-	wantDelivered := uint64(1+queueCap) + 1 // slow blocked + queued, plus the fast one
-	waitUntil(t, 3*time.Second, func() bool {
-		return l.Stats().Delivered == wantDelivered
-	})
-	st := l.Stats()
-	if st.PacketsReceived != st.Delivered+st.Dropped() {
-		t.Errorf("silent drop: received %d != delivered %d + dropped %d",
-			st.PacketsReceived, st.Delivered, st.Dropped())
-	}
-	if st.Dropped() != extra {
-		t.Errorf("dropped = %d, want %d (all from shedding)", st.Dropped(), extra)
-	}
-}
 
 // TestSenderRestart cycles one sender through Start/Stop three times:
 // no goroutine may leak, sequence numbers must stay monotone across

@@ -70,13 +70,14 @@ func TestSenderListenerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestListenerIngestWorkers exercises the parallel ingest pool: many
-// senders, hash-routed workers, and per-process sequence ordering must
-// survive (the monitor's detectors reject out-of-order sequences, so a
-// full registration with fresh levels proves order was preserved).
+// TestListenerIngestWorkers runs many senders into the one read loop:
+// every process registers, per-process sequence ordering survives (the
+// monitor's detectors reject out-of-order sequences, so a full
+// registration with fresh levels proves order was preserved), and the
+// socket's counters account for every datagram.
 func TestListenerIngestWorkers(t *testing.T) {
 	mon := newMonitor()
-	l, err := Listen("127.0.0.1:0", mon, WithIngestWorkers(4))
+	l, err := Listen("127.0.0.1:0", mon)
 	if err != nil {
 		t.Fatal(err)
 	}

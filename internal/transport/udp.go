@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,8 +18,6 @@ import (
 )
 
 const (
-	// defaultQueueCap is the per-worker ingest queue capacity.
-	defaultQueueCap = 256
 	// defaultReadBatch is the number of datagrams the listener tries to
 	// drain per read syscall where recvmmsg is available (see
 	// WithReadBatch). One is the plain-read path.
@@ -575,31 +574,27 @@ func (s *Sender) Stop() {
 // the monitoring side of §5.1. Create one with Listen; Close stops and
 // joins the read loop.
 //
-// Every heartbeat takes one path from the socket to its registry slot:
-// the read loop decodes each datagram into a run of beats — the records
-// of an AFB1 frame, or an AFD1 datagram as the one-record case — and the
-// run goes to Monitor.HeartbeatBatch. By default that happens on the
-// read loop itself. With WithIngestWorkers the listener instead fans
-// each run out to a pool of ingest goroutines, routed by intern.Hash of
-// the sender id — the hash the Monitor shards on — so heartbeats from
-// one process are always ingested in arrival order while different
-// processes proceed on different cores.
+// Every heartbeat takes one path from the socket to its registry slot,
+// on the read loop itself: decode → resolve → report. The loop validates
+// each datagram — an AFB1 frame, or an AFD1 datagram as its one-record
+// case — and hands each record, its id still the bytes of the read
+// buffer, to Monitor.HeartbeatID. A known id costs one intern.Hash and
+// one probe of its registry shard; the beat is reported in place. There
+// is no queue between socket and slot: under overload the socket's
+// receive buffer is the queue, and what the kernel drops is the same
+// loss the detectors already tolerate from the network.
 type Listener struct {
 	conn      *net.UDPConn
 	clk       clock.Clock
 	mon       *service.Monitor
-	workers   int
-	queueCap  int
 	readSlots int
 	internCap int
 
-	queues  []chan *beatGroup
-	wg      sync.WaitGroup
 	stopped chan struct{}
 
-	// ids is the interner backing decoded heartbeat id strings — the
-	// shared, concurrency-safe table the read loop (and, when wired with
-	// service.WithInterner, the Monitor) canonicalises through.
+	// ids is the interner for ids the registry does not hold yet and for
+	// digest ids — the shared, concurrency-safe table the Monitor also
+	// canonicalises through when wired with service.WithInterner.
 	ids *IDInterner
 
 	// tel counts packet dispositions. It defaults to a listener-private
@@ -614,13 +609,12 @@ type Listener struct {
 	digestFn func(d *Digest, arrived time.Time)
 
 	// Read-loop state, touched only by the read goroutine and reused
-	// datagram after datagram: the socket's counter cell, the decode
-	// scratch, the per-worker groups being filled, and the digest decode
-	// scratch (the digest handler must copy anything it keeps).
-	cell        *telemetry.SocketCell
-	beatScratch []core.Heartbeat
-	groups      []*beatGroup
-	dig         Digest
+	// datagram after datagram: the socket's counter cell, the beats of
+	// senders awaiting registration, and the digest decode scratch (the
+	// digest handler must copy anything it keeps).
+	cell  *telemetry.SocketCell
+	fresh []core.Heartbeat
+	dig   Digest
 }
 
 // ListenerOption configures a Listener.
@@ -637,18 +631,6 @@ func WithListenerClock(clk clock.Clock) ListenerOption {
 // dispositions alongside the monitor counters.
 func WithTelemetry(hub *telemetry.Hub) ListenerOption {
 	return func(l *Listener) { l.tel = &hub.Transport }
-}
-
-// WithIngestWorkers enables parallel heartbeat ingestion with n worker
-// goroutines (n < 1 keeps the synchronous single-loop default). Each
-// worker owns a bounded queue the read loop feeds without ever blocking:
-// when one worker's queue is full its newest packets are shed (counted
-// in Stats as PacketsShed), so a stalled shard never delays another
-// process's heartbeats — suspicion levels degrade per process, not
-// globally, exactly the isolation the accrual model wants under
-// overload.
-func WithIngestWorkers(n int) ListenerOption {
-	return func(l *Listener) { l.workers = n }
 }
 
 // WithReadBatch sets how many datagrams the read loop tries to drain per
@@ -672,20 +654,6 @@ func WithReadBatch(n int) ListenerOption {
 	}
 }
 
-// WithIngestQueueCap sets the per-worker ingest queue capacity (default
-// 256; values below 1 keep the default). A deeper queue rides out longer
-// detector stalls before shedding, at the cost of staler heartbeats when
-// it finally drains — for accrual detectors fresh-and-lossy beats
-// stale-and-complete, so prefer the default unless shed counters say
-// otherwise.
-func WithIngestQueueCap(n int) ListenerOption {
-	return func(l *Listener) {
-		if n >= 1 {
-			l.queueCap = n
-		}
-	}
-}
-
 // WithDigestHandler routes decoded AFG1 suspicion digests (gossiped by
 // federated accruald peers, sharing the heartbeat port) to fn, called
 // from the read loop with the frame's arrival time. The digest is the
@@ -695,10 +663,11 @@ func WithDigestHandler(fn func(d *Digest, arrived time.Time)) ListenerOption {
 	return func(l *Listener) { l.digestFn = fn }
 }
 
-// WithInternTable substitutes the id intern table backing decoded
-// heartbeat ids — normally the daemon-wide shared table also passed to
-// service.WithInterner, so a process id is one string for transport and
-// registry together. Overrides WithInternCapacity.
+// WithInternTable substitutes the id intern table that canonicalises
+// ids the registry does not hold yet, and digest ids — normally the
+// daemon-wide shared table also passed to service.WithInterner, so a
+// process id is one string for transport and registry together.
+// Overrides WithInternCapacity.
 func WithInternTable(tab *IDInterner) ListenerOption {
 	return func(l *Listener) {
 		if tab != nil {
@@ -709,8 +678,8 @@ func WithInternTable(tab *IDInterner) ListenerOption {
 
 // WithInternCapacity bounds the listener-private intern table at n ids
 // (default intern.DefaultCapacity) when no shared table was supplied.
-// Beyond the bound, unknown ids fall back to per-packet allocation and
-// are counted in accrual_intern_overflow_total.
+// Beyond the bound, a new id is converted without being remembered and
+// counted in accrual_intern_overflow_total.
 func WithInternCapacity(n int) ListenerOption {
 	return func(l *Listener) {
 		if n > 0 {
@@ -733,7 +702,6 @@ func Listen(addr string, mon *service.Monitor, opts ...ListenerOption) (*Listene
 	l := newListener(mon, opts...)
 	l.conn = conn
 	l.cell = &l.tel.RegisterSockets(1)[0]
-	l.startWorkers()
 	go l.run()
 	return l, nil
 }
@@ -744,7 +712,6 @@ func newListener(mon *service.Monitor, opts ...ListenerOption) *Listener {
 	l := &Listener{
 		clk:       clock.Wall{},
 		mon:       mon,
-		queueCap:  defaultQueueCap,
 		readSlots: defaultReadBatch,
 		stopped:   make(chan struct{}),
 		tel:       new(telemetry.TransportCounters),
@@ -764,47 +731,8 @@ func newListener(mon *service.Monitor, opts ...ListenerOption) *Listener {
 	return l
 }
 
-// startWorkers launches the ingest workers, if any are configured.
-func (l *Listener) startWorkers() {
-	if l.workers < 1 {
-		return
-	}
-	l.queues = make([]chan *beatGroup, l.workers)
-	l.groups = make([]*beatGroup, l.workers)
-	for i := range l.queues {
-		l.queues[i] = make(chan *beatGroup, l.queueCap)
-		l.wg.Add(1)
-		go l.worker(l.queues[i])
-	}
-}
-
-// stopWorkers closes the worker queues and waits until the workers have
-// drained them. Only the read loop dispatches, so it runs this once it
-// has exited.
-func (l *Listener) stopWorkers() {
-	for _, q := range l.queues {
-		close(q)
-	}
-	l.wg.Wait()
-}
-
 // Addr returns the bound UDP address.
 func (l *Listener) Addr() net.Addr { return l.conn.LocalAddr() }
-
-// beatGroup carries the beats of one decoded datagram routed to one
-// worker. Groups are pooled and their backing slices reused, so the
-// worker fan-out does not allocate in steady state.
-type beatGroup struct {
-	beats []core.Heartbeat
-}
-
-var groupPool = sync.Pool{New: func() any { return new(beatGroup) }}
-
-// release empties g and returns it to the pool.
-func (g *beatGroup) release() {
-	g.beats = g.beats[:0]
-	groupPool.Put(g)
-}
 
 // readOne is the shared single-datagram read used by the portable
 // fallback and by single-slot readers. conn.Read (not ReadFromUDP) keeps
@@ -819,11 +747,9 @@ func (br *batchReader) readOne() (int, error) {
 }
 
 // run is the read loop: drain datagrams (recvmmsg where available) and
-// handle each. Once the socket is closed it stops the workers, then
-// releases Close.
+// handle each. Once the socket is closed it releases Close.
 func (l *Listener) run() {
 	defer close(l.stopped)
-	defer l.stopWorkers()
 	br := newBatchReader(l.conn, l.readSlots)
 	for {
 		n, err := br.read()
@@ -842,11 +768,12 @@ func (l *Listener) run() {
 	}
 }
 
-// handleDatagram decodes one datagram, told apart by its magic: an AFG1
+// handleDatagram handles one datagram, told apart by its magic: an AFG1
 // digest goes to the digest handler; an AFB1 frame, or an AFD1 datagram
-// as its one-record case, becomes a run of beats for dispatch. It counts
-// the datagram's disposition either way; the accrual_udp_batch* counters
-// see AFB1 frames only.
+// as its one-record case, is validated whole and each record reported to
+// the monitor, stamped with arrived. It counts the datagram's
+// disposition either way; the accrual_udp_batch* counters see AFB1
+// frames only.
 func (l *Listener) handleDatagram(buf []byte, arrived time.Time) {
 	l.tel.PacketsReceived.Add(1)
 	if IsDigestFrame(buf) {
@@ -859,28 +786,54 @@ func (l *Listener) handleDatagram(buf []byte, arrived time.Time) {
 		}
 		return
 	}
-	batch := IsBatchFrame(buf)
-	var beats []core.Heartbeat
+	off, n := headerLen-1, 1
 	var err error
-	if batch {
-		beats, err = UnmarshalBatch(buf, l.beatScratch[:0], l.ids)
+	if IsBatchFrame(buf) {
+		off = batchHeaderLen
+		if n, err = batchRecords(buf); err == nil {
+			l.tel.ObserveBatch(n)
+		}
 	} else {
-		beats, err = appendSingle(buf, l.beatScratch[:0], l.ids)
+		err = checkSingle(buf)
 	}
 	if err != nil {
 		l.countDecodeError(err)
 		return
 	}
-	l.beatScratch = beats[:0] // keep the grown capacity for the next datagram
-	if batch {
-		l.tel.ObserveBatch(len(beats))
+	var delivered, rejected uint64
+	l.fresh = l.fresh[:0]
+	for i := 0; i < n; i++ {
+		id, hb, next := decodeRecord(buf, off)
+		off = next
+		hb.Arrived = arrived
+		if l.mon.HeartbeatID(id, hb) {
+			delivered++
+			continue
+		}
+		// First contact: intern through the listener's table, so its
+		// capacity bound and overflow counter apply, and register below.
+		hb.From = l.ids.Intern(id)
+		l.fresh = append(l.fresh, hb)
 	}
-	for i := range beats {
-		beats[i].Arrived = arrived
+	if len(l.fresh) > 0 {
+		// New senders are registered after the known ones, in registry-
+		// shard order. Walks (scrape, top-k, sampling, digests) visit the
+		// registry shard by shard, and a binding's per-process objects are
+		// allocated when it is bound, so a burst bound in shard order is
+		// laid out in the order the walks read it; bound in arrival order,
+		// a fleet registering in bulk made the read-heavy benchmark's
+		// top-k and scrape walks ~20% dearer. The sort is stable, so one
+		// process's beats keep their order.
+		mask := uint32(l.mon.ShardCount() - 1)
+		slices.SortStableFunc(l.fresh, func(a, b core.Heartbeat) int {
+			return int(intern.Hash(a.From)&mask) - int(intern.Hash(b.From)&mask)
+		})
+		acc, rej := l.mon.HeartbeatBatch(l.fresh)
+		delivered += uint64(acc)
+		rejected += uint64(rej)
 	}
-	if shed := l.dispatch(beats); batch && shed > 0 {
-		l.tel.BatchBeatsShed.Add(shed)
-	}
+	l.tel.Delivered.Add(delivered)
+	l.tel.Rejected.Add(rejected)
 }
 
 // countDecodeError buckets a decode failure into the drop taxonomy.
@@ -897,64 +850,9 @@ func (l *Listener) countDecodeError(err error) {
 	}
 }
 
-// dispatch routes one decoded run of beats and returns how many it shed.
-// Without workers the run goes straight to the monitor. With workers it
-// is partitioned by intern.Hash into pooled per-worker groups — one
-// process always to the same worker, so per-process order holds — and
-// each group is queued whole. The read loop never blocks on a worker: a
-// full queue sheds that worker's group, counted per beat, and leaves
-// the rest alone, because the next heartbeat from the same process
-// carries strictly fresher information — drop-newest loses nothing the
-// detector needs.
-func (l *Listener) dispatch(beats []core.Heartbeat) (shed uint64) {
-	if l.queues == nil {
-		l.ingestRun(beats)
-		return 0
-	}
-	n := uint32(len(l.queues))
-	for _, hb := range beats {
-		w := intern.Hash(hb.From) % n
-		if l.groups[w] == nil {
-			l.groups[w] = groupPool.Get().(*beatGroup)
-		}
-		l.groups[w].beats = append(l.groups[w].beats, hb)
-	}
-	for w, g := range l.groups {
-		if g == nil {
-			continue
-		}
-		l.groups[w] = nil
-		select {
-		case l.queues[w] <- g:
-			l.tel.ObserveQueueDepth(len(l.queues[w]))
-		default:
-			l.tel.PacketsShed.Add(uint64(len(g.beats)))
-			shed += uint64(len(g.beats))
-			g.release()
-		}
-	}
-	return shed
-}
-
-// worker drains one ingest queue into the monitor.
-func (l *Listener) worker(q <-chan *beatGroup) {
-	defer l.wg.Done()
-	for g := range q {
-		l.ingestRun(g.beats)
-		g.release()
-	}
-}
-
-// ingestRun hands one run of beats to the monitor and counts the outcome.
-func (l *Listener) ingestRun(beats []core.Heartbeat) {
-	acc, rej := l.mon.HeartbeatBatch(beats)
-	l.tel.Delivered.Add(uint64(acc))
-	l.tel.Rejected.Add(uint64(rej))
-}
-
 // ListenerStats is a point-in-time snapshot of the listener's packet
-// dispositions: every datagram read, every way it can fail to become a
-// delivered heartbeat, and the ingest-queue high-water mark.
+// dispositions: every datagram read and every way it can fail to become
+// a delivered heartbeat.
 type ListenerStats = telemetry.TransportStats
 
 // Stats snapshots the listener's packet counters. Tests assert on these
@@ -964,8 +862,7 @@ func (l *Listener) Stats() ListenerStats {
 	return l.tel.Snapshot()
 }
 
-// Close stops the read loop, drains the ingest workers and waits for
-// all of them to exit.
+// Close stops the read loop and waits for it to exit.
 func (l *Listener) Close() error {
 	err := l.conn.Close()
 	<-l.stopped
