@@ -159,7 +159,8 @@ func TestFreshIDsKeepBeatOrder(t *testing.T) {
 
 // TestListenerAFD1MatchesAFB1 sends one beat stream twice through
 // handleDatagram — one AFD1 datagram per beat, then one AFB1 frame per
-// round. The two encodings take one path to the registry, so levels,
+// round — on the read loop, the listener's only ingest path (zero
+// workers). The two encodings take one path to the registry, so levels,
 // last arrivals, the listener's delivery counters and the monitor's
 // counters all agree; only the datagram count and the AFB1-only batch
 // series differ.
@@ -182,7 +183,7 @@ func TestListenerAFD1MatchesAFB1(t *testing.T) {
 		counters telemetry.CounterTotals
 		stats    telemetry.TransportStats
 	}
-	run := func(batched bool) outcome {
+	run := func(t *testing.T, batched bool) outcome {
 		clk := clock.NewManual(base)
 		hub := telemetry.NewHub()
 		mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
@@ -212,30 +213,32 @@ func TestListenerAFD1MatchesAFB1(t *testing.T) {
 		mon.EachInfo(func(info service.ProcessInfo) { out.infos[info.ID] = info })
 		return out
 	}
-	single, batch := run(false), run(true)
-	if !reflect.DeepEqual(single.infos, batch.infos) {
-		t.Errorf("process infos differ:\nAFD1 %+v\nAFB1 %+v", single.infos, batch.infos)
-	}
-	if single.counters != batch.counters {
-		t.Errorf("monitor counters differ: AFD1 %+v, AFB1 %+v", single.counters, batch.counters)
-	}
-	if single.counters.HeartbeatsStale != 2 || single.counters.HeartbeatsIngested != total {
-		t.Errorf("counters %+v, want %d ingested, 2 stale", single.counters, total)
-	}
-	s, b := single.stats, batch.stats
-	if s.PacketsReceived != total || b.PacketsReceived != uint64(len(rounds)) {
-		t.Errorf("datagrams received: AFD1 %d, AFB1 %d; want %d and %d", s.PacketsReceived, b.PacketsReceived, total, len(rounds))
-	}
-	if s.BatchesReceived != 0 || b.BatchesReceived != uint64(len(rounds)) || b.BatchBeats != total {
-		t.Errorf("batch series: AFD1 %d frames, AFB1 %d frames / %d beats", s.BatchesReceived, b.BatchesReceived, b.BatchBeats)
-	}
-	for _, st := range []*telemetry.TransportStats{&s, &b} {
-		st.PacketsReceived, st.BatchesReceived, st.BatchBeats, st.BatchHighWater = 0, 0, 0, 0
-	}
-	if s != b {
-		t.Errorf("listener stats differ: AFD1 %+v, AFB1 %+v", s, b)
-	}
-	if s.Delivered != total || s.Dropped() != 0 {
-		t.Errorf("delivered %d, dropped %d; want %d and 0", s.Delivered, s.Dropped(), total)
-	}
+	t.Run("workers=0", func(t *testing.T) {
+		single, batch := run(t, false), run(t, true)
+		if !reflect.DeepEqual(single.infos, batch.infos) {
+			t.Errorf("process infos differ:\nAFD1 %+v\nAFB1 %+v", single.infos, batch.infos)
+		}
+		if single.counters != batch.counters {
+			t.Errorf("monitor counters differ: AFD1 %+v, AFB1 %+v", single.counters, batch.counters)
+		}
+		if single.counters.HeartbeatsStale != 2 || single.counters.HeartbeatsIngested != total {
+			t.Errorf("counters %+v, want %d ingested, 2 stale", single.counters, total)
+		}
+		s, b := single.stats, batch.stats
+		if s.PacketsReceived != total || b.PacketsReceived != uint64(len(rounds)) {
+			t.Errorf("datagrams received: AFD1 %d, AFB1 %d; want %d and %d", s.PacketsReceived, b.PacketsReceived, total, len(rounds))
+		}
+		if s.BatchesReceived != 0 || b.BatchesReceived != uint64(len(rounds)) || b.BatchBeats != total {
+			t.Errorf("batch series: AFD1 %d frames, AFB1 %d frames / %d beats", s.BatchesReceived, b.BatchesReceived, b.BatchBeats)
+		}
+		for _, st := range []*telemetry.TransportStats{&s, &b} {
+			st.PacketsReceived, st.BatchesReceived, st.BatchBeats, st.BatchHighWater = 0, 0, 0, 0
+		}
+		if s != b {
+			t.Errorf("listener stats differ: AFD1 %+v, AFB1 %+v", s, b)
+		}
+		if s.Delivered != total || s.Dropped() != 0 {
+			t.Errorf("delivered %d, dropped %d; want %d and 0", s.Delivered, s.Dropped(), total)
+		}
+	})
 }
