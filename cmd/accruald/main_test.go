@@ -326,3 +326,21 @@ func TestDaemonHistoryEndpoint(t *testing.T) {
 		t.Fatal("daemon did not shut down")
 	}
 }
+
+// TestPhiFactoryKeepsBootstrap checks the daemon's φ factory, which
+// sizes the window from the profile, still seeds the bootstrap: a
+// process that beats once and dies must accrue suspicion.
+func TestPhiFactoryKeepsBootstrap(t *testing.T) {
+	for _, profile := range []service.Profile{service.ProfileDefault, service.ProfileCompact} {
+		f, err := detectorFactory("phi", 100*time.Millisecond, profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
+		det := f("p", start)
+		det.Report(core.Heartbeat{From: "p", Seq: 1, Arrived: start.Add(100 * time.Millisecond)})
+		if lvl := det.Suspicion(start.Add(time.Hour)); lvl < 1000 {
+			t.Errorf("profile %v: level an hour after the only beat = %v, want it accrued", profile, lvl)
+		}
+	}
+}

@@ -32,7 +32,7 @@ import (
 // one with New.
 type Detector struct {
 	interval time.Duration
-	window   *stats.Window // samples of A_i − η·s_i, seconds since start
+	window   stats.Window // samples of A_i − η·s_i, seconds since start
 	start    time.Time
 	snLast   uint64
 	eps      core.Level
@@ -55,7 +55,7 @@ type Option func(*Detector)
 // WithWindowSize sets how many recent arrivals the estimator keeps
 // (default 100, matching common practice for NFD-E).
 func WithWindowSize(n int) Option {
-	return func(d *Detector) { d.window = stats.NewWindow(n) }
+	return func(d *Detector) { d.window = *stats.NewWindow(n) }
 }
 
 // WithResolution sets the level resolution ε.
@@ -83,8 +83,8 @@ func New(start time.Time, interval time.Duration, opts ...Option) *Detector {
 	for _, opt := range opts {
 		opt(d)
 	}
-	if d.window == nil {
-		d.window = stats.NewWindow(100)
+	if d.window.Cap() == 0 {
+		d.window = *stats.NewWindow(100)
 	}
 	return d
 }

@@ -189,7 +189,7 @@ func (d DistContribution) Saturation(Estimate) time.Duration { return d.Saturate
 // New.
 type Detector struct {
 	contrib Contribution
-	window  *stats.Window // inter-arrival intervals, seconds
+	window  stats.Window  // inter-arrival intervals, seconds
 	fixed   time.Duration // fixed interval; zero means "estimate"
 	start   time.Time
 	last    time.Time
@@ -219,7 +219,7 @@ type Option func(*Detector)
 // WithWindowSize sets the number of inter-arrival samples kept for the
 // interval estimate (default 200). Ignored when a fixed interval is set.
 func WithWindowSize(n int) Option {
-	return func(d *Detector) { d.window = stats.NewWindow(n) }
+	return func(d *Detector) { d.window = *stats.NewWindow(n) }
 }
 
 // WithFixedInterval disables interval estimation and uses the given
@@ -240,8 +240,8 @@ func New(start time.Time, contrib Contribution, opts ...Option) *Detector {
 	for _, opt := range opts {
 		opt(d)
 	}
-	if d.window == nil {
-		d.window = stats.NewWindow(200)
+	if d.window.Cap() == 0 {
+		d.window = *stats.NewWindow(200)
 	}
 	d.aux = &snapEval{contrib: d.contrib}
 	return d

@@ -62,7 +62,7 @@ func (m Model) String() string {
 // Levels are φ values (dimensionless, base-10 log scale). Create one with
 // New.
 type Detector struct {
-	window          *stats.Window // inter-arrival intervals, seconds
+	window          stats.Window // inter-arrival intervals, seconds
 	model           Model
 	minStdDev       float64 // seconds
 	acceptablePause float64 // seconds added to the estimated mean
@@ -80,18 +80,28 @@ type Detector struct {
 var _ core.Detector = (*Detector)(nil)
 
 // Option configures a Detector.
-type Option func(*Detector)
+type Option func(*options)
+
+// options is what New applies the options to: the detector itself, plus
+// the window size and bootstrap samples, which New uses only after every
+// option has run, so the options may come in any order.
+type options struct {
+	*Detector
+	windowSize int
+	bootstrap  [2]float64
+	boot       bool
+}
 
 // WithWindowSize sets the number of inter-arrival samples kept
 // (default 200).
 func WithWindowSize(n int) Option {
-	return func(d *Detector) { d.window = stats.NewWindow(n) }
+	return func(o *options) { o.windowSize = n }
 }
 
 // WithModel selects the assumed inter-arrival distribution shape
 // (default ModelNormal).
 func WithModel(m Model) Option {
-	return func(d *Detector) { d.model = m }
+	return func(o *options) { o.model = m }
 }
 
 // WithMinStdDev sets a floor on the estimated standard deviation,
@@ -99,9 +109,9 @@ func WithModel(m Model) Option {
 // intervals are nearly constant (default 1ms). Only meaningful for
 // ModelNormal.
 func WithMinStdDev(min time.Duration) Option {
-	return func(d *Detector) {
+	return func(o *options) {
 		if min > 0 {
-			d.minStdDev = min.Seconds()
+			o.minStdDev = min.Seconds()
 		}
 	}
 }
@@ -111,18 +121,15 @@ func WithMinStdDev(min time.Duration) Option {
 // first-heartbeat estimate: two synthetic samples mean±spread are pushed
 // into the window, so the detector is usable from the first query.
 func WithBootstrap(mean, spread time.Duration) Option {
-	return func(d *Detector) {
-		if d.window == nil {
-			d.window = stats.NewWindow(defaultWindow)
-		}
-		d.window.Push((mean - spread).Seconds())
-		d.window.Push((mean + spread).Seconds())
+	return func(o *options) {
+		o.bootstrap = [2]float64{(mean - spread).Seconds(), (mean + spread).Seconds()}
+		o.boot = true
 	}
 }
 
 // WithResolution sets the level resolution ε.
 func WithResolution(eps core.Level) Option {
-	return func(d *Detector) { d.eps = eps }
+	return func(o *options) { o.eps = eps }
 }
 
 // WithAcceptablePause adds a grace period to the estimated inter-arrival
@@ -131,9 +138,9 @@ func WithResolution(eps core.Level) Option {
 // garbage-collection stalls and scheduler hiccups without re-tuning the
 // threshold.
 func WithAcceptablePause(pause time.Duration) Option {
-	return func(d *Detector) {
+	return func(o *options) {
 		if pause > 0 {
-			d.acceptablePause = pause.Seconds()
+			o.acceptablePause = pause.Seconds()
 		}
 	}
 }
@@ -153,11 +160,14 @@ func New(start time.Time, opts ...Option) *Detector {
 		last:      start,
 		minStdDev: 0.001,
 	}
+	o := options{Detector: d, windowSize: defaultWindow}
 	for _, opt := range opts {
-		opt(d)
+		opt(&o)
 	}
-	if d.window == nil {
-		d.window = stats.NewWindow(defaultWindow)
+	d.window = *stats.NewWindow(o.windowSize)
+	if o.boot {
+		d.window.Push(o.bootstrap[0])
+		d.window.Push(o.bootstrap[1])
 	}
 	return d
 }

@@ -328,3 +328,32 @@ func TestPhiAcceptablePause(t *testing.T) {
 		t.Error("negative pause should be ignored")
 	}
 }
+
+// TestBootstrapSurvivesWindowSize pins Accruement (Property 1) for a
+// process that beats once and dies: the bootstrap samples give the
+// detector an estimate before a second beat, whatever order the
+// bootstrap and window-size options are given in.
+func TestBootstrapSurvivesWindowSize(t *testing.T) {
+	orders := map[string][]Option{
+		"bootstrap,size": {WithBootstrap(interval, interval/4), WithWindowSize(16)},
+		"size,bootstrap": {WithWindowSize(16), WithBootstrap(interval, interval/4)},
+	}
+	var snaps []core.EvalSnapshot
+	for name, opts := range orders {
+		d := New(start, opts...)
+		d.Report(core.Heartbeat{From: "p", Seq: 1, Arrived: start.Add(interval)})
+		if n := d.SampleCount(); n != 2 {
+			t.Errorf("%s: SampleCount after one beat = %d, want 2 bootstrap samples", name, n)
+		}
+		if c := d.TuneInfo().WindowSize; c != 16 {
+			t.Errorf("%s: window size = %d, want 16", name, c)
+		}
+		if lvl := d.Suspicion(start.Add(time.Hour)); lvl < 1000 {
+			t.Errorf("%s: level an hour after the only beat = %v, want it accrued", name, lvl)
+		}
+		snaps = append(snaps, d.EvalSnapshot())
+	}
+	if snaps[0] != snaps[1] {
+		t.Errorf("option order changes the estimate: %+v vs %+v", snaps[0], snaps[1])
+	}
+}

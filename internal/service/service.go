@@ -161,7 +161,8 @@ func (p Profile) EstimatorWindow(def int) int {
 // what a reader could observe — bind, unbind, an accepted heartbeat, a
 // retune, a state restore — republishes the entry's evaluation state
 // into a seqlock cell of plain atomics: the process identity (meta),
-// the frozen core.EvalSnapshot parameters and the last-arrival stamp.
+// the frozen core.EvalSnapshot parameters and the last-arrival stamp
+// (evalLast, the only copy of it).
 // The writer (always under e.mu, so writers never interleave) bumps
 // evalSeq odd, stores the fields, bumps it even; a reader snapshots the
 // fields between two equal even reads of evalSeq and otherwise retries.
@@ -169,14 +170,23 @@ func (p Profile) EstimatorWindow(def int) int {
 // clean, and a reader can never pair one binding's id with another's
 // parameters. Full-registry walks evaluate levels from the captured
 // snapshot alone — zero locks, zero detector calls.
+//
+// # The per-beat footprint
+//
+// Past the shard map, a heartbeat of a known process reads the slot, its
+// detector and the detector's sample buffer, and nothing else. With a
+// registry far beyond cache each object is a dependent miss per beat, so
+// what the write path needs stays inline: the canonical id it stamps on
+// hb.From is the slot's own copy (id), not entryMeta's, and the
+// last-arrival stamp lives only in the eval cell (evalLast).
 type entry struct {
 	mu  sync.Mutex
 	gen atomic.Uint64
 	det core.Detector
-	// lastArrival is the arrival time of the newest heartbeat (the bind
-	// time until one arrives), guarded by mu like the detector; its
-	// UnixNano is mirrored into evalLast for lock-free readers.
-	lastArrival time.Time
+	// id is the binding's canonical id, the same string as meta.id, set
+	// at bind and cleared at unbind under mu; report stamps it on every
+	// beat as hb.From.
+	id string
 
 	// meta is the binding's identity (id and group tag), nil while the
 	// slot is free. It is stored inside the seqlock window at bind and
@@ -185,8 +195,10 @@ type entry struct {
 	meta atomic.Pointer[entryMeta]
 
 	// The seqlock cell proper. evalKind/evalRef/evalP1/evalP2/evalEps
-	// mirror core.EvalSnapshot (floats as Float64bits); evalLast mirrors
-	// lastArrival.UnixNano(); evalAux boxes the snapshot's EvalAux hook,
+	// mirror core.EvalSnapshot (floats as Float64bits); evalLast is the
+	// UnixNano arrival time of the newest heartbeat (the bind time until
+	// one arrives), written only under mu, so a writer reads it with a
+	// plain Load; evalAux boxes the snapshot's EvalAux hook,
 	// re-boxed only when its identity changes (for the in-tree detectors
 	// that is once per binding, so steady-state publication allocates
 	// nothing).
@@ -216,11 +228,14 @@ type entryMeta struct {
 type evalAuxBox struct{ aux core.EvalAux }
 
 // publishEval recomputes the detector's eval snapshot and writes it —
-// with the last-arrival mirror and, when setMeta is true, a new identity
-// — into the seqlock cell. Caller holds e.mu; every mutation of
+// with last, the last-arrival stamp, and, when setMeta is true, a new
+// identity — into the seqlock cell. Caller holds e.mu; every mutation of
 // detector-observable state must call this before unlocking, so readers
-// are never more than one heartbeat behind the locked truth.
-func (e *entry) publishEval(meta *entryMeta, setMeta bool) {
+// are never more than one heartbeat behind the locked truth. evalKind
+// and evalEps are stored only when they change: they are constant per
+// binding in steady state, and every atomic store is a locked
+// instruction.
+func (e *entry) publishEval(meta *entryMeta, setMeta bool, last int64) {
 	var snap core.EvalSnapshot
 	if e.det != nil { // nil while unbinding: the cell is cleared
 		snap = e.det.EvalSnapshot()
@@ -229,12 +244,16 @@ func (e *entry) publishEval(meta *entryMeta, setMeta bool) {
 	if setMeta {
 		e.meta.Store(meta)
 	}
-	e.evalKind.Store(uint32(snap.Kind))
+	if k := uint32(snap.Kind); e.evalKind.Load() != k {
+		e.evalKind.Store(k)
+	}
 	e.evalRef.Store(snap.Ref)
-	e.evalLast.Store(e.lastArrival.UnixNano())
+	e.evalLast.Store(last)
 	e.evalP1.Store(math.Float64bits(snap.P1))
 	e.evalP2.Store(math.Float64bits(snap.P2))
-	e.evalEps.Store(math.Float64bits(float64(snap.Eps)))
+	if eps := math.Float64bits(float64(snap.Eps)); e.evalEps.Load() != eps {
+		e.evalEps.Store(eps)
+	}
 	if snap.Aux != nil {
 		if box := e.evalAux.Load(); box == nil || box.aux != snap.Aux {
 			e.evalAux.Store(&evalAuxBox{aux: snap.Aux})
@@ -288,7 +307,7 @@ func (e *entry) loadEval() (meta *entryMeta, snap core.EvalSnapshot, last int64,
 		return nil, core.EvalSnapshot{}, 0, false
 	}
 	snap = e.det.EvalSnapshot()
-	last = e.lastArrival.UnixNano()
+	last = e.evalLast.Load()
 	e.mu.Unlock()
 	return meta, snap, last, true
 }
@@ -297,9 +316,9 @@ func (e *entry) loadEval() (meta *entryMeta, snap core.EvalSnapshot, last int64,
 // binding's canonical id, and reports whether the detector accepted it.
 // The detector's sequence guard is the only one (core.Detector.Report):
 // a beat it refuses — a duplicate, a reordered or replayed number, Seq
-// 0 — is no evidence of liveness now, so it moves neither lastArrival
-// nor the eval cell, and the caller counts it stale. ok is false when
-// the slot's generation no longer matches gen (the process was
+// 0 — is no evidence of liveness now, so it moves no part of the eval
+// cell, evalLast included, and the caller counts it stale. ok is false
+// when the slot's generation no longer matches gen (the process was
 // deregistered after the caller resolved the handle); the heartbeat is
 // then dropped.
 func (e *entry) report(gen uint64, hb core.Heartbeat) (accepted, ok bool) {
@@ -308,15 +327,16 @@ func (e *entry) report(gen uint64, hb core.Heartbeat) (accepted, ok bool) {
 		e.mu.Unlock()
 		return false, false
 	}
-	hb.From = e.meta.Load().id
+	hb.From = e.id
 	if accepted = e.det.Report(hb); accepted {
 		// An accepted number can still carry an older arrival stamp (a
 		// replayed trace): the stamp digests are built from only moves
 		// forward.
-		if hb.Arrived.After(e.lastArrival) {
-			e.lastArrival = hb.Arrived
+		last := e.evalLast.Load()
+		if a := hb.Arrived.UnixNano(); a > last {
+			last = a
 		}
-		e.publishEval(nil, false)
+		e.publishEval(nil, false, last)
 	}
 	e.mu.Unlock()
 	return accepted, true
@@ -391,14 +411,14 @@ func get[T ~string | ~[]byte](sh *shard, id T) (*entry, uint64) {
 }
 
 // bind allocates a slot for id and installs det, tagged with the
-// process's group and stamped with its start time (so lastArrival is
-// never zero for a bound slot). Caller holds the shard write lock; id
+// process's group and stamped with its start time (evalLast until the
+// first heartbeat arrives). Caller holds the shard write lock; id
 // must not be present.
 func (sh *shard) bind(id string, det core.Detector, group string, start time.Time) (*entry, uint64) {
 	idx, e := sh.slab.alloc()
 	e.mu.Lock()
 	e.det = det
-	e.lastArrival = start
+	e.id = id
 	e.gen.Add(1) // even → odd: bound
 	gen := e.gen.Load()
 	// Publish the identity and the detector's initial snapshot in one
@@ -406,7 +426,7 @@ func (sh *shard) bind(id string, det core.Detector, group string, start time.Tim
 	// never with a predecessor's parameters.
 	meta := &entryMeta{id: id, group: group}
 	meta.series.Init(id)
-	e.publishEval(meta, true)
+	e.publishEval(meta, true, start.UnixNano())
 	e.mu.Unlock()
 	sh.procs[id] = idx
 	sh.epoch++
@@ -429,10 +449,10 @@ func (sh *shard) unbind(id string) bool {
 	e.mu.Lock()
 	e.gen.Add(1) // odd → even: free
 	e.det = nil
-	e.lastArrival = time.Time{}
+	e.id = ""
 	// Clear the eval cell inside one seqlock window; concurrent walks
 	// observe the slot as stably free and skip it.
-	e.publishEval(nil, true)
+	e.publishEval(nil, true, 0)
 	e.mu.Unlock()
 	sh.slab.free = append(sh.slab.free, idx)
 	return true

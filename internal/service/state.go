@@ -81,7 +81,7 @@ func (m *Monitor) ImportState(st MonitorState) (restored int, err error) {
 			// Republish in the same critical section: a concurrent
 			// lock-free walk sees either the pre-restore or the
 			// restored parameters, never a mix.
-			e.publishEval(nil, false)
+			e.publishEval(nil, false, e.evalLast.Load())
 		}
 		e.mu.Unlock()
 		if rerr != nil {

@@ -41,7 +41,7 @@ func (m *Monitor) Retune(t core.Tuning) (tuned, skipped int, err error) {
 			skipped++
 			return
 		}
-		e.publishEval(nil, false)
+		e.publishEval(nil, false, e.evalLast.Load())
 		tuned++
 	})
 	return tuned, skipped, err

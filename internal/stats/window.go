@@ -15,9 +15,13 @@ import "math"
 // The running sums are maintained incrementally; to keep floating-point
 // drift negligible over very long runs they are recomputed from scratch
 // every rebuildEvery evictions.
+//
+// The ring index wraps with a compare, not a divide: head < len(buf) and
+// n <= len(buf) always hold, so head+i for 0 <= i < n is below
+// 2·len(buf) and one subtraction brings it back into range.
 type Window struct {
 	buf    []float64
-	head   int // index of the oldest sample
+	head   int // index of the oldest sample; always < len(buf)
 	n      int // number of valid samples
 	limit  int // target capacity; len(buf) >= limit (lazy shrink)
 	sum    float64
@@ -43,11 +47,13 @@ func (w *Window) Push(v float64) {
 		old := w.buf[w.head]
 		w.sum -= old
 		w.sumSq -= old * old
-		w.head = (w.head + 1) % len(w.buf)
+		if w.head++; w.head == len(w.buf) {
+			w.head = 0
+		}
 		w.n--
 		w.evicts++
 	}
-	w.buf[(w.head+w.n)%len(w.buf)] = v
+	w.buf[w.slot(w.n)] = v
 	w.n++
 	w.sum += v
 	w.sumSq += v * v
@@ -56,11 +62,21 @@ func (w *Window) Push(v float64) {
 	}
 }
 
+// slot returns the buf index of the i-th sample, 0 the oldest, for
+// 0 <= i <= n (i == n is where the next sample goes when n < len(buf)).
+func (w *Window) slot(i int) int {
+	j := w.head + i
+	if j >= len(w.buf) {
+		j -= len(w.buf)
+	}
+	return j
+}
+
 func (w *Window) rebuild() {
 	w.evicts = 0
 	w.sum, w.sumSq = 0, 0
 	for i := 0; i < w.n; i++ {
-		v := w.buf[(w.head+i)%len(w.buf)]
+		v := w.buf[w.slot(i)]
 		w.sum += v
 		w.sumSq += v * v
 	}
@@ -96,7 +112,7 @@ func (w *Window) Resize(capacity int) {
 	if size != len(w.buf) {
 		nb := make([]float64, size)
 		for i := 0; i < w.n; i++ {
-			nb[i] = w.buf[(w.head+i)%len(w.buf)]
+			nb[i] = w.buf[w.slot(i)]
 		}
 		w.buf = nb
 		w.head = 0
@@ -110,7 +126,7 @@ func (w *Window) Resize(capacity int) {
 // arrival samples when the nominal interval η changes mid-run.
 func (w *Window) Shift(delta float64) {
 	for i := 0; i < w.n; i++ {
-		w.buf[(w.head+i)%len(w.buf)] += delta
+		w.buf[w.slot(i)] += delta
 	}
 	w.rebuild()
 }
@@ -147,7 +163,7 @@ func (w *Window) At(i int) float64 {
 	if i < 0 || i >= w.n {
 		panic("stats: Window.At index out of range")
 	}
-	return w.buf[(w.head+i)%len(w.buf)]
+	return w.buf[w.slot(i)]
 }
 
 // Last returns the newest sample, or 0 when the window is empty.
@@ -155,7 +171,7 @@ func (w *Window) Last() float64 {
 	if w.n == 0 {
 		return 0
 	}
-	return w.buf[(w.head+w.n-1)%len(w.buf)]
+	return w.buf[w.slot(w.n-1)]
 }
 
 // Samples appends all samples, oldest first, to dst and returns the
