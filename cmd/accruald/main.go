@@ -48,6 +48,12 @@
 // queue and the kernel's drops are the loss (see docs/TUNING.md).
 // -ingest-queue still parses for old command lines and is ignored.
 //
+// Every -interval one background round (service.Runner) takes one clock
+// reading, walks the registry once and hands each process's level to
+// every per-process consumer: the online QoS estimators, the -history
+// level rings behind GET /v1/history, and — with -log-transitions — an
+// internal Algorithm-1 view that logs each S-/T-transition.
+//
 // The daemon is observable while it runs: GET /v1/metrics serves
 // hot-path counters, UDP packet dispositions and online QoS estimates
 // (mistake rate λ_M, query accuracy P_A, mean mistake recurrence
@@ -202,11 +208,6 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		}
 	}
 
-	// Online QoS estimation: sample every process's suspicion level on
-	// the heartbeat cadence into the hub's streaming estimators.
-	sampler := telemetry.StartSampler(hub.QoS(), mon, *interval)
-	defer sampler.Stop()
-
 	// Online QoS autotuning: close the loop between the estimators above
 	// and the detector/threshold knobs. The controller is constructed
 	// whenever a detection-time target is given (so `accrualctl tune
@@ -266,10 +267,7 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 	log.Printf("heartbeat listener on %s (detector=%s interval=%v profile=%s)",
 		listener.Addr(), *detName, *interval, profile)
 
-	apiOpts := []transport.APIOption{
-		transport.WithAPITelemetry(hub),
-		transport.WithSampler(sampler),
-	}
+	apiOpts := []transport.APIOption{transport.WithAPITelemetry(hub)}
 	if tuner != nil {
 		apiOpts = append(apiOpts, transport.WithTuner(tuner))
 		if *autoTune {
@@ -286,24 +284,26 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		log.Printf("federation as %q: %d peers, fanout %d, interval %v, top-k %d",
 			*group, strings.Count(*peers, ",")+1, *fanout, *fedIntv, *digestTop)
 	}
+	// One background round per -interval feeds every per-process
+	// consumer from one registry walk: the online QoS estimators, the
+	// level history and the transition log.
+	consumers := service.Consumers{QoS: hub.QoS()}
 	if *logTrans {
 		// An internal observer application using the paper's
 		// parameter-free Algorithm 1; purely informational — client
 		// interpretations are independent of it.
-		app := mon.NewApp("accruald-log", service.AdaptivePolicy(),
+		consumers.Apps = []*service.App{mon.NewApp("accruald-log", service.AdaptivePolicy(),
 			service.WithTransitionHandler(func(proc string, tr core.Transition, st core.Status) {
 				log.Printf("transition: %s -> %s", proc, st)
-			}))
-		w := service.Watch(app, *interval)
-		defer w.Stop()
-		apiOpts = append(apiOpts, transport.WithWatcher(w))
+			}))}
 	}
 	if *history > 0 {
-		rec := service.NewRecorder(mon, *history)
-		runner := service.StartRecorder(rec, *interval)
-		defer runner.Stop()
-		apiOpts = append(apiOpts, transport.WithRecorder(rec))
+		consumers.History = service.NewRecorder(mon, *history)
 	}
+	runner := service.NewRunner(mon, *interval, consumers)
+	runner.Start()
+	defer runner.Stop()
+	apiOpts = append(apiOpts, transport.WithRunner(runner))
 
 	if *pprofAddr != "" {
 		// net/http/pprof registers on the default mux; serve that mux on

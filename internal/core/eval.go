@@ -104,8 +104,8 @@ type EvalAux interface {
 }
 
 // Level evaluates the snapshot at now. It is pure, lock-free and
-// allocation-free for every kind except EvalPhiErlang, whose
-// log-sum-exp scratch allocates.
+// allocation-free for every kind (φ-Erlang's tail is two passes with no
+// scratch).
 func (s EvalSnapshot) Level(now time.Time) Level {
 	switch s.Kind {
 	case EvalElapsed, EvalLateness:

@@ -111,8 +111,7 @@ type Federation struct {
 	fed *telemetry.FederationCounters
 
 	// mu guards everything below plus the build scratch; lock order is
-	// mu → walk coalescer → registry shard locks (via EachInfoShared),
-	// never the reverse.
+	// mu → registry shard locks (via EachInfo), never the reverse.
 	mu      sync.Mutex
 	rng     interface{ IntN(int) int }
 	seq     uint64
@@ -328,19 +327,15 @@ func groupRank(a, b transport.DigestGroup) int {
 // buildSummary walks the registry into the round scratch: f.top holds
 // the top-k suspects most suspected first, f.groups the per-group
 // rollups sorted by name, f.procs the membership count. Caller holds
-// f.mu. Steady-state allocation-free: the walk is the registry's pooled
-// generation-guarded scan and every slice and map here is reused.
+// f.mu. Steady-state allocation-free: the walk is the registry's
+// lock-free slab walk and every slice and map here is reused.
 func (f *Federation) buildSummary(now time.Time) {
 	f.top = f.top[:0]
 	f.groups = f.groups[:0]
 	clear(f.groupIdx)
 	f.procs = 0
 	f.buildNow = now
-	// Joining the coalesced walk lets a digest round that fires together
-	// with the QoS sampler share one registry pass; observe touches only
-	// the build scratch under f.mu, which no other shared-walk consumer
-	// acquires, so executing it on the walk leader's goroutine is safe.
-	f.mon.EachInfoShared(f.observe)
+	f.mon.EachInfo(f.observe)
 	slices.SortFunc(f.top, suspectRank)
 	slices.SortFunc(f.groups, groupRank)
 	if len(f.groups) > transport.MaxDigestGroups {

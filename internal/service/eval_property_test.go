@@ -112,16 +112,16 @@ func TestPublishedLevelsMatchLocked(t *testing.T) {
 }
 
 // comparePublishedToLocked walks the fleet through both walk surfaces
-// (the plain pass and the coalesced one) and cross-checks every level
+// (EachLevel and EachInfo) and cross-checks every level
 // against the detector's snapshot taken under the entry lock at the
 // same instant. The manual clock is frozen for the duration and both
 // sides run the same pure function, so the levels must be identical:
 // any difference is a stale or torn publication.
 func comparePublishedToLocked(t *testing.T, m *Monitor, now time.Time) {
 	t.Helper()
-	walks := map[string]map[string]core.Level{"EachLevel": {}, "EachInfoShared": {}}
+	walks := map[string]map[string]core.Level{"EachLevel": {}, "EachInfo": {}}
 	m.EachLevel(func(id string, lvl core.Level) { walks["EachLevel"][id] = lvl })
-	m.EachInfoShared(func(info ProcessInfo) { walks["EachInfoShared"][info.ID] = info.Level })
+	m.EachInfo(func(info ProcessInfo) { walks["EachInfo"][info.ID] = info.Level })
 	checked := 0
 	for i := range m.shards {
 		sh := &m.shards[i]

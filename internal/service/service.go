@@ -60,7 +60,6 @@ import (
 	"accrual/internal/clock"
 	"accrual/internal/core"
 	"accrual/internal/telemetry"
-	"accrual/internal/transform"
 	"accrual/internal/transport/intern"
 )
 
@@ -488,10 +487,6 @@ type Monitor struct {
 	// uncontended atomic add and zero allocations per operation.
 	tel *telemetry.Hub
 
-	// coal is the single-flight coalescer behind the Shared walk
-	// variants (walk.go).
-	coal walkCoalescer
-
 	// orderRebuilds backs ShardOrderRebuilds.
 	orderRebuilds atomic.Uint64
 }
@@ -617,6 +612,22 @@ func (m *Monitor) lookup(id string) (*entry, uint64) {
 	return e, gen
 }
 
+// slotOf resolves id to its shard index, its slab slot and the slot's
+// entry, or a nil entry when id is not registered. The slot may be
+// rebound once the shard lock is released; callers re-read the binding
+// from the entry (loadEval) and check it is still id's.
+func (m *Monitor) slotOf(id string) (s int, slot uint32, e *entry) {
+	s = int(intern.Hash(id) & m.shardMask)
+	sh := &m.shards[s]
+	sh.mu.RLock()
+	slot, ok := sh.procs[id]
+	if ok {
+		e = sh.slab.at(slot)
+	}
+	sh.mu.RUnlock()
+	return s, slot, e
+}
+
 // Register adds a monitored process. It returns ErrAlreadyRegistered if
 // the id is already present.
 func (m *Monitor) Register(id string) error {
@@ -640,9 +651,9 @@ func (m *Monitor) Deregister(id string) bool {
 	ok := sh.unbind(id)
 	sh.mu.Unlock()
 	if ok {
-		// Telemetry strictly after the shard unlock: the QoS sampler
-		// holds its own lock while it read-locks shards (Sample →
-		// EachLevel), so notifying under sh.mu would invert that order.
+		// Telemetry strictly after the shard unlock: the background
+		// round holds the QoS lock while it read-locks shards (see
+		// Runner), so notifying under sh.mu would invert that order.
 		if m.tel != nil {
 			m.tel.Counters.Deregistered(h)
 			m.tel.ProcessDeregistered(id, m.clk.Now())
@@ -652,8 +663,7 @@ func (m *Monitor) Deregister(id string) bool {
 }
 
 // Known reports whether id is currently registered, without evaluating
-// its detector — the cheap existence probe App.Status uses so that one
-// application query costs exactly one detector evaluation.
+// its detector.
 func (m *Monitor) Known(id string) bool {
 	e, _ := m.lookup(id)
 	return e != nil
@@ -673,24 +683,17 @@ func (m *Monitor) Len() int {
 
 // Processes returns the sorted ids of all monitored processes.
 func (m *Monitor) Processes() []string {
-	ids := m.appendIDs(nil)
-	sort.Strings(ids)
-	return ids
-}
-
-// appendIDs appends every monitored id to buf (unsorted, shard by shard)
-// and returns the extended slice. Callers that poll repeatedly pass their
-// previous buffer back to avoid re-allocating.
-func (m *Monitor) appendIDs(buf []string) []string {
+	var ids []string
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.RLock()
 		for id := range sh.procs {
-			buf = append(buf, id)
+			ids = append(ids, id)
 		}
 		sh.mu.RUnlock()
 	}
-	return buf
+	sort.Strings(ids)
+	return ids
 }
 
 // ShardCount returns the number of registry shards. Together with
@@ -736,7 +739,7 @@ func (e *entry) snapLevel(id string, now time.Time) (core.Level, bool) {
 // slab arrays, so the walk holds no locks and calls no detectors; see
 // eachEval for the iteration rules.
 func (m *Monitor) EachLevel(fn func(id string, lvl core.Level)) {
-	m.walk(func(meta *entryMeta, lvl core.Level, _ int64) { fn(meta.id, lvl) })
+	m.walk(func(_ uint32, meta *entryMeta, lvl core.Level, _ int64) { fn(meta.id, lvl) })
 }
 
 // ProcessInfo is one monitored process's digest-relevant state at one
@@ -758,7 +761,7 @@ type ProcessInfo struct {
 // parameters, so a slot rebound mid-walk is skipped or attributed to
 // exactly one binding, never mixed.
 func (m *Monitor) EachInfo(fn func(info ProcessInfo)) {
-	m.walk(func(meta *entryMeta, lvl core.Level, last int64) {
+	m.walk(func(_ uint32, meta *entryMeta, lvl core.Level, last int64) {
 		fn(ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)})
 	})
 }
@@ -774,192 +777,6 @@ func (m *Monitor) Snapshot() map[string]core.Level {
 // Now exposes the monitor's clock reading, so that applications and
 // interpreters share its notion of time.
 func (m *Monitor) Now() time.Time { return m.clk.Now() }
-
-// levelFunc returns a LevelFunc reading one process's level. The handle
-// caches the per-process entry so steady-state queries skip the registry
-// lookup entirely, re-resolving only after a deregistration (which may
-// find a re-registered successor, or nothing — then it reports zero).
-// Each query is one lock-free snapshot evaluation.
-func (m *Monitor) levelFunc(id string) transform.LevelFunc {
-	h := intern.Hash(id)
-	var cached *entry
-	return func(now time.Time) core.Level {
-		if cached != nil {
-			if lvl, ok := cached.snapLevel(id, now); ok {
-				if m.tel != nil {
-					m.tel.Counters.Query(h)
-				}
-				return lvl
-			}
-			// Slot rebound since the handle was cached — the process was
-			// deregistered (and possibly re-registered); re-resolve.
-		}
-		e, _ := m.lookup(id)
-		cached = e
-		if e == nil {
-			return 0
-		}
-		lvl, ok := e.snapLevel(id, now)
-		if !ok {
-			cached = nil
-			return 0
-		}
-		if m.tel != nil {
-			m.tel.Counters.Query(h)
-		}
-		return lvl
-	}
-}
-
-// Policy builds one application-side binary interpreter over a suspicion
-// level source. The three standard policies correspond to the paper's
-// interpreters: the single-threshold D_T (Equation 2), the two-threshold
-// D'_T (Algorithm 3) and the self-tuning Algorithm 1.
-type Policy func(src transform.LevelFunc) core.BinaryDetector
-
-// ConstantPolicy interprets levels with a fixed threshold (suspect iff
-// level > threshold).
-func ConstantPolicy(threshold core.Level) Policy {
-	return func(src transform.LevelFunc) core.BinaryDetector {
-		return transform.NewConstantThreshold(src, threshold)
-	}
-}
-
-// HysteresisPolicy interprets levels with the two-threshold detector
-// D'_T: suspect above high, trust again at or below low.
-func HysteresisPolicy(high, low core.Level) Policy {
-	return func(src transform.LevelFunc) core.BinaryDetector {
-		return transform.NewHysteresis(src, high, low)
-	}
-}
-
-// AdaptivePolicy interprets levels with Algorithm 1, the self-tuning
-// ◇P transformation that needs no threshold parameter at all.
-func AdaptivePolicy() Policy {
-	return func(src transform.LevelFunc) core.BinaryDetector {
-		return transform.NewAccrualToBinary(src)
-	}
-}
-
-// TransitionHandler observes the S- and T-transitions of one application
-// view. status is the new status after the transition.
-type TransitionHandler func(proc string, tr core.Transition, status core.Status)
-
-// App is one application's interpretation module: a binary view of every
-// monitored process, built from the shared monitor's suspicion levels via
-// the application's own policy. App is safe for concurrent use.
-type App struct {
-	name    string
-	monitor *Monitor
-	policy  Policy
-	onTrans TransitionHandler
-
-	mu      sync.Mutex
-	views   map[string]*appView
-	pollIDs []string        // reused id scratch across Poll calls
-	current map[string]bool // reused membership scratch across Poll calls
-}
-
-type appView struct {
-	bin  core.BinaryDetector
-	last core.Status
-}
-
-// AppOption configures an App.
-type AppOption func(*App)
-
-// WithTransitionHandler registers a callback invoked (synchronously,
-// from the polling goroutine) on every transition this app observes.
-func WithTransitionHandler(h TransitionHandler) AppOption {
-	return func(a *App) { a.onTrans = h }
-}
-
-// NewApp returns a named interpretation module over the monitor.
-func (m *Monitor) NewApp(name string, policy Policy, opts ...AppOption) *App {
-	a := &App{
-		name:    name,
-		monitor: m,
-		policy:  policy,
-		views:   make(map[string]*appView),
-		current: make(map[string]bool),
-	}
-	for _, opt := range opts {
-		opt(a)
-	}
-	return a
-}
-
-// Name returns the application name.
-func (a *App) Name() string { return a.name }
-
-func (a *App) view(id string) *appView {
-	v, ok := a.views[id]
-	if !ok {
-		v = &appView{bin: a.policy(a.monitor.levelFunc(id)), last: core.Trusted}
-		a.views[id] = v
-	}
-	return v
-}
-
-// Status queries this application's binary view of one process. Each call
-// is one query in the oracle model (stateful policies advance on it) and
-// costs exactly one detector evaluation: existence is checked without
-// reading the suspicion level.
-func (a *App) Status(id string) (core.Status, error) {
-	if !a.monitor.Known(id) {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownProcess, id)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	now := a.monitor.Now()
-	v := a.view(id)
-	s := v.bin.Query(now)
-	a.noteTransition(id, v, s, now)
-	return s, nil
-}
-
-// Poll queries every monitored process and returns the set of currently
-// suspected ids, sorted. Views of processes that have been deregistered
-// from the monitor are pruned, so long-lived applications do not
-// accumulate state for departed processes.
-func (a *App) Poll() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.pollIDs = a.monitor.appendIDs(a.pollIDs[:0])
-	now := a.monitor.Now()
-	clear(a.current)
-	var suspects []string
-	for _, id := range a.pollIDs {
-		a.current[id] = true
-		v := a.view(id)
-		s := v.bin.Query(now)
-		a.noteTransition(id, v, s, now)
-		if s == core.Suspected {
-			suspects = append(suspects, id)
-		}
-	}
-	for id := range a.views {
-		if !a.current[id] {
-			delete(a.views, id)
-		}
-	}
-	sort.Strings(suspects)
-	return suspects
-}
-
-func (a *App) noteTransition(id string, v *appView, s core.Status, now time.Time) {
-	if s == v.last {
-		return
-	}
-	kind := core.STransition
-	if s == core.Trusted {
-		kind = core.TTransition
-	}
-	v.last = s
-	if a.onTrans != nil {
-		a.onTrans(id, core.Transition{At: now, Kind: kind}, s)
-	}
-}
 
 // Ranked returns all monitored processes ordered from least to most
 // suspected (ties broken by id) — the worker-ranking usage pattern of the
@@ -994,7 +811,7 @@ func (m *Monitor) TopK(k int, dst []RankedProcess) []RankedProcess {
 		return dst
 	}
 	base := len(dst)
-	m.walk(func(meta *entryMeta, lvl core.Level, _ int64) {
+	m.walk(func(_ uint32, meta *entryMeta, lvl core.Level, _ int64) {
 		h := dst[base:]
 		if len(h) < k {
 			dst = append(dst, RankedProcess{ID: meta.id, Level: lvl})

@@ -395,9 +395,9 @@ func TestWithShardCount(t *testing.T) {
 	}
 }
 
-// TestLevelFuncSurvivesReregistration ensures an App view's cached
-// per-process handle re-resolves after a deregister/register cycle
-// instead of reading the orphaned detector.
+// TestLevelFuncSurvivesReregistration ensures an App view follows its
+// binding: after a deregister/register cycle the id's view is rebuilt
+// over the new detector instead of reading the orphaned one.
 func TestLevelFuncSurvivesReregistration(t *testing.T) {
 	m, clk := newTestMonitor()
 	_ = m.Heartbeat(hb("p", 1, clk.Now()))
@@ -428,23 +428,49 @@ func TestEachLevel(t *testing.T) {
 	}
 }
 
+// TestAppPollPrunesDeregisteredViews: views are kept by slot and tagged
+// with their binding, so a departed process's view is unreachable — no
+// live binding resolves to it — and the slot's next binding starts a
+// fresh view instead of inheriting it.
 func TestAppPollPrunesDeregisteredViews(t *testing.T) {
 	m, clk := newTestMonitor()
 	_ = m.Heartbeat(hb("a", 1, clk.Now()))
 	_ = m.Heartbeat(hb("b", 1, clk.Now()))
 	app := m.NewApp("app", ConstantPolicy(1))
-	app.Poll()
-	if len(app.views) != 2 {
-		t.Fatalf("views = %d, want 2", len(app.views))
+	clk.Advance(5 * time.Second)
+	if got := app.Poll(); len(got) != 2 {
+		t.Fatalf("suspects = %v, want a and b", got)
+	}
+	if n := liveViews(m, app); n != 2 {
+		t.Fatalf("live views = %d, want 2", n)
 	}
 	m.Deregister("a")
 	app.Poll()
-	if len(app.views) != 1 {
-		t.Errorf("views = %d after deregistration, want 1", len(app.views))
+	if n := liveViews(m, app); n != 1 {
+		t.Errorf("live views = %d after deregistration, want 1", n)
 	}
-	if _, ok := app.views["b"]; !ok {
-		t.Error("surviving view pruned")
+	// "c" reuses a's freed slot: its view must start trusted, not carry
+	// a's suspicion over.
+	_ = m.Heartbeat(hb("c", 1, clk.Now()))
+	if got := app.Poll(); len(got) != 1 || got[0] != "b" {
+		t.Errorf("suspects = %v, want only b", got)
 	}
+}
+
+// liveViews counts the app's views whose binding is still registered.
+func liveViews(m *Monitor, app *App) int {
+	app.mu.Lock()
+	defer app.mu.Unlock()
+	n := 0
+	for s, vs := range app.views {
+		for slot := range vs {
+			meta := vs[slot].meta
+			if meta != nil && meta == m.shards[s].slab.at(uint32(slot)).meta.Load() {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestTopKMatchesSortedSuffix(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"accrual/internal/clock"
 	"accrual/internal/core"
 	"accrual/internal/simple"
+	"accrual/internal/telemetry"
 )
 
 // TestSlabChurnMemoryStable runs 100k register/deregister cycles over a
@@ -66,6 +67,62 @@ func TestSlabChurnMemoryStable(t *testing.T) {
 	const limit = 1 << 20
 	if growth > limit {
 		t.Errorf("live heap grew %d bytes over %d churn cycles, want < %d (slab slots not reused?)", growth, cycles, limit)
+	}
+}
+
+// TestSideStateChurnMemoryStable is TestSlabChurnMemoryStable with the
+// per-process side state attached: every cycle registers a fresh id,
+// beats it, runs one round feeding the history, the QoS estimators and
+// an App, queries the App's view of the id, and deregisters it. The side
+// state is kept by slot and tagged with its binding, so 100k departed
+// ids must leave the live heap as flat as the slab itself.
+func TestSideStateChurnMemoryStable(t *testing.T) {
+	clk := clock.NewManual(start)
+	hub := telemetry.NewHub()
+	m := NewMonitor(clk, func(_ string, at time.Time) core.Detector {
+		return simple.New(at)
+	}, WithShardCount(8), WithTelemetry(hub))
+	app := m.NewApp("churn", ConstantPolicy(5))
+	r := NewRunner(m, time.Second, Consumers{History: NewRecorder(m, 8), QoS: hub.QoS(), Apps: []*App{app}})
+
+	const cycles = 100_000
+	n := 0
+	churn := func(k int) {
+		for c := 0; c < k; c++ {
+			id := fmt.Sprintf("fresh-%07d", n)
+			n++
+			if err := m.Register(id); err != nil {
+				t.Fatalf("register %s: %v", id, err)
+			}
+			if err := m.Heartbeat(hb(id, 1, clk.Now())); err != nil {
+				t.Fatalf("heartbeat %s: %v", id, err)
+			}
+			clk.Advance(time.Millisecond)
+			r.Round()
+			if _, err := app.Status(id); err != nil {
+				t.Fatalf("status %s: %v", id, err)
+			}
+			if !m.Deregister(id) {
+				t.Fatalf("deregister %s: lost registration", id)
+			}
+		}
+	}
+
+	churn(128)
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	churn(cycles)
+
+	runtime.GC()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r) // the consumers must be live for the measurement to mean anything
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	const limit = 1 << 20
+	if growth > limit {
+		t.Errorf("live heap grew %d bytes over %d fresh-id cycles, want < %d (side state kept for departed ids?)", growth, cycles, limit)
 	}
 }
 

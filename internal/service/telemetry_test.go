@@ -68,8 +68,8 @@ func TestMonitorTelemetryCounters(t *testing.T) {
 	}
 }
 
-// TestAppQueriesCounted: application-side queries flow through cached
-// levelFunc handles and still land on the query counter.
+// TestAppQueriesCounted: each application-side query lands on the query
+// counter once.
 func TestAppQueriesCounted(t *testing.T) {
 	mon, hub, clk := newTelemetryMonitor(t)
 	_ = mon.Heartbeat(core.Heartbeat{From: "a", Seq: 1, Arrived: clk.Now()})
@@ -121,38 +121,41 @@ func TestDeregisterFeedsQoS(t *testing.T) {
 }
 
 // TestWatcherLastPoll and TestRecorderLastTick pin the loop-staleness
-// timestamps /v1/metrics exposes.
+// timestamp /v1/metrics exposes for the App and the history: the
+// round's clock reading, zero before the first round.
 func TestWatcherLastPoll(t *testing.T) {
 	mon, _, clk := newTelemetryMonitor(t)
 	_ = mon.Heartbeat(core.Heartbeat{From: "a", Seq: 1, Arrived: clk.Now()})
 	app := mon.NewApp("w", ConstantPolicy(5))
 
 	ticks := make(chan time.Time)
-	w := Watch(app, time.Second, withTicker(func() <-chan time.Time { return ticks }, func() {}))
-	defer w.Stop()
-	if !w.LastPoll().IsZero() {
-		t.Error("LastPoll non-zero before the first poll")
+	r := NewRunner(mon, time.Second, Consumers{Apps: []*App{app}})
+	r.tick = ticks
+	r.Start()
+	defer r.Stop()
+	if !r.LastRound().IsZero() {
+		t.Error("LastRound non-zero before the first round")
 	}
 	ticks <- time.Time{}
 	deadline := time.Now().Add(3 * time.Second)
-	for w.Polls() < 1 && time.Now().Before(deadline) {
+	for r.Rounds() < 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := w.LastPoll(); !got.Equal(clk.Now()) {
-		t.Errorf("LastPoll = %v, want monitor clock %v", got, clk.Now())
+	if got := r.LastRound(); !got.Equal(clk.Now()) {
+		t.Errorf("LastRound = %v, want monitor clock %v", got, clk.Now())
 	}
 }
 
 func TestRecorderLastTick(t *testing.T) {
 	mon, _, clk := newTelemetryMonitor(t)
 	_ = mon.Heartbeat(core.Heartbeat{From: "a", Seq: 1, Arrived: clk.Now()})
-	rec := NewRecorder(mon, 8)
-	if !rec.LastTick().IsZero() {
-		t.Error("LastTick non-zero before the first tick")
+	r := NewRunner(mon, time.Second, Consumers{History: NewRecorder(mon, 8)})
+	if !r.LastRound().IsZero() {
+		t.Error("LastRound non-zero before the first round")
 	}
 	clk.Advance(time.Second)
-	rec.Tick()
-	if got := rec.LastTick(); !got.Equal(clk.Now()) {
-		t.Errorf("LastTick = %v, want %v", got, clk.Now())
+	r.Round()
+	if got := r.LastRound(); !got.Equal(clk.Now()) {
+		t.Errorf("LastRound = %v, want %v", got, clk.Now())
 	}
 }

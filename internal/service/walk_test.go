@@ -52,8 +52,8 @@ func churnWorkers() (worker func(fn func(i int)), stop func()) {
 	return worker, func() { close(quit); wg.Wait() }
 }
 
-// TestWalkUnderChurn hammers every lock-free read path — the plain and
-// coalesced walks, TopK, and raw shard appends — against concurrent
+// TestWalkUnderChurn hammers every lock-free read path — the level and
+// info walks, TopK, and raw shard appends — against concurrent
 // heartbeats, deregistrations, retunes, and state imports. Run under
 // -race this is the memory-model proof of the seqlock publication
 // protocol; without -race it still shakes out ordering bugs (torn reads
@@ -94,8 +94,7 @@ func TestWalkUnderChurn(t *testing.T) {
 		_, _ = m.ImportState(state)
 	})
 	worker(func(i int) { m.EachLevel(func(string, core.Level) {}) })
-	worker(func(i int) { m.EachLevelShared(func(string, core.Level) {}) })
-	worker(func(i int) { m.EachInfoShared(func(ProcessInfo) {}) })
+	worker(func(i int) { m.EachInfo(func(ProcessInfo) {}) })
 	worker(func(i int) {
 		var dst [8]RankedProcess
 		_ = m.TopK(8, dst[:0])
@@ -111,69 +110,6 @@ func TestWalkUnderChurn(t *testing.T) {
 	// Quiescent now: every surviving entry's published cell must still
 	// agree with its detector, whatever interleaving it went through.
 	comparePublishedToLocked(t, m, clk.Now())
-}
-
-// TestSharedWalkCoalesces blocks a shared-walk leader mid-pass, piles
-// joiners up behind it, and verifies they are all served from the
-// leader's batch pass: each consumer sees the complete fleet and the
-// telemetry counters record the coalescing.
-func TestSharedWalkCoalesces(t *testing.T) {
-	clk := clock.NewManual(start)
-	hub := telemetry.NewHub()
-	m := NewMonitor(clk, simpleFactory, WithShardCount(4), WithTelemetry(hub))
-	const procs = 64
-	registerFleet(t, m, clk, procs)
-
-	before := hub.Walks.Snapshot()
-
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // leader: first entry of its own pass parks on the gate
-		defer wg.Done()
-		n := 0
-		m.EachLevelShared(func(string, core.Level) {
-			once.Do(func() {
-				close(entered)
-				<-gate
-			})
-			n++
-		})
-		if n != procs {
-			t.Errorf("leader saw %d processes, want %d", n, procs)
-		}
-	}()
-	<-entered
-
-	const joiners = 4
-	counts := make(chan int, joiners)
-	for j := 0; j < joiners; j++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n := 0
-			m.EachInfoShared(func(ProcessInfo) { n++ })
-			counts <- n
-		}()
-	}
-	time.Sleep(50 * time.Millisecond) // let the joiners enqueue behind the parked leader
-	close(gate)
-	wg.Wait()
-
-	for j := 0; j < joiners; j++ {
-		if n := <-counts; n != procs {
-			t.Fatalf("coalesced consumer saw %d processes, want %d", n, procs)
-		}
-	}
-	after := hub.Walks.Snapshot()
-	if d := after.Coalesced - before.Coalesced; d < 1 || d > joiners {
-		t.Fatalf("coalesced consumers delta = %d, want 1..%d", d, joiners)
-	}
-	if after.Runs <= before.Runs {
-		t.Fatalf("walk runs did not advance: before %d, after %d", before.Runs, after.Runs)
-	}
 }
 
 // TestWalkSteadyStateZeroAlloc gates the snapshot read paths at zero

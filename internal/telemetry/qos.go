@@ -147,7 +147,7 @@ type Estimate struct {
 	TMR, TM, TG float64
 }
 
-// LevelSource is the level stream the sampler polls — implemented by
+// LevelSource is the level stream Sample polls — implemented by
 // service.Monitor (EachLevel walks the registry shard by shard at one
 // clock reading).
 type LevelSource interface {
@@ -155,33 +155,39 @@ type LevelSource interface {
 	EachLevel(fn func(id string, lvl core.Level))
 }
 
-// sharedLevelSource is the coalesced walk a LevelSource may additionally
-// offer (service.Monitor.EachLevelShared): same-instant full-fleet
-// readers share one registry pass. Sample upgrades to it when present.
-type sharedLevelSource interface {
-	EachLevelShared(fn func(id string, lvl core.Level))
-}
-
 // Sample observes every process of src once, at src's current clock
-// reading. This is one polling round of the online estimators. When src
-// offers a coalesced walk, the round joins it — a sampling tick that
-// fires together with a scrape or a gossip round shares their registry
-// pass instead of adding one. Holding q.mu across the join is safe: the
-// estimator callback may run on the walk leader's goroutine, but this
-// round stays blocked until it has, so mutual exclusion on the
-// estimator state is preserved (and no shared-walk consumer acquires
-// q.mu — the scrape path deliberately reads shards directly).
+// reading: one polling round of the online estimators, for callers that
+// drive them alone. It finds each estimator by id; the daemon's
+// combined round (service.Runner) reaches them through the bindings'
+// ProcSeries instead (BeginRound).
 func (q *QoS) Sample(src LevelSource) {
 	now := src.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	walk := src.EachLevel
-	if s, ok := src.(sharedLevelSource); ok {
-		walk = s.EachLevelShared
-	}
-	walk(func(id string, lvl core.Level) {
+	src.EachLevel(func(id string, lvl core.Level) {
 		q.observeLocked(id, lvl, now)
 	})
+}
+
+// BeginRound takes the estimator lock for one sampling round driven by
+// an external registry walk (service.Runner): the walk feeds each
+// process through ObserveSeries, then EndRound releases the lock.
+func (q *QoS) BeginRound() { q.mu.Lock() }
+
+// EndRound ends a round opened by BeginRound.
+func (q *QoS) EndRound() { q.mu.Unlock() }
+
+// ObserveSeries feeds one observation of the process bound to s (its id
+// is id) inside a BeginRound/EndRound round. The estimator is reached
+// through the handle cached on s — the one GatherEstimates uses — so a
+// steady-state round probes no map and allocates nothing.
+func (q *QoS) ObserveSeries(s *ProcSeries, id string, lvl core.Level, now time.Time) {
+	pe := q.estimatorOf(s, id)
+	if pe == nil {
+		pe = q.newEstimator(id, now)
+		s.est.Store(pe)
+	}
+	pe.observe(lvl, now)
 }
 
 // Observe feeds one (process, level, time) observation. Observations for
@@ -192,24 +198,52 @@ func (q *QoS) Observe(id string, lvl core.Level, now time.Time) {
 	q.observeLocked(id, lvl, now)
 }
 
+// observeLocked is one observation of id, its estimator found by id.
+// Caller holds q.mu.
 func (q *QoS) observeLocked(id string, lvl core.Level, now time.Time) {
 	pe := q.procs[id]
 	if pe == nil {
-		pe = &procEstimator{owner: q, status: core.Trusted, firstAt: now, lastAt: now, accEnd: now}
-		// The hysteresis source reads the estimator's latest pushed
-		// level; each observation below becomes exactly one Algorithm 3
-		// query. The thresholds are read through q at query time — not
-		// captured by value — so SetThresholds retunes every existing
-		// interpreter. Both reads happen under q.mu (Query is only
-		// reached from observeLocked), so the pair is always coherent.
-		pe.hyst = transform.NewHysteresisFunc(
-			func(time.Time) core.Level { return pe.level },
-			func(time.Time) core.Level { return q.high },
-			func(time.Time) core.Level { return q.low },
-		)
-		q.procs[id] = pe
+		pe = q.newEstimator(id, now)
 	}
+	pe.observe(lvl, now)
+}
 
+// estimatorOf resolves the estimator of the binding behind s: the handle
+// cached on s while it still belongs to q, otherwise a map probe whose
+// result (nil included) is cached. An estimator can be forgotten and
+// replaced while the binding lives — a deregistration's Forget may run
+// after the id was re-registered — so a cached estimator counts only
+// while its owner field still names q. Caller holds q.mu.
+func (q *QoS) estimatorOf(s *ProcSeries, id string) *procEstimator {
+	pe := s.est.Load()
+	if pe == nil || pe.owner != q {
+		pe = q.procs[id]
+		s.est.Store(pe)
+	}
+	return pe
+}
+
+// newEstimator installs a fresh estimator for id, first observed at
+// now. Caller holds q.mu.
+func (q *QoS) newEstimator(id string, now time.Time) *procEstimator {
+	pe := &procEstimator{owner: q, status: core.Trusted, firstAt: now, lastAt: now, accEnd: now}
+	// The hysteresis source reads the estimator's latest pushed level;
+	// each observation becomes exactly one Algorithm 3 query. The
+	// thresholds are read through q at query time — not captured by
+	// value — so SetThresholds retunes every existing interpreter. Both
+	// reads happen under q.mu (Query is only reached from observe), so
+	// the pair is always coherent.
+	pe.hyst = transform.NewHysteresisFunc(
+		func(time.Time) core.Level { return pe.level },
+		func(time.Time) core.Level { return q.high },
+		func(time.Time) core.Level { return q.low },
+	)
+	q.procs[id] = pe
+	return pe
+}
+
+// observe advances pe by one observation. Caller holds the owner's mu.
+func (pe *procEstimator) observe(lvl core.Level, now time.Time) {
 	// Accrue the time spent in the current status over [lastAt, now],
 	// clipped to the accuracy window (which ends at the crash mark).
 	accEnd := now
@@ -386,12 +420,8 @@ func (pe *procEstimator) metrics() (lambdaM, pa, tmr, tm, tg float64) {
 // binding and calls Init before sharing it.
 type ProcSeries struct {
 	labels string
-	// est is the estimator GatherEstimates last resolved for this
-	// binding, nil until the process has been sampled. An estimator can
-	// be deleted (Forget) and replaced while the binding lives — a
-	// deregistration's Forget may run after the id was re-registered —
-	// so a cached estimator counts only while its owner field still
-	// names the gathering QoS.
+	// est is the estimator last resolved for this binding (estimatorOf),
+	// nil until the process has been sampled.
 	est atomic.Pointer[procEstimator]
 }
 
@@ -423,18 +453,13 @@ type ProcRow struct {
 // GatherEstimates fills the accuracy estimates of every row — the values
 // Estimate(row.ID) would return — under a single hold of the estimator
 // lock, reaching each estimator through the handle cached on the row's
-// series and probing the map only for a binding not resolved yet (or
-// whose estimator was forgotten since). The lock is released before it
+// series (estimatorOf, the resolver the combined round shares). The lock is released before it
 // returns: a scrape gathers a shard, then renders it to the client.
 func (q *QoS) GatherEstimates(rows []ProcRow) {
 	q.mu.Lock()
 	for i := range rows {
 		r := &rows[i]
-		pe := r.Series.est.Load()
-		if pe == nil || pe.owner != q {
-			pe = q.procs[r.ID]
-			r.Series.est.Store(pe)
-		}
+		pe := q.estimatorOf(r.Series, r.ID)
 		if pe == nil {
 			nan := math.NaN()
 			r.LambdaM, r.PA, r.TMR, r.TM, r.TG = nan, nan, nan, nan, nan

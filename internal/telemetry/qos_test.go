@@ -227,7 +227,8 @@ func TestSampleFromMonitor(t *testing.T) {
 	}
 }
 
-// TestSamplerLoop drives the background sampler against a wall-clock
+// TestSamplerLoop drives the estimators from the monitor's background
+// round (the loop that replaced the QoS sampler) against a wall-clock
 // monitor briefly.
 func TestSamplerLoop(t *testing.T) {
 	mon := service.NewMonitor(clock.Wall{}, func(_ string, start time.Time) core.Detector {
@@ -235,22 +236,26 @@ func TestSamplerLoop(t *testing.T) {
 	})
 	_ = mon.Heartbeat(core.Heartbeat{From: "p", Seq: 1, Arrived: time.Now()})
 	q := mustQoS(t, 2, 1)
-	s := telemetry.StartSampler(q, mon, 2*time.Millisecond)
-	defer s.Stop()
+	r := service.NewRunner(mon, 2*time.Millisecond, service.Consumers{QoS: q})
+	r.Start()
+	defer r.Stop()
 	deadline := time.Now().Add(3 * time.Second)
-	for s.Rounds() < 3 && time.Now().Before(deadline) {
+	for r.Rounds() < 3 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if s.Rounds() < 3 {
-		t.Fatal("sampler never ticked")
+	if r.Rounds() < 3 {
+		t.Fatal("runner never ran a round")
 	}
-	if s.LastSample().IsZero() {
-		t.Error("LastSample still zero after rounds completed")
+	if r.LastRound().IsZero() {
+		t.Error("LastRound still zero after rounds completed")
 	}
-	s.Stop()
-	s.Stop() // idempotent
+	r.Stop()
+	r.Stop() // idempotent
 	if q.Len() != 1 {
 		t.Errorf("sampled procs = %d, want 1", q.Len())
+	}
+	if est, ok := q.Estimate("p"); !ok || int64(est.Samples) != r.Rounds() {
+		t.Errorf("estimate %+v (ok=%v), want one sample per round (%d)", est, ok, r.Rounds())
 	}
 }
 

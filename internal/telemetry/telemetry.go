@@ -19,8 +19,9 @@
 //
 // Three layers:
 //
-//   - QoS: the online estimators, one per monitored process, fed by a
-//     Sampler polling a LevelSource (a service.Monitor).
+//   - QoS: the online estimators, one per monitored process, fed each
+//     interval by the daemon's background round (service.Runner), or by
+//     Sample polling a LevelSource (a service.Monitor).
 //   - Counters / TransportCounters: cache-line-striped and plain atomic
 //     counters wired into the heartbeat ingest and query hot paths; an
 //     instrumented ingest stays zero-alloc and contention-free.
@@ -66,8 +67,7 @@ type Hub struct {
 	// movements (internal/autotune); zero and inert when autotuning is
 	// off.
 	Autotune AutotuneCounters
-	// Walks counts the evaluation plane's full-registry passes and how
-	// many consumers shared one (internal/service walk coalescing).
+	// Walks counts the evaluation plane's full-registry passes.
 	Walks WalkCounters
 
 	qos *QoS

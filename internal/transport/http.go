@@ -44,10 +44,9 @@ import (
 // re-learning the network from scratch.
 type API struct {
 	mon     *service.Monitor
+	run     *service.Runner
 	rec     *service.Recorder
 	hub     *telemetry.Hub
-	watcher *service.Watcher
-	sampler *telemetry.Sampler
 	cluster ClusterView
 	tuner   *autotune.Controller
 	mux     *http.ServeMux
@@ -61,28 +60,20 @@ type API struct {
 // APIOption configures the HTTP handler.
 type APIOption func(*API)
 
-// WithRecorder enables the /v1/history endpoint, serving the recorder's
-// recent level samples per process.
-func WithRecorder(rec *service.Recorder) APIOption {
-	return func(a *API) { a.rec = rec }
+// WithRunner wires the monitor's background round into the API: its
+// recorder, if any, serves /v1/history, and /v1/metrics reports the
+// round's liveness for each consumer attached to it.
+func WithRunner(r *service.Runner) APIOption {
+	return func(a *API) {
+		a.run = r
+		a.rec = r.Consumers().History
+	}
 }
 
 // WithAPITelemetry enables GET /v1/metrics, serving the hub's counters
 // and online QoS estimates in the Prometheus text format.
 func WithAPITelemetry(hub *telemetry.Hub) APIOption {
 	return func(a *API) { a.hub = hub }
-}
-
-// WithWatcher exposes the watcher's last-poll timestamp on /v1/metrics,
-// so a stalled application poll loop is visible from the outside.
-func WithWatcher(w *service.Watcher) APIOption {
-	return func(a *API) { a.watcher = w }
-}
-
-// WithSampler exposes the QoS sampler's last-round timestamp on
-// /v1/metrics.
-func WithSampler(s *telemetry.Sampler) APIOption {
-	return func(a *API) { a.sampler = s }
 }
 
 // WithClusterView enables GET /v1/cluster, serving the federation

@@ -286,11 +286,13 @@ func (a *API) writeGlobalMetrics(mw *telemetry.MetricWriter) {
 		"Last applied detector nominal-interval knob", "gauge")
 	mw.Sample("accrual_autotune_interval_seconds", tuneInterval)
 
-	walks := a.hub.Walks.Snapshot()
 	counter("accrual_walk_runs_total",
-		"Full-registry evaluation walks executed (sequential, parallel and coalesced batch passes)", walks.Runs)
+		"Full-registry evaluation walks executed (sequential, parallel and coalesced batch passes)", a.hub.Walks.Runs.Load())
+	// Always 0: the per-interval consumers share one round instead of
+	// joining each other's walks, so no walk is coalesced any more. The
+	// series and its help text stay as they were for existing dashboards.
 	counter("accrual_walk_coalesced_total",
-		"Full-fleet readers served by joining another consumer's walk instead of running their own", walks.Coalesced)
+		"Full-fleet readers served by joining another consumer's walk instead of running their own", 0)
 
 	count, mean, max := a.hub.QoS().DetectionStats()
 	mw.Header("accrual_qos_detections_total",
@@ -305,13 +307,17 @@ func (a *API) writeGlobalMetrics(mw *telemetry.MetricWriter) {
 
 	mw.Header("accrual_watcher_last_poll_timestamp_seconds",
 		"Monitor-clock time of the watcher's latest poll round (0 when never or not wired)", "gauge")
-	mw.Sample("accrual_watcher_last_poll_timestamp_seconds", timestampSeconds(lastPoll(a.watcher)))
+	var c service.Consumers
+	if a.run != nil {
+		c = a.run.Consumers()
+	}
+	mw.Sample("accrual_watcher_last_poll_timestamp_seconds", a.roundStamp(len(c.Apps) > 0))
 	mw.Header("accrual_recorder_last_tick_timestamp_seconds",
 		"Monitor-clock time of the recorder's latest sampling round (0 when never or not wired)", "gauge")
-	mw.Sample("accrual_recorder_last_tick_timestamp_seconds", timestampSeconds(lastTick(a.rec)))
+	mw.Sample("accrual_recorder_last_tick_timestamp_seconds", a.roundStamp(c.History != nil))
 	mw.Header("accrual_sampler_last_sample_timestamp_seconds",
 		"Monitor-clock time of the QoS sampler's latest round (0 when never or not wired)", "gauge")
-	mw.Sample("accrual_sampler_last_sample_timestamp_seconds", timestampSeconds(lastSample(a.sampler)))
+	mw.Sample("accrual_sampler_last_sample_timestamp_seconds", a.roundStamp(c.QoS != nil))
 }
 
 // writePerProcessHeaders emits the HELP/TYPE block of the six
@@ -392,32 +398,16 @@ func writeProcessSamples(mw *telemetry.MetricWriter, r *telemetry.ProcRow) {
 	mw.SampleRendered(telemetry.MetricQoSTG, proc, r.TG)
 }
 
-// lastPoll, lastTick and lastSample tolerate nil sources so the scrape
-// shape is stable regardless of which loops the daemon runs.
-func lastPoll(w *service.Watcher) time.Time {
-	if w == nil {
-		return time.Time{}
+// roundStamp renders the background round's liveness for one consumer
+// the Prometheus way: the latest round's Unix seconds as a float when
+// the consumer is attached to the runner, 0 when it is not or no round
+// has completed — so the scrape shape is the same whatever the daemon
+// runs.
+func (a *API) roundStamp(attached bool) float64 {
+	if !attached {
+		return 0
 	}
-	return w.LastPoll()
-}
-
-func lastTick(r *service.Recorder) time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.LastTick()
-}
-
-func lastSample(s *telemetry.Sampler) time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.LastSample()
-}
-
-// timestampSeconds renders a loop-liveness timestamp the Prometheus way:
-// Unix seconds as a float, 0 when the loop has never completed a round.
-func timestampSeconds(t time.Time) float64 {
+	t := a.run.LastRound()
 	if t.IsZero() {
 		return 0
 	}

@@ -66,10 +66,10 @@ func TestMetricsGolden(t *testing.T) {
 	hub.Transport.PacketsBadMagic.Add(2)
 	hub.Transport.Delivered.Add(7)
 
-	rec := service.NewRecorder(mon, 4)
-	rec.Tick()
+	run := service.NewRunner(mon, time.Second, service.Consumers{History: service.NewRecorder(mon, 4)})
+	run.Round()
 
-	api := NewAPI(mon, WithRecorder(rec), WithAPITelemetry(hub))
+	api := NewAPI(mon, WithRunner(run), WithAPITelemetry(hub))
 	srv := httptest.NewServer(api)
 	defer srv.Close()
 
@@ -249,9 +249,10 @@ func TestMetricsScrapeUnderChurn(t *testing.T) {
 	mon := service.NewMonitor(clock.Wall{}, func(_ string, start time.Time) core.Detector {
 		return simple.New(start)
 	}, service.WithTelemetry(hub))
-	sampler := telemetry.StartSampler(hub.QoS(), mon, time.Millisecond)
-	defer sampler.Stop()
-	srv := httptest.NewServer(NewAPI(mon, WithAPITelemetry(hub), WithSampler(sampler)))
+	run := service.NewRunner(mon, time.Millisecond, service.Consumers{QoS: hub.QoS()})
+	run.Start()
+	defer run.Stop()
+	srv := httptest.NewServer(NewAPI(mon, WithAPITelemetry(hub), WithRunner(run)))
 	defer srv.Close()
 
 	const (
@@ -369,10 +370,10 @@ func TestMetricsScrapeUnderChurn(t *testing.T) {
 		}
 	}
 
-	// Quiesce: with the sampler stopped and no more ingest the state is
+	// Quiesce: with the runner stopped and no more ingest the state is
 	// frozen, so a paginated scrape must reassemble byte-identically to
 	// the single-shot one even though the data came through churn.
-	sampler.Stop()
+	run.Stop()
 	fetch := func(url string) (string, string) {
 		resp, err := http.Get(url)
 		if err != nil {

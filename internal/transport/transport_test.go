@@ -310,12 +310,12 @@ func TestAPIHistory(t *testing.T) {
 		return simple.New(start)
 	})
 	_ = mon.Heartbeat(core.Heartbeat{From: "p", Seq: 1, Arrived: clk.Now()})
-	rec := service.NewRecorder(mon, 16)
+	run := service.NewRunner(mon, time.Second, service.Consumers{History: service.NewRecorder(mon, 16)})
 	for i := 0; i < 3; i++ {
 		clk.Advance(time.Second)
-		rec.Tick()
+		run.Round()
 	}
-	srv := httptest.NewServer(NewAPI(mon, WithRecorder(rec)))
+	srv := httptest.NewServer(NewAPI(mon, WithRunner(run)))
 	defer srv.Close()
 
 	var resp HistoryResponse
