@@ -37,10 +37,12 @@
 // the accrual_federation_* series on /v1/metrics.
 //
 // At large memberships, -profile compact trades estimator-window depth
-// for a smaller per-process footprint (see docs/TUNING.md). The id
-// intern table shared by the decode path and the registry is capped at
-// -intern-max distinct ids; past the cap, new ids still register but
-// are not remembered (counted by accrual_intern_overflow_total).
+// for a smaller per-process footprint (see docs/TUNING.md). A process id
+// is stored once, by the registry, when its first heartbeat binds it;
+// the listener's id intern table canonicalises only the ids AFG1 peer
+// digests carry. -intern-max caps that table; past the cap, a digest id
+// is still decoded but not remembered (counted by
+// accrual_intern_overflow_total).
 //
 // Ingest runs on the UDP read loop: each datagram is decoded and every
 // beat resolved against its registry slot and reported in place, with no
@@ -103,7 +105,6 @@ import (
 	"accrual/internal/simple"
 	"accrual/internal/telemetry"
 	"accrual/internal/transport"
-	"accrual/internal/transport/intern"
 	"accrual/internal/transport/statecodec"
 )
 
@@ -130,7 +131,7 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		shards    = fs.Int("shards", 0, "monitor registry shard count, rounded up to a power of two (0 = default 64)")
 		readBatch = fs.Int("read-batch", 16, "datagrams drained per read syscall via recvmmsg where available (1 = plain reads)")
 		profName  = fs.String("profile", "default", "memory profile: default, or compact (more shards, shallower estimator windows) for very large memberships")
-		internMax = fs.Int("intern-max", 0, "max distinct process ids interned by the shared id table (0 = default 1048576)")
+		internMax = fs.Int("intern-max", 0, "max distinct digest ids interned by the listener's id table (0 = default 1048576)")
 		stateFile = fs.String("state-file", "", "persist detector state here for warm restarts (empty disables)")
 		stateIntv = fs.Duration("state-interval", 30*time.Second, "period between state-file saves")
 		qosHigh   = fs.Float64("qos-high", float64(telemetry.DefaultQoSHigh), "online QoS reference threshold: suspect above this level")
@@ -168,17 +169,9 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		return fmt.Errorf("-qos-high/-qos-low: %w", err)
 	}
 	hub := telemetry.NewHub(telemetry.WithQoSThresholds(core.Level(*qosHigh), core.Level(*qosLow)))
-	// One id intern table serves both the UDP decode path and the
-	// registry keys, so a million processes store each id string once.
-	internOpts := []intern.Option{intern.WithOverflowCounter(&hub.Transport.InternOverflow)}
-	if *internMax > 0 {
-		internOpts = append(internOpts, intern.WithCapacity(*internMax))
-	}
-	ids := intern.New(internOpts...)
 	monOpts := []service.MonitorOption{
 		service.WithTelemetry(hub),
 		service.WithProfile(profile),
-		service.WithInterner(ids),
 	}
 	if *shards > 0 {
 		monOpts = append(monOpts, service.WithShardCount(*shards))
@@ -251,7 +244,7 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 
 	lnOpts := []transport.ListenerOption{
 		transport.WithTelemetry(hub),
-		transport.WithInternTable(ids),
+		transport.WithInternCapacity(*internMax),
 	}
 	if fed != nil {
 		lnOpts = append(lnOpts, transport.WithDigestHandler(fed.HandleDigest))

@@ -15,12 +15,11 @@ import (
 	"accrual/internal/phi"
 	"accrual/internal/service"
 	"accrual/internal/telemetry"
-	"accrual/internal/transport/intern"
 )
 
 // manyprocsPoint is one cell of the membership-scale sweep: a registry
 // size crossed with a memory profile, measured on the real service
-// stack (interned ids, slab registry, φ detectors with profile-sized
+// stack (slab registry and its id index, φ detectors with profile-sized
 // windows, telemetry on).
 type manyprocsPoint struct {
 	Procs   int    `json:"procs"`
@@ -92,10 +91,9 @@ func runManyprocsPoint(ids []string, profile service.Profile) manyprocsPoint {
 
 	hub := telemetry.NewHub()
 	clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
-	table := intern.New(intern.WithCapacity(procs + 1))
 	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
 		return phi.New(start, phi.WithBootstrap(interval, interval/4), phi.WithWindowSize(window))
-	}, service.WithTelemetry(hub), service.WithProfile(profile), service.WithInterner(table))
+	}, service.WithTelemetry(hub), service.WithProfile(profile))
 
 	arrived := mon.Now()
 	for i, id := range ids {

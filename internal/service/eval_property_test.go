@@ -13,6 +13,7 @@ import (
 	"accrual/internal/kappa"
 	"accrual/internal/phi"
 	"accrual/internal/simple"
+	"accrual/internal/transport/intern"
 )
 
 // detectorKinds builds every level function the module ships, for the
@@ -126,8 +127,8 @@ func comparePublishedToLocked(t *testing.T, m *Monitor, now time.Time) {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.RLock()
-		for id := range sh.procs {
-			e, _ := get(sh, id)
+		for _, id := range indexedIDs(sh) {
+			e, _ := get(sh, intern.Hash(id), id)
 			e.mu.Lock()
 			want := e.det.EvalSnapshot().Level(now)
 			e.mu.Unlock()

@@ -44,8 +44,9 @@ func (m *Monitor) HeartbeatBatch(beats []core.Heartbeat) (accepted, rejected int
 // aliases the datagram. hb.From is ignored. When the registry holds id
 // the beat is reported in place, resolved by probing the registry with
 // the bytes themselves, and HeartbeatID returns true. Otherwise it does
-// nothing and returns false: the caller canonicalises the id and hands
-// the beat to Heartbeat, which registers the sender.
+// nothing and returns false: the caller converts the id to a string and
+// hands the beat to Heartbeat, which registers the sender under that
+// string.
 func (m *Monitor) HeartbeatID(id []byte, hb core.Heartbeat) (known bool) {
 	return reportKnown(m, id, hb)
 }
@@ -60,22 +61,23 @@ func (m *Monitor) ingest(hb core.Heartbeat) bool {
 	if !m.autoRegister {
 		return false
 	}
-	id := m.ids.InternString(hb.From)
-	h := intern.Hash(id)
-	e, gen, _ := m.bindOnce(h, id, hb.Arrived)
+	h := intern.Hash(hb.From)
+	e, gen, _ := m.bindOnce(h, hb.From, hb.Arrived)
 	m.deliver(h, e, gen, hb)
 	return true
 }
 
 // reportKnown is the path every heartbeat of a registered process takes:
-// one intern.Hash of the id, one probe of its shard's map under the read
-// lock, and the report under the entry lock. It returns false, having
-// done nothing, when the registry does not hold id.
+// one intern.Hash of the id, which picks the shard and is the probe key
+// of the shard's index, one probe under the read lock (the index line,
+// then the id compare on the slot), and the report under the entry lock.
+// It allocates nothing and returns false, having done nothing, when the
+// registry does not hold id.
 func reportKnown[T ~string | ~[]byte](m *Monitor, id T, hb core.Heartbeat) bool {
 	h := intern.Hash(id)
 	sh := m.shardAt(h)
 	sh.mu.RLock()
-	e, gen := get(sh, id)
+	e, gen := get(sh, h, id)
 	sh.mu.RUnlock()
 	if e == nil {
 		return false
@@ -103,11 +105,11 @@ func (m *Monitor) deliver(h uint32, e *entry, gen uint64, hb core.Heartbeat) {
 func (m *Monitor) bindOnce(h uint32, id string, start time.Time) (e *entry, gen uint64, bound bool) {
 	sh := m.shardAt(h)
 	sh.mu.Lock()
-	if e, gen = get(sh, id); e == nil {
+	if e, gen = get(sh, h, id); e == nil {
 		if start.IsZero() {
 			start = m.clk.Now()
 		}
-		e, gen = sh.bind(id, m.factory(id, start), m.groupOf(id), start)
+		e, gen = sh.bind(h, id, m.factory(id, start), m.groupOf(id), start)
 		bound = true
 	}
 	sh.mu.Unlock()

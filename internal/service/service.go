@@ -18,7 +18,7 @@
 // every monitored process and every suspicion query from every
 // application lands on it. Its registry is therefore sharded — process
 // ids are FNV-1a-hashed onto a fixed power-of-two number of shards, each
-// with its own RWMutex-protected index — and each registered process
+// with its own RWMutex-protected id index — and each registered process
 // carries its own small mutex around its detector. Heartbeats and
 // queries for different processes never contend: they take a read lock
 // on (usually different) shards plus the per-process lock. Registration
@@ -34,8 +34,9 @@
 //
 // Entries live in per-shard slabs: chunked arrays addressed by a small
 // integer index, with a free list so deregistration returns the slot for
-// reuse instead of leaving a dead heap object behind. The shard map only
-// carries id → slot index; at a million processes that replaces a
+// reuse instead of leaving a dead heap object behind. The shard's index
+// only carries hash tag → slot index, 8 bytes a word, and the slot holds
+// the id itself (see idIndex); at a million processes that replaces a
 // million individually heap-allocated entries (each its own GC object,
 // scattered across the heap) with a few thousand contiguous chunks the
 // collector scans in bulk. Slots are guarded by a generation counter —
@@ -85,8 +86,8 @@ var (
 const defaultShardCount = 64
 
 // compactShardCount is the shard count ProfileCompact defaults to:
-// at the million-process scale the profile targets, 512 shards keep the
-// per-shard index maps below ~2k entries and spread write-lock traffic.
+// at the million-process scale the profile targets, 512 shards keep each
+// shard's id index below ~2k entries and spread write-lock traffic.
 const compactShardCount = 512
 
 // Profile selects the registry's memory/throughput trade-off.
@@ -172,19 +173,22 @@ func (p Profile) EstimatorWindow(def int) int {
 //
 // # The per-beat footprint
 //
-// Past the shard map, a heartbeat of a known process reads the slot, its
-// detector and the detector's sample buffer, and nothing else. With a
-// registry far beyond cache each object is a dependent miss per beat, so
-// what the write path needs stays inline: the canonical id it stamps on
-// hb.From is the slot's own copy (id), not entryMeta's, and the
-// last-arrival stamp lives only in the eval cell (evalLast).
+// A heartbeat of a known process reads one line of its shard's id index,
+// then the slot, the id's bytes (the index's tag hit is verified against
+// id), its detector and the detector's sample buffer, and nothing else.
+// With a registry far beyond cache each object is a dependent miss per
+// beat, so what the write path needs stays inline: the canonical id it
+// compares and stamps on hb.From is the slot's own copy (id), not
+// entryMeta's, and the last-arrival stamp lives only in the eval cell
+// (evalLast).
 type entry struct {
 	mu  sync.Mutex
 	gen atomic.Uint64
 	det core.Detector
 	// id is the binding's canonical id, the same string as meta.id, set
-	// at bind and cleared at unbind under mu; report stamps it on every
-	// beat as hb.From.
+	// at bind and cleared at unbind under mu and the shard write lock;
+	// the index probe compares it under the shard read lock, and report
+	// stamps it on every beat as hb.From.
 	id string
 
 	// meta is the binding's identity (id and group tag), nil while the
@@ -383,10 +387,14 @@ func (s *slab) alloc() (uint32, *entry) {
 }
 
 // shard is one slice of the registry with its own lock: an id → slot
-// index plus the entry slab the indices address.
+// index plus the entry slab the indices address. The per-beat footprint
+// inside the read lock is one probe of the index — usually one cache
+// line, the home word — and the id compare on the slot the beat is about
+// to lock anyway; the index holds no id and no pointer, so the collector
+// never scans it.
 type shard struct {
 	mu    sync.RWMutex
-	procs map[string]uint32
+	index idIndex
 	slab  slab
 	// epoch counts the shard's membership changes: bind and unbind bump
 	// it under the write lock, nothing else does. Whatever is a function
@@ -396,24 +404,22 @@ type shard struct {
 	order sortedOrder
 }
 
-// get resolves id — a string, or raw bytes probed without a conversion
-// allocation — to its entry and current generation. Caller holds sh.mu
-// (read or write); the returned gen is the binding observed under that
-// lock, and stays verifiable after the lock is released.
-func get[T ~string | ~[]byte](sh *shard, id T) (*entry, uint64) {
-	idx, ok := sh.procs[string(id)]
-	if !ok {
+// get is find returning the entry with its current generation: the
+// binding observed under the caller's shard lock, which stays verifiable
+// after the lock is released.
+func get[T ~string | ~[]byte](sh *shard, h uint32, id T) (*entry, uint64) {
+	_, e := find(sh, h, id)
+	if e == nil {
 		return nil, 0
 	}
-	e := sh.slab.at(idx)
 	return e, e.gen.Load()
 }
 
-// bind allocates a slot for id and installs det, tagged with the
-// process's group and stamped with its start time (evalLast until the
-// first heartbeat arrives). Caller holds the shard write lock; id
-// must not be present.
-func (sh *shard) bind(id string, det core.Detector, group string, start time.Time) (*entry, uint64) {
+// bind allocates a slot for id, which hashes to h, and installs det,
+// tagged with the process's group and stamped with its start time
+// (evalLast until the first heartbeat arrives). Caller holds the shard
+// write lock; id must not be present.
+func (sh *shard) bind(h uint32, id string, det core.Detector, group string, start time.Time) (*entry, uint64) {
 	idx, e := sh.slab.alloc()
 	e.mu.Lock()
 	e.det = det
@@ -427,24 +433,24 @@ func (sh *shard) bind(id string, det core.Detector, group string, start time.Tim
 	meta.series.Init(id)
 	e.publishEval(meta, true, start.UnixNano())
 	e.mu.Unlock()
-	sh.procs[id] = idx
+	sh.index.insert(h, idx)
 	sh.epoch++
 	return e, gen
 }
 
-// unbind removes id, invalidates outstanding handles to its slot and
-// returns the slot to the free list. The detector reference is cleared
-// immediately — deregistration releases the per-process state to the
-// collector right away rather than when the slot is next reused, so
-// churn cannot pin memory. Caller holds the shard write lock.
-func (sh *shard) unbind(id string) bool {
-	idx, ok := sh.procs[id]
-	if !ok {
+// unbind removes id, which hashes to h, invalidates outstanding handles
+// to its slot and returns the slot to the free list. The detector
+// reference is cleared immediately — deregistration releases the
+// per-process state to the collector right away rather than when the
+// slot is next reused, so churn cannot pin memory. Caller holds the
+// shard write lock.
+func (sh *shard) unbind(h uint32, id string) bool {
+	idx, e := find(sh, h, id)
+	if e == nil {
 		return false
 	}
-	delete(sh.procs, id)
+	sh.index.remove(h, idx)
 	sh.epoch++
-	e := sh.slab.at(idx)
 	e.mu.Lock()
 	e.gen.Add(1) // odd → even: free
 	e.det = nil
@@ -465,13 +471,6 @@ type Monitor struct {
 	factory      Factory
 	autoRegister bool
 	profile      Profile
-
-	// ids is the optional shared intern table: registration canonicalises
-	// ids through it so the registry key shares storage with the
-	// transport decode path's strings (one heap string per id, however
-	// many layers touch it). Nil means plain strings; intern.Table is
-	// nil-receiver-safe so the call sites carry no branch.
-	ids *intern.Table
 
 	shardMask uint32
 	shardReq  int // WithShardCount request; 0 = profile default
@@ -517,14 +516,6 @@ func WithShardCount(n int) MonitorOption {
 // processes".
 func WithProfile(p Profile) MonitorOption {
 	return func(m *Monitor) { m.profile = p }
-}
-
-// WithInterner canonicalises registry keys through tab — normally the
-// same shared table the UDP listener's decode path interns ids into, so
-// a monitored process costs one id string for the whole daemon. A nil
-// table is valid and means no interning.
-func WithInterner(tab *intern.Table) MonitorOption {
-	return func(m *Monitor) { m.ids = tab }
 }
 
 // WithGroupFn tags every process registered (explicitly or by
@@ -575,9 +566,6 @@ func NewMonitor(clk clock.Clock, factory Factory, opts ...MonitorOption) *Monito
 	}
 	m.shards = make([]shard, p)
 	m.shardMask = uint32(p - 1)
-	for i := range m.shards {
-		m.shards[i].procs = make(map[string]uint32)
-	}
 	return m
 }
 
@@ -588,10 +576,6 @@ func (m *Monitor) Profile() Profile { return m.profile }
 // and reuse the value for both shard selection and counter striping.
 func (m *Monitor) shardAt(h uint32) *shard {
 	return &m.shards[h&m.shardMask]
-}
-
-func (m *Monitor) shardFor(id string) *shard {
-	return m.shardAt(intern.Hash(id))
 }
 
 // groupOf resolves a process id's group tag ("" without WithGroupFn).
@@ -605,9 +589,10 @@ func (m *Monitor) groupOf(id string) string {
 // lookup returns the live entry for id with its binding generation, or
 // (nil, 0).
 func (m *Monitor) lookup(id string) (*entry, uint64) {
-	sh := m.shardFor(id)
+	h := intern.Hash(id)
+	sh := m.shardAt(h)
 	sh.mu.RLock()
-	e, gen := get(sh, id)
+	e, gen := get(sh, h, id)
 	sh.mu.RUnlock()
 	return e, gen
 }
@@ -617,13 +602,11 @@ func (m *Monitor) lookup(id string) (*entry, uint64) {
 // rebound once the shard lock is released; callers re-read the binding
 // from the entry (loadEval) and check it is still id's.
 func (m *Monitor) slotOf(id string) (s int, slot uint32, e *entry) {
-	s = int(intern.Hash(id) & m.shardMask)
+	h := intern.Hash(id)
+	s = int(h & m.shardMask)
 	sh := &m.shards[s]
 	sh.mu.RLock()
-	slot, ok := sh.procs[id]
-	if ok {
-		e = sh.slab.at(slot)
-	}
+	slot, e = find(sh, h, id)
 	sh.mu.RUnlock()
 	return s, slot, e
 }
@@ -631,7 +614,6 @@ func (m *Monitor) slotOf(id string) (s int, slot uint32, e *entry) {
 // Register adds a monitored process. It returns ErrAlreadyRegistered if
 // the id is already present.
 func (m *Monitor) Register(id string) error {
-	id = m.ids.InternString(id)
 	if _, _, bound := m.bindOnce(intern.Hash(id), id, time.Time{}); !bound {
 		return fmt.Errorf("%w: %q", ErrAlreadyRegistered, id)
 	}
@@ -648,7 +630,7 @@ func (m *Monitor) Deregister(id string) bool {
 	h := intern.Hash(id)
 	sh := m.shardAt(h)
 	sh.mu.Lock()
-	ok := sh.unbind(id)
+	ok := sh.unbind(h, id)
 	sh.mu.Unlock()
 	if ok {
 		// Telemetry strictly after the shard unlock: the background
@@ -675,7 +657,7 @@ func (m *Monitor) Len() int {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.RLock()
-		n += len(sh.procs)
+		n += sh.index.n
 		sh.mu.RUnlock()
 	}
 	return n
@@ -687,9 +669,7 @@ func (m *Monitor) Processes() []string {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.RLock()
-		for id := range sh.procs {
-			ids = append(ids, id)
-		}
+		sh.index.eachSlot(func(slot uint32) { ids = append(ids, sh.slab.at(slot).id) })
 		sh.mu.RUnlock()
 	}
 	sort.Strings(ids)
@@ -707,7 +687,7 @@ func (m *Monitor) Suspicion(id string) (core.Level, error) {
 	h := intern.Hash(id)
 	sh := m.shardAt(h)
 	sh.mu.RLock()
-	e, _ := get(sh, id)
+	e, _ := get(sh, h, id)
 	sh.mu.RUnlock()
 	if e == nil {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownProcess, id)

@@ -16,8 +16,9 @@ import (
 // TestSlabChurnMemoryStable runs 100k register/deregister cycles over a
 // small rotating id set and asserts the live heap stays flat: Deregister
 // must return slab slots to the free list for reuse instead of growing
-// the arena, so registration storms (flapping fleets, rolling restarts)
-// cannot grow the process without bound.
+// the arena, and must leave no tombstone in the shard's id index, so
+// registration storms (flapping fleets, rolling restarts) cannot grow
+// the process without bound.
 func TestSlabChurnMemoryStable(t *testing.T) {
 	clk := clock.NewManual(start)
 	m := NewMonitor(clk, func(_ string, at time.Time) core.Detector {
@@ -49,6 +50,7 @@ func TestSlabChurnMemoryStable(t *testing.T) {
 	// Warm-up reaches steady state (slab chunks allocated, free list
 	// primed); everything after it must reuse those slots.
 	churn(2 * live)
+	words := indexWords(m)
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -60,6 +62,9 @@ func TestSlabChurnMemoryStable(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if m.Len() != 0 {
 		t.Fatalf("Len = %d after full churn, want 0", m.Len())
+	}
+	if got := indexWords(m); got != words {
+		t.Errorf("id index grew from %d to %d words over %d churn cycles, want no growth (tombstones?)", words, got, cycles)
 	}
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	// 100k cycles each allocating a fresh slab slot would grow the heap

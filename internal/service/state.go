@@ -66,8 +66,7 @@ func (m *Monitor) ImportState(st MonitorState) (restored int, err error) {
 	for _, ps := range st.Procs {
 		e, gen := m.lookup(ps.ID)
 		if e == nil {
-			id := m.ids.InternString(ps.ID)
-			e, gen, _ = m.bindOnce(intern.Hash(id), id, time.Time{})
+			e, gen, _ = m.bindOnce(intern.Hash(ps.ID), ps.ID, time.Time{})
 		}
 		e.mu.Lock()
 		if e.gen.Load() != gen {

@@ -137,11 +137,11 @@ func (sh *shard) eachSorted(now time.Time, fn func(meta *entryMeta, lvl core.Lev
 	if rebuilt = o.epoch != sh.epoch; rebuilt {
 		clear(o.slots) // drop the previous epoch's bindings, unbound ones included
 		o.slots = o.slots[:0]
-		for _, idx := range sh.procs {
-			// Membership is frozen under the shard lock, so every indexed
-			// slot is bound and its identity is stable.
+		// Membership is frozen under the shard lock, so every indexed
+		// slot is bound and its identity is stable.
+		sh.index.eachSlot(func(idx uint32) {
 			o.slots = append(o.slots, orderedSlot{meta: sh.slab.at(idx).meta.Load(), idx: idx})
-		}
+		})
 		o.epoch = sh.epoch
 	}
 	sh.mu.RUnlock()

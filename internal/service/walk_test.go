@@ -160,10 +160,7 @@ func checkSeriesAgainstReference(t *testing.T, m *Monitor, now time.Time) {
 	for s := range m.shards {
 		sh := &m.shards[s]
 		sh.mu.RLock()
-		want := make([]string, 0, len(sh.procs))
-		for id := range sh.procs {
-			want = append(want, id)
-		}
+		want := indexedIDs(sh)
 		sh.mu.RUnlock()
 		sort.Strings(want)
 

@@ -118,10 +118,11 @@ type TransportCounters struct {
 	// Redials counts Sender reconnection attempts after a torn-down
 	// socket (each attempt re-resolves the target address).
 	Redials atomic.Uint64
-	// InternOverflow counts process ids the shared intern table could not
-	// remember because it was at capacity — each such id is re-allocated
-	// on every packet that carries it, so a non-zero rate here says the
-	// -intern-max budget is below the live id cardinality.
+	// InternOverflow counts AFG1 digest ids the listener's intern table
+	// could not remember because it was at capacity — each such id is
+	// re-allocated on every digest that carries it, so a non-zero rate
+	// here says the -intern-max budget is below the digest id
+	// cardinality. Heartbeat ids never reach the table.
 	InternOverflow atomic.Uint64
 
 	// sockets holds the listener's per-socket counter cells, installed

@@ -243,12 +243,13 @@ func UnmarshalBatch(buf []byte, dst []core.Heartbeat, ids *IDInterner) ([]core.H
 	return dst, nil
 }
 
-// IDInterner canonicalises process-id byte strings so that repeated
-// decoding of the same ids reuses one string allocation: the shared,
-// concurrency-safe intern.Table, capacity-bounded (configurable, default
-// intern.DefaultCapacity) with counted overflow instead of the old
-// silent hard 65536 cap. The name survives as an alias so codec
-// signatures and existing callers read unchanged.
+// IDInterner canonicalises id byte strings so that repeated decoding of
+// the same ids reuses one string allocation: a concurrency-safe
+// intern.Table, capacity-bounded (configurable, default
+// intern.DefaultCapacity) with counted overflow. The listener keeps one
+// for AFG1 digest ids; the registry does not intern heartbeat ids. The
+// name survives as an alias so codec signatures and existing callers
+// read unchanged.
 type IDInterner = intern.Table
 
 // NewIDInterner returns an empty interner with the default capacity.

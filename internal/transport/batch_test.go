@@ -181,7 +181,7 @@ func TestBatchCodecZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestIDInternerCap pins the capacity contract of the shared table: a
+// TestIDInternerCap pins the capacity contract of the id table: a
 // bounded interner never exceeds its configured capacity, every distinct
 // id past the cap is counted as overflow instead of silently forgotten,
 // and conversions stay correct either way.
@@ -212,6 +212,8 @@ func TestIDInternerCap(t *testing.T) {
 // TestListenerInternOverflowTelemetry proves a capacity-starved listener
 // surfaces the overflow in its transport counters (the
 // accrual_intern_overflow_total series) instead of allocating silently.
+// The table canonicalises AFG1 digest ids, so the spray is digests whose
+// suspect ids are all distinct.
 func TestListenerInternOverflowTelemetry(t *testing.T) {
 	mon := newMonitor()
 	l, err := Listen("127.0.0.1:0", mon, WithInternCapacity(64))
@@ -225,26 +227,25 @@ func TestListenerInternOverflowTelemetry(t *testing.T) {
 	}
 	defer conn.Close()
 	var buf []byte
-	const senders = 1024 // far beyond the 64-id table
-	for i := 0; i < senders; i++ {
-		hb := core.Heartbeat{From: fmt.Sprintf("spray-%04d", i), Seq: 1}
-		if buf, err = AppendHeartbeat(buf[:0], hb); err != nil {
+	const digests, perDigest = 16, 64 // 1024 ids, far beyond the 64-id table
+	d := &Digest{Origin: "spray", Sent: time.Unix(0, 0), Suspects: make([]DigestSuspect, perDigest)}
+	for i := 0; i < digests; i++ {
+		d.Seq = uint64(i + 1)
+		for j := range d.Suspects {
+			d.Suspects[j] = DigestSuspect{ID: fmt.Sprintf("spray-%04d", i*perDigest+j), Level: 1}
+		}
+		if buf, err = AppendDigest(buf[:0], d); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := conn.Write(buf); err != nil {
 			t.Fatal(err)
-		}
-		if i%64 == 63 {
-			// Pace against the loopback socket buffer; enough sprays must
-			// actually arrive to exhaust the 64-id table.
-			time.Sleep(time.Millisecond)
 		}
 	}
 	waitUntil(t, 3*time.Second, func() bool {
 		return l.Stats().InternOverflow > 0
 	})
 	if got := l.Stats().InternOverflow; got == 0 {
-		t.Error("InternOverflow = 0 after spraying ids past the table capacity")
+		t.Error("InternOverflow = 0 after spraying digest ids past the table capacity")
 	}
 }
 

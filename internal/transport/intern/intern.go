@@ -1,12 +1,10 @@
-// Package intern provides a shared, concurrency-safe string interner for
-// process ids. One Table is meant to back the whole daemon: the UDP read
-// loop canonicalises the bytes of an id the registry does not hold yet
-// (and of digest ids) through it, and the Monitor registers its
-// processes through the same table, so each process id is one string
-// allocation no matter how many layers handle it. At a million monitored
-// processes that is the difference between one id heap object per
-// process and one per layer that ever touched the id. A known id never
-// reaches the table: the registry resolves it from the bytes directly.
+// Package intern provides a concurrency-safe string interner for ids
+// that are decoded over and over, and Hash, the daemon's one id hash.
+// The UDP listener keeps a Table for the ids of AFG1 peer digests, which
+// repeat round after round, so a steady-state digest decode allocates
+// nothing. Heartbeat ids never reach a Table: the registry resolves a
+// known id from the datagram's bytes through its own index, and stores a
+// first-contact id, converted once, as the binding's id.
 //
 // The table is sharded 64 ways by Hash, the one id hash of the daemon:
 // registry shards and counter stripes are placed by it too. The hit path
@@ -91,8 +89,8 @@ func New(opts ...Option) *Table {
 }
 
 // Hash is the one process-id hash of the daemon: 32-bit FNV-1a over the
-// id's bytes. Interner stripes, registry shards and counter stripes all
-// derive from it, so an id still in its decode
+// id's bytes. Interner stripes, registry shards, the registry's index
+// tags and counter stripes all derive from it, so an id still in its decode
 // buffer and the same id held as a string land in the same place. It
 // does not allocate.
 func Hash[T ~string | ~[]byte](s T) uint32 {
@@ -104,31 +102,23 @@ func Hash[T ~string | ~[]byte](s T) uint32 {
 	return h
 }
 
-// canonical returns t's canonical string for s, given as a string or as
-// raw bytes, remembering it for next time (up to the capacity). The hit
-// path performs no allocations: the stripe's map is probed with the
-// bytes themselves. A nil table degrades to a plain conversion.
-func canonical[T ~string | ~[]byte](t *Table, s T) string {
+// Intern returns t's canonical string for the decoded id bytes b,
+// remembering it for next time (up to the capacity). The hit path
+// performs no allocations: the stripe's map is probed with the bytes
+// themselves. A nil table degrades to a plain conversion.
+func (t *Table) Intern(b []byte) string {
 	if t == nil {
-		return string(s)
+		return string(b)
 	}
-	sh := &t.shards[Hash(s)&(numShards-1)]
+	sh := &t.shards[Hash(b)&(numShards-1)]
 	sh.mu.RLock()
-	got, ok := sh.m[string(s)] // compiler-optimised: no conversion alloc
+	got, ok := sh.m[string(b)] // compiler-optimised: no conversion alloc
 	sh.mu.RUnlock()
 	if ok {
 		return got
 	}
-	return t.miss(sh, string(s))
+	return t.miss(sh, string(b))
 }
-
-// Intern is canonical for decoded id bytes.
-func (t *Table) Intern(b []byte) string { return canonical(t, b) }
-
-// InternString is canonical for an id already held as a string — the
-// registry's registration path, where interning makes the map key share
-// storage with the decode path's canonical id.
-func (t *Table) InternString(s string) string { return canonical(t, s) }
 
 // miss inserts s under the shard write lock, re-checking for a
 // concurrent insert. At capacity the id is returned unremembered and the

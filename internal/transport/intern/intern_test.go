@@ -18,9 +18,6 @@ func TestInternCanonicalises(t *testing.T) {
 	if a != "proc-1" || b != "proc-1" {
 		t.Fatalf("Intern = %q, %q, want proc-1", a, b)
 	}
-	if got := tab.InternString("proc-1"); got != a {
-		t.Fatalf("InternString = %q, want %q", got, a)
-	}
 	if tab.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", tab.Len())
 	}
@@ -99,9 +96,6 @@ func TestNilTableDegrades(t *testing.T) {
 	if got := tab.Intern([]byte("x")); got != "x" {
 		t.Fatalf("nil Intern = %q", got)
 	}
-	if got := tab.InternString("y"); got != "y" {
-		t.Fatalf("nil InternString = %q", got)
-	}
 	if tab.Len() != 0 || tab.Overflows() != 0 || tab.Capacity() != 0 {
 		t.Fatal("nil table accessors should be zero")
 	}
@@ -118,12 +112,6 @@ func TestInternHitPathZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Intern hit path allocates %.1f/op, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(1000, func() {
-		tab.InternString("proc-zero-alloc")
-	})
-	if allocs != 0 {
-		t.Fatalf("InternString hit path allocates %.1f/op, want 0", allocs)
 	}
 }
 

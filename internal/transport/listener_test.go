@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -62,44 +63,55 @@ func TestListenerBatchIngestZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestKnownIDsNeverTouchInterner pins the one-hash, one-probe path: a
-// beat whose id the registry already holds is resolved against the
-// registry shard with the datagram's own bytes, so the listener's intern
-// table stays empty however many frames and datagrams arrive. Only an
-// id the registry does not hold goes through the table, and is then
-// registered.
-func TestKnownIDsNeverTouchInterner(t *testing.T) {
-	mon := newMonitor() // no shared table: registry and listener intern apart
+// TestKnownIDsNeverAllocate pins the one-hash, one-probe path: a beat
+// whose id the registry already holds is resolved against its registry
+// shard with the datagram's own bytes, so AFB1 frames and AFD1 datagrams
+// of known ids make no allocation at all. Heartbeat ids never reach the
+// listener's intern table: it stays empty under known-id traffic, and a
+// new id is registered without passing through it either.
+func TestKnownIDsNeverAllocate(t *testing.T) {
+	mon := newMonitor()
 	const procs = 64
-	ids := make([]string, procs)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("known-%02d", i)
-		if err := mon.Register(ids[i]); err != nil {
+	round := make([]core.Heartbeat, procs)
+	sent := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
+	for i := range round {
+		round[i] = core.Heartbeat{From: fmt.Sprintf("known-%02d", i), Sent: sent}
+		if err := mon.Register(round[i].From); err != nil {
 			t.Fatal(err)
 		}
 	}
 	l := newListener(mon)
-	sent := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
-	var want uint64
-	for seq := uint64(1); seq <= 4; seq++ {
-		round := make([]core.Heartbeat, procs)
-		for i, id := range ids {
-			round[i] = core.Heartbeat{From: id, Seq: 2 * seq, Sent: sent}
-		}
-		frame, err := MarshalBatch(round)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.handleDatagram(frame, sent)
-		for _, hb := range round {
-			hb.Seq++
-			pkt, err := MarshalHeartbeat(hb)
-			if err != nil {
+	enc := NewBatchEncoder(procs)
+	var pkt []byte
+	var seq, want uint64
+	frame := func() {
+		seq++
+		enc.Reset()
+		for i := range round {
+			round[i].Seq = seq
+			if err := enc.Add(round[i]); err != nil {
 				t.Fatal(err)
 			}
-			l.handleDatagram(pkt, sent)
 		}
-		want += 2 * procs
+		l.handleDatagram(enc.Bytes(), sent)
+		want += procs
+	}
+	single := func() {
+		seq++
+		var err error
+		if pkt, err = AppendHeartbeat(pkt[:0], core.Heartbeat{From: round[int(seq)%procs].From, Seq: seq, Sent: sent}); err != nil {
+			t.Fatal(err)
+		}
+		l.handleDatagram(pkt, sent)
+		want++
+	}
+	frame()
+	single()
+	if allocs := testing.AllocsPerRun(200, frame); allocs != 0 {
+		t.Errorf("known-id AFB1 frame: %.1f allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, single); allocs != 0 {
+		t.Errorf("known-id AFD1 datagram: %.1f allocs/op, want 0", allocs)
 	}
 	if n := l.ids.Len(); n != 0 {
 		t.Errorf("intern table holds %d ids after known-id traffic, want 0", n)
@@ -113,11 +125,60 @@ func TestKnownIDsNeverTouchInterner(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.handleDatagram(pkt, sent)
-	if n := l.ids.Len(); n != 1 {
-		t.Errorf("intern table holds %d ids after one unknown id, want 1", n)
-	}
 	if !mon.Known("stranger") {
 		t.Error("unknown id was not registered")
+	}
+	if n := l.ids.Len(); n != 0 {
+		t.Errorf("intern table holds %d ids after a new id, want 0", n)
+	}
+}
+
+// TestFreshIDChurnLeavesNoTrace beats 100k fresh ids through the read
+// loop's datagram step once each and deregisters each after its beat,
+// the way a fleet of short-lived senders (or a spoofer) passes through.
+// The registry reuses slots and index words, and the listener keeps
+// nothing per heartbeat id, so the intern table ends empty and the live
+// heap stays flat.
+func TestFreshIDChurnLeavesNoTrace(t *testing.T) {
+	mon := newMonitor()
+	l := newListener(mon)
+	sent := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
+	var pkt []byte
+	n := 0
+	churn := func(k int) {
+		for c := 0; c < k; c++ {
+			id := fmt.Sprintf("fresh-%07d", n)
+			n++
+			var err error
+			if pkt, err = AppendHeartbeat(pkt[:0], core.Heartbeat{From: id, Seq: 1, Sent: sent}); err != nil {
+				t.Fatal(err)
+			}
+			l.handleDatagram(pkt, sent)
+			if !mon.Deregister(id) {
+				t.Fatalf("%s was not registered by its beat", id)
+			}
+		}
+	}
+	churn(1000)
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	churn(100_000)
+
+	runtime.GC()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	if got := l.ids.Len(); got != 0 {
+		t.Errorf("intern table holds %d ids after fresh-id churn, want 0", got)
+	}
+	if got := mon.Len(); got != 0 {
+		t.Errorf("registry holds %d ids after fresh-id churn, want 0", got)
+	}
+	runtime.KeepAlive(l)
+	const limit = 1 << 20
+	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > limit {
+		t.Errorf("live heap grew %d bytes over 100k fresh ids, want < %d", growth, limit)
 	}
 }
 

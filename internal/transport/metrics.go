@@ -222,6 +222,8 @@ func (a *API) writeGlobalMetrics(mw *telemetry.MetricWriter) {
 	mw.Header("accrual_udp_ingest_queue_high_water",
 		"Always 0: no ingest queue sits between the socket and the registry", "gauge")
 	mw.Sample("accrual_udp_ingest_queue_high_water", 0)
+	// The table interns AFG1 digest ids only; the HELP text predates that
+	// and is kept because the exposition golden pins it.
 	counter("accrual_intern_overflow_total",
 		"Heartbeat ids decoded without interning because the id table was at capacity", ts.InternOverflow)
 	if a.hub.Transport.SocketCount() > 0 {

@@ -579,7 +579,9 @@ func (s *Sender) Stop() {
 // each datagram — an AFB1 frame, or an AFD1 datagram as its one-record
 // case — and hands each record, its id still the bytes of the read
 // buffer, to Monitor.HeartbeatID. A known id costs one intern.Hash and
-// one probe of its registry shard; the beat is reported in place. There
+// one probe of its registry shard's index; the beat is reported in
+// place, with no allocation. A first-contact id is converted to a string
+// once, and the registry keeps that string as the binding's id. There
 // is no queue between socket and slot: under overload the socket's
 // receive buffer is the queue, and what the kernel drops is the same
 // loss the detectors already tolerate from the network.
@@ -592,9 +594,9 @@ type Listener struct {
 
 	stopped chan struct{}
 
-	// ids is the interner for ids the registry does not hold yet and for
-	// digest ids — the shared, concurrency-safe table the Monitor also
-	// canonicalises through when wired with service.WithInterner.
+	// ids canonicalises AFG1 digest ids: the ids of a peer's digest
+	// repeat round after round, so each is stored once. Heartbeat ids
+	// never reach it; the registry stores those itself.
 	ids *IDInterner
 
 	// tel counts packet dispositions. It defaults to a listener-private
@@ -663,22 +665,9 @@ func WithDigestHandler(fn func(d *Digest, arrived time.Time)) ListenerOption {
 	return func(l *Listener) { l.digestFn = fn }
 }
 
-// WithInternTable substitutes the id intern table that canonicalises
-// ids the registry does not hold yet, and digest ids — normally the
-// daemon-wide shared table also passed to service.WithInterner, so a
-// process id is one string for transport and registry together.
-// Overrides WithInternCapacity.
-func WithInternTable(tab *IDInterner) ListenerOption {
-	return func(l *Listener) {
-		if tab != nil {
-			l.ids = tab
-		}
-	}
-}
-
-// WithInternCapacity bounds the listener-private intern table at n ids
-// (default intern.DefaultCapacity) when no shared table was supplied.
-// Beyond the bound, a new id is converted without being remembered and
+// WithInternCapacity bounds the listener's digest-id intern table at n
+// ids (default intern.DefaultCapacity; n <= 0 keeps the default). Beyond
+// the bound, a new digest id is converted without being remembered and
 // counted in accrual_intern_overflow_total.
 func WithInternCapacity(n int) ListenerOption {
 	return func(l *Listener) {
@@ -719,15 +708,13 @@ func newListener(mon *service.Monitor, opts ...ListenerOption) *Listener {
 	for _, opt := range opts {
 		opt(l)
 	}
-	if l.ids == nil {
-		// Built after the options so the overflow counter lands on the
-		// final (possibly hub-shared) TransportCounters.
-		iopts := []intern.Option{intern.WithOverflowCounter(&l.tel.InternOverflow)}
-		if l.internCap > 0 {
-			iopts = append(iopts, intern.WithCapacity(l.internCap))
-		}
-		l.ids = intern.New(iopts...)
+	// Built after the options so the overflow counter lands on the final
+	// (possibly hub-shared) TransportCounters.
+	iopts := []intern.Option{intern.WithOverflowCounter(&l.tel.InternOverflow)}
+	if l.internCap > 0 {
+		iopts = append(iopts, intern.WithCapacity(l.internCap))
 	}
+	l.ids = intern.New(iopts...)
 	return l
 }
 
@@ -810,9 +797,9 @@ func (l *Listener) handleDatagram(buf []byte, arrived time.Time) {
 			delivered++
 			continue
 		}
-		// First contact: intern through the listener's table, so its
-		// capacity bound and overflow counter apply, and register below.
-		hb.From = l.ids.Intern(id)
+		// First contact: this conversion is the id's one allocation; the
+		// registry keeps the string when it binds the sender below.
+		hb.From = string(id)
 		l.fresh = append(l.fresh, hb)
 	}
 	if len(l.fresh) > 0 {
