@@ -161,14 +161,12 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 	if err != nil {
 		return err
 	}
-	// Threshold validation is a hard boot failure here: the Hub option
-	// falls back to defaults on invalid pairs (it has no error path), and
-	// silently ignoring an operator's explicit -qos-high/-qos-low is
-	// exactly the kind of seam an autotuner must not sit on.
-	if _, err := telemetry.NewQoS(core.Level(*qosHigh), core.Level(*qosLow)); err != nil {
+	// An invalid -qos-high/-qos-low pair is a boot failure, not a silent
+	// fallback to the defaults.
+	hub := telemetry.NewHub()
+	if err := hub.QoS().SetThresholds(core.Level(*qosHigh), core.Level(*qosLow)); err != nil {
 		return fmt.Errorf("-qos-high/-qos-low: %w", err)
 	}
-	hub := telemetry.NewHub(telemetry.WithQoSThresholds(core.Level(*qosHigh), core.Level(*qosLow)))
 	monOpts := []service.MonitorOption{
 		service.WithTelemetry(hub),
 		service.WithProfile(profile),

@@ -232,7 +232,10 @@ func TestQoSSaneUnderFaults(t *testing.T) {
 	)
 	epoch := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
 	clk := clock.NewManual(epoch)
-	hub := telemetry.NewHub(telemetry.WithQoSThresholds(8, 4))
+	hub := telemetry.NewHub()
+	if err := hub.QoS().SetThresholds(8, 4); err != nil {
+		t.Fatal(err)
+	}
 	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
 		return phi.New(start, phi.WithBootstrap(interval, interval/4))
 	}, service.WithTelemetry(hub))
@@ -260,13 +263,12 @@ func TestQoSSaneUnderFaults(t *testing.T) {
 		}
 	}
 
-	ests := hub.QoS().Estimates()
-	if len(ests) != 1 {
-		t.Fatalf("estimates for %d processes, want 1", len(ests))
+	if n := mon.Len(); n != 1 {
+		t.Fatalf("monitor tracks %d processes, want 1", n)
 	}
-	est := ests[0]
-	if est.ID != proc || est.Samples < beats/2 {
-		t.Fatalf("estimate %+v: wrong process or too few samples", est)
+	est, ok := hub.QoS().Estimate(proc)
+	if !ok || est.Samples < beats/2 {
+		t.Fatalf("estimate %+v (ok=%v): too few samples", est, ok)
 	}
 	if math.IsNaN(est.PA) || est.PA < 0 || est.PA > 1 {
 		t.Errorf("P_A = %v, want a probability", est.PA)

@@ -16,6 +16,7 @@ package qos
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"accrual/internal/core"
@@ -133,85 +134,160 @@ func Evaluate(in Input) (Report, error) {
 		prevAt = tr.At
 	}
 
-	crashed := !in.CrashAt.IsZero()
-	accEnd := in.End
-	if crashed && in.CrashAt.Before(accEnd) {
-		accEnd = in.CrashAt
-	}
-	if accEnd.Before(in.Start) {
-		accEnd = in.Start
-	}
-
+	// Transitions after End lie outside the observation window; the last
+	// step closes it.
+	run := NewRun(in.Start, status)
+	run.CrashAt = in.CrashAt
 	var rep Report
-	rep.AccuracyWindow = accEnd.Sub(in.Start)
-
-	// Accuracy metrics over [Start, accEnd].
-	var (
-		trustedTime time.Duration
-		lastS       time.Time
-		lastT       time.Time
-		haveS       bool
-		haveT       bool
-	)
-	cur := status
-	curSince := in.Start
 	for _, tr := range in.Transitions {
-		if tr.At.After(accEnd) {
+		if tr.At.After(in.End) {
 			break
 		}
-		if cur == core.Trusted {
-			trustedTime += tr.At.Sub(curSince)
-		}
-		switch tr.Kind {
-		case core.STransition:
-			rep.STransitions++
-			if haveS {
-				rep.MistakeRecurrences = append(rep.MistakeRecurrences, tr.At.Sub(lastS))
-			}
-			if haveT {
-				rep.GoodPeriods = append(rep.GoodPeriods, tr.At.Sub(lastT))
-			}
-			lastS, haveS = tr.At, true
-		case core.TTransition:
-			rep.TTransitions++
-			if haveS {
-				rep.MistakeDurations = append(rep.MistakeDurations, tr.At.Sub(lastS))
-			}
-			lastT, haveT = tr.At, true
-		}
-		cur = flip(cur, tr.Kind)
-		curSince = tr.At
+		run.Step(tr.At, flip(run.Status, tr.Kind), &rep)
 	}
-	if cur == core.Trusted {
-		trustedTime += accEnd.Sub(curSince)
-	}
-	if rep.AccuracyWindow > 0 {
-		rep.PA = float64(trustedTime) / float64(rep.AccuracyWindow)
-		rep.LambdaM = float64(rep.STransitions) / rep.AccuracyWindow.Seconds()
-	}
+	run.Step(in.End, run.Status, &rep)
 
-	// Completeness: detection time.
-	if crashed {
-		final := status
-		var finalS time.Time
-		haveFinalS := false
-		for _, tr := range in.Transitions {
-			if tr.At.After(in.End) {
-				break
-			}
-			final = flip(final, tr.Kind)
-			if tr.Kind == core.STransition {
-				finalS, haveFinalS = tr.At, true
-			}
-		}
-		if final == core.Suspected {
-			rep.Detected = true
-			if haveFinalS && finalS.After(in.CrashAt) {
-				rep.TD = finalS.Sub(in.CrashAt)
-			}
-		}
+	rep.Detected, rep.TD = run.Detected, run.TD
+	rep.STransitions, rep.TTransitions = run.STransitions, run.TTransitions
+	rep.AccuracyWindow = run.Observed()
+	if rep.AccuracyWindow > 0 {
+		rep.LambdaM, rep.PA, _, _, _ = run.Metrics()
 	}
 	return rep, nil
+}
+
+// Run is the accounting core every QoS estimate in the repository folds
+// through: one binary detector's output over one process, advanced a
+// step at a time. Evaluate folds a recorded trace through it, the live
+// estimators (telemetry.QoS) each sampled Algorithm 3 query.
+type Run struct {
+	// Start is the first instant of the observation window.
+	Start time.Time
+	// CrashAt is the crash instant, zero while the process is presumed
+	// correct. The accuracy window ends there.
+	CrashAt time.Time
+	// Status is the detector output as of the latest step.
+	Status core.Status
+
+	// STransitions and TTransitions count transitions inside the
+	// accuracy window.
+	STransitions, TTransitions int
+	// Detected and TD are the completeness outcome as of the latest
+	// step; see Report.
+	Detected bool
+	TD       time.Duration
+
+	accEnd  time.Time     // end of the accuracy window accounted so far
+	trusted time.Duration // time trusted within [Start, accEnd]
+
+	sumTMR, sumTM, sumTG time.Duration
+	nTMR, nTM, nTG       int
+
+	lastS, lastT time.Time
+	haveS, haveT bool
+}
+
+// NewRun returns a run observed from start with the given initial output.
+func NewRun(start time.Time, status core.Status) Run {
+	return Run{Start: start, Status: status, accEnd: start}
+}
+
+// Step advances the run to at, where the output is next; steps come in
+// time order. It holds all of the §2 arithmetic:
+//
+//   - the span since the previous step counts as trusted time if the
+//     output was trusted, clipped to the accuracy window, which ends at
+//     CrashAt (never before Start);
+//   - a change of output is an S- or T-transition at at, counted only
+//     inside the accuracy window, where an S-transition closes a T_MR
+//     and a T_G sample and a T-transition a T_M sample; a non-nil
+//     samples collects them;
+//   - a crash-marked process is detected while suspected, with T_D from
+//     the crash to the final S-transition, 0 if it was already suspected
+//     at the crash.
+func (r *Run) Step(at time.Time, next core.Status, samples *Report) {
+	end := at
+	if !r.CrashAt.IsZero() && r.CrashAt.Before(end) {
+		end = r.CrashAt
+	}
+	if end.After(r.accEnd) {
+		if r.Status == core.Trusted {
+			r.trusted += end.Sub(r.accEnd)
+		}
+		r.accEnd = end
+	}
+
+	if next != r.Status {
+		inWindow := !at.After(r.accEnd)
+		switch next {
+		case core.Suspected:
+			if inWindow {
+				r.STransitions++
+				if r.haveS {
+					d := at.Sub(r.lastS)
+					r.sumTMR += d
+					r.nTMR++
+					if samples != nil {
+						samples.MistakeRecurrences = append(samples.MistakeRecurrences, d)
+					}
+				}
+				if r.haveT {
+					d := at.Sub(r.lastT)
+					r.sumTG += d
+					r.nTG++
+					if samples != nil {
+						samples.GoodPeriods = append(samples.GoodPeriods, d)
+					}
+				}
+			}
+			r.lastS, r.haveS = at, true
+		case core.Trusted:
+			if inWindow {
+				r.TTransitions++
+				if r.haveS {
+					d := at.Sub(r.lastS)
+					r.sumTM += d
+					r.nTM++
+					if samples != nil {
+						samples.MistakeDurations = append(samples.MistakeDurations, d)
+					}
+				}
+			}
+			r.lastT, r.haveT = at, true
+		}
+		r.Status = next
+	}
+
+	r.Detected = !r.CrashAt.IsZero() && r.Status == core.Suspected
+	r.TD = 0
+	if r.Detected && r.haveS && r.lastS.After(r.CrashAt) {
+		r.TD = r.lastS.Sub(r.CrashAt)
+	}
+}
+
+// Observed is the accuracy window accounted so far.
+func (r *Run) Observed() time.Duration { return r.accEnd.Sub(r.Start) }
+
+// Metrics derives λ_M (S-transitions per second), P_A and the mean T_MR,
+// T_M and T_G (seconds) of the run so far, each NaN until estimable:
+// λ_M and P_A before any accuracy window accrues, a mean before its
+// first sample.
+func (r *Run) Metrics() (lambdaM, pa, tmr, tm, tg float64) {
+	lambdaM, pa, tmr, tm, tg = math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()
+	if observed := r.Observed(); observed > 0 {
+		lambdaM = float64(r.STransitions) / observed.Seconds()
+		pa = float64(r.trusted) / float64(observed)
+	}
+	if r.nTMR > 0 {
+		tmr = (r.sumTMR / time.Duration(r.nTMR)).Seconds()
+	}
+	if r.nTM > 0 {
+		tm = (r.sumTM / time.Duration(r.nTM)).Seconds()
+	}
+	if r.nTG > 0 {
+		tg = (r.sumTG / time.Duration(r.nTG)).Seconds()
+	}
+	return lambdaM, pa, tmr, tm, tg
 }
 
 func flip(s core.Status, k core.TransitionKind) core.Status {

@@ -181,13 +181,13 @@ func runIndexModel(t *testing.T, seed int64, universe, steps int, cov *indexCove
 		case r < 80:
 			op = "unbind"
 			if _, ok := model[id]; !ok {
-				if sh.unbind(hashOf[id], id) {
+				if sh.unbind(hashOf[id], id) != nil {
 					t.Fatalf("step %d: unbind(%q) of an absent id reported true", step, id)
 				}
 				break
 			}
 			before := slices.Clone(sh.index.words)
-			if !sh.unbind(hashOf[id], id) {
+			if sh.unbind(hashOf[id], id) == nil {
 				t.Fatalf("step %d: unbind(%q) lost the binding", step, id)
 			}
 			delete(model, id)

@@ -55,10 +55,15 @@ type Runner struct {
 }
 
 // NewRunner returns a runner feeding c from mon every period
-// (non-positive periods default to one second). It does not start.
+// (non-positive periods default to one second). It does not start. A
+// QoS consumer is attached to mon (telemetry.QoS.Attach), so it must
+// not already serve another registry.
 func NewRunner(mon *Monitor, every time.Duration, c Consumers) *Runner {
 	if every <= 0 {
 		every = time.Second
+	}
+	if c.QoS != nil {
+		c.QoS.Attach(mon)
 	}
 	return &Runner{
 		mon:     mon,
@@ -171,7 +176,7 @@ func (m *Monitor) feed(now time.Time, c *Consumers) {
 				rec.record(s, slot, meta, lvl)
 			}
 			if c.QoS != nil {
-				c.QoS.ObserveSeries(&meta.series, meta.id, lvl, now)
+				c.QoS.ObserveSeries(&meta.series, lvl, now)
 			}
 			for _, a := range c.Apps {
 				a.observe(s, slot, meta, lvl, now)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -185,5 +186,33 @@ func TestPassSteadyStateZeroAlloc(t *testing.T) {
 		r.Round()
 	}); allocs != 0 {
 		t.Errorf("%v allocs per steady-state round, want 0", allocs)
+	}
+}
+
+// TestFirstQoSRoundAllocs gates the QoS estimators' first observation of
+// a fleet at the one allocation each binding's estimator costs: no
+// per-process interpreter objects, closures or index growth. It counts
+// with runtime.MemStats around that one round, because
+// testing.AllocsPerRun warms up with an untimed run and would hide it.
+func TestFirstQoSRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	const procs = 10_000
+	clk := clock.NewManual(start)
+	hub := telemetry.NewHub()
+	m := NewMonitor(clk, phiFactory, WithTelemetry(hub))
+	registerFleet(t, m, clk, procs)
+	r := NewRunner(m, time.Second, Consumers{QoS: hub.QoS()})
+	clk.Advance(100 * time.Millisecond)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.Round()
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / procs
+	t.Logf("first QoS round: %.2f allocations, %.0f B per process",
+		allocs, float64(after.TotalAlloc-before.TotalAlloc)/procs)
+	if allocs > 1.05 {
+		t.Errorf("%.2f allocations per process in the first QoS round, want <= 1.05", allocs)
 	}
 }

@@ -216,10 +216,10 @@ type entry struct {
 }
 
 // entryMeta is a binding's immutable identity, shared with lock-free
-// readers by pointer, plus what the /v1/metrics scrape keeps per binding
-// (series: the label block rendered once at bind, and the estimator
-// route the QoS layer caches through it). The scrape-only part sits
-// behind the identity so id and group stay at the front of the object.
+// readers by pointer, plus what the telemetry layer keeps per binding
+// (series: the label block rendered once at bind, and the binding's QoS
+// estimator). The telemetry part sits behind the identity so id and
+// group stay at the front of the object.
 type entryMeta struct {
 	id     string
 	group  string
@@ -442,13 +442,15 @@ func (sh *shard) bind(h uint32, id string, det core.Detector, group string, star
 // to its slot and returns the slot to the free list. The detector
 // reference is cleared immediately — deregistration releases the
 // per-process state to the collector right away rather than when the
-// slot is next reused, so churn cannot pin memory. Caller holds the
-// shard write lock.
-func (sh *shard) unbind(h uint32, id string) bool {
+// slot is next reused, so churn cannot pin memory. It returns the
+// binding's identity, nil when id was not bound. Caller holds the shard
+// write lock.
+func (sh *shard) unbind(h uint32, id string) *entryMeta {
 	idx, e := find(sh, h, id)
 	if e == nil {
-		return false
+		return nil
 	}
+	meta := e.meta.Load()
 	sh.index.remove(h, idx)
 	sh.epoch++
 	e.mu.Lock()
@@ -460,7 +462,7 @@ func (sh *shard) unbind(h uint32, id string) bool {
 	e.publishEval(nil, true, 0)
 	e.mu.Unlock()
 	sh.slab.free = append(sh.slab.free, idx)
-	return true
+	return meta
 }
 
 // Monitor is the per-host monitoring component: it owns one accrual
@@ -530,8 +532,9 @@ func WithGroupFn(fn func(id string) string) MonitorOption {
 
 // WithTelemetry wires a telemetry hub into the monitor: heartbeats,
 // stale arrivals, queries and registration churn are counted on the
-// hub's striped counters, and deregistrations are forwarded to its QoS
-// layer so crashed processes yield detection-time samples.
+// hub's striped counters, the hub's QoS estimators serve this monitor
+// (telemetry.QoS.Attach), and deregistrations are forwarded to them so
+// crashed processes yield detection-time samples.
 func WithTelemetry(hub *telemetry.Hub) MonitorOption {
 	return func(m *Monitor) { m.tel = hub }
 }
@@ -566,6 +569,9 @@ func NewMonitor(clk clock.Clock, factory Factory, opts ...MonitorOption) *Monito
 	}
 	m.shards = make([]shard, p)
 	m.shardMask = uint32(p - 1)
+	if m.tel != nil {
+		m.tel.QoS().Attach(m)
+	}
 	return m
 }
 
@@ -630,18 +636,21 @@ func (m *Monitor) Deregister(id string) bool {
 	h := intern.Hash(id)
 	sh := m.shardAt(h)
 	sh.mu.Lock()
-	ok := sh.unbind(h, id)
+	meta := sh.unbind(h, id)
 	sh.mu.Unlock()
-	if ok {
-		// Telemetry strictly after the shard unlock: the background
-		// round holds the QoS lock while it read-locks shards (see
-		// Runner), so notifying under sh.mu would invert that order.
-		if m.tel != nil {
-			m.tel.Counters.Deregistered(h)
-			m.tel.ProcessDeregistered(id, m.clk.Now())
-		}
+	if meta == nil {
+		return false
 	}
-	return ok
+	// Telemetry strictly after the shard unlock: the background round
+	// holds the QoS lock while it read-locks shards (see Runner), so
+	// notifying under sh.mu would invert that order. The QoS layer
+	// finalises this binding's own estimator, so however late the notice
+	// lands it cannot touch a successor binding of the same id.
+	if m.tel != nil {
+		m.tel.Counters.Deregistered(h)
+		m.tel.QoS().Forget(&meta.series, m.clk.Now())
+	}
+	return true
 }
 
 // Known reports whether id is currently registered, without evaluating
@@ -719,7 +728,27 @@ func (e *entry) snapLevel(id string, now time.Time) (core.Level, bool) {
 // slab arrays, so the walk holds no locks and calls no detectors; see
 // eachEval for the iteration rules.
 func (m *Monitor) EachLevel(fn func(id string, lvl core.Level)) {
-	m.walk(func(_ uint32, meta *entryMeta, lvl core.Level, _ int64) { fn(meta.id, lvl) })
+	m.walk(m.clk.Now(), func(_ uint32, meta *entryMeta, lvl core.Level, _ int64) { fn(meta.id, lvl) })
+}
+
+// EachSeries calls fn with every binding's telemetry series and its
+// suspicion level at now — the walk of telemetry.QoS.Sample and
+// AggregateEstimates (the Monitor is their telemetry.LevelSource).
+func (m *Monitor) EachSeries(now time.Time, fn func(s *telemetry.ProcSeries, lvl core.Level)) {
+	m.walk(now, func(_ uint32, meta *entryMeta, lvl core.Level, _ int64) { fn(&meta.series, lvl) })
+}
+
+// SeriesOf returns the telemetry series of id's current binding, or nil
+// when id is not registered: how the QoS estimators resolve an id.
+func (m *Monitor) SeriesOf(id string) *telemetry.ProcSeries {
+	h := intern.Hash(id)
+	sh := m.shardAt(h)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if _, e := find(sh, h, id); e != nil {
+		return &e.meta.Load().series
+	}
+	return nil
 }
 
 // ProcessInfo is one monitored process's digest-relevant state at one
@@ -741,7 +770,7 @@ type ProcessInfo struct {
 // parameters, so a slot rebound mid-walk is skipped or attributed to
 // exactly one binding, never mixed.
 func (m *Monitor) EachInfo(fn func(info ProcessInfo)) {
-	m.walk(func(_ uint32, meta *entryMeta, lvl core.Level, last int64) {
+	m.walk(m.clk.Now(), func(_ uint32, meta *entryMeta, lvl core.Level, last int64) {
 		fn(ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)})
 	})
 }
@@ -791,7 +820,7 @@ func (m *Monitor) TopK(k int, dst []RankedProcess) []RankedProcess {
 		return dst
 	}
 	base := len(dst)
-	m.walk(func(_ uint32, meta *entryMeta, lvl core.Level, _ int64) {
+	m.walk(m.clk.Now(), func(_ uint32, meta *entryMeta, lvl core.Level, _ int64) {
 		h := dst[base:]
 		if len(h) < k {
 			dst = append(dst, RankedProcess{ID: meta.id, Level: lvl})

@@ -115,8 +115,8 @@ func TestDeregisterFeedsQoS(t *testing.T) {
 	if mean <= 0 || mean > 10*time.Second {
 		t.Errorf("T_D = %v, want within (0, 10s]", mean)
 	}
-	if hub.QoS().Len() != 0 {
-		t.Errorf("QoS still tracks %d procs after deregistration", hub.QoS().Len())
+	if est, ok := hub.QoS().Estimate("a"); ok {
+		t.Errorf("QoS still estimates a deregistered process: %+v", est)
 	}
 }
 

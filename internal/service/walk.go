@@ -83,10 +83,9 @@ func (sh *shard) eachLocked(fn func(e *entry, meta *entryMeta)) {
 	}
 }
 
-// walk runs eachEval over every shard at one clock reading and counts
-// the pass (accrual_walk_runs_total).
-func (m *Monitor) walk(fn func(slot uint32, meta *entryMeta, lvl core.Level, last int64)) {
-	now := m.clk.Now()
+// walk runs eachEval over every shard at the one clock reading now and
+// counts the pass (accrual_walk_runs_total).
+func (m *Monitor) walk(now time.Time, fn func(slot uint32, meta *entryMeta, lvl core.Level, last int64)) {
 	for i := range m.shards {
 		m.shards[i].eachEval(now, fn)
 	}

@@ -3,12 +3,11 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accrual/internal/core"
+	"accrual/internal/qos"
 	"accrual/internal/transform"
 )
 
@@ -18,27 +17,39 @@ import (
 // and trust.
 var ErrBadThresholds = fmt.Errorf("telemetry: invalid hysteresis thresholds (need high > low >= 0)")
 
-// QoS maintains streaming estimates of the §2 accuracy metrics for every
-// monitored process. Each process gets a reference interpreter — the
-// Algorithm 3 two-threshold detector D'_T over its suspicion level — and
-// every sampled level advances that interpreter by one query; the
-// resulting S-/T-transitions feed the same accumulators internal/qos
-// derives offline, so the online estimates converge to qos.Evaluate over
-// the identical sampled transition trace.
+// QoS maintains streaming estimates of the §2 metrics for every process
+// of the one registry it serves (Attach). Each binding carries its own
+// estimator on its ProcSeries: the reference interpreter's status — the
+// Algorithm 3 two-threshold detector D'_T over the binding's sampled
+// level — and the qos.Run accounting core each interpreter step folds
+// through. qos.Evaluate folds a recorded trace through that same core, so
+// the online estimates equal the offline computation over the identical
+// sampled transition trace.
 //
 // Completeness is covered too: a process can be marked as crashed
 // (MarkCrashed), and when it is then deregistered while the reference
 // interpreter suspects it, the span from the crash to the final
-// S-transition is recorded as a detection-time (T_D) sample.
+// S-transition is recorded as a detection-time (T_D) sample (Forget).
 //
-// QoS is safe for concurrent use; one mutex guards the estimator map
-// (sampling, scraping and deregistration are all orders of magnitude
-// rarer than heartbeat ingest, which never touches this lock).
+// The estimator lives and dies with the binding: it is allocated at the
+// binding's first observation and finalised at its deregistration. A
+// re-registered id is a new binding with a new series, so it starts
+// fresh whatever order rounds and deregistration notices arrive in.
+//
+// QoS is safe for concurrent use; one mutex guards every estimator and
+// the detection statistics (sampling, scraping and deregistration are
+// all orders of magnitude rarer than heartbeat ingest, which never
+// touches this lock).
 type QoS struct {
 	high, low core.Level
 
-	mu    sync.Mutex
-	procs map[string]*procEstimator
+	mu  sync.Mutex
+	src LevelSource
+
+	// fold is AggregateEstimates' running sum, and foldFn its add method
+	// bound once, so the registry walk allocates nothing.
+	fold   aggFold
+	foldFn func(*ProcSeries, core.Level)
 
 	detCount int
 	detSum   time.Duration
@@ -53,7 +64,9 @@ func NewQoS(high, low core.Level) (*QoS, error) {
 	if err := checkThresholds(high, low); err != nil {
 		return nil, err
 	}
-	return &QoS{high: high, low: low, procs: make(map[string]*procEstimator)}, nil
+	q := &QoS{high: high, low: low}
+	q.foldFn = q.fold.add
+	return q, nil
 }
 
 func checkThresholds(high, low core.Level) error {
@@ -75,10 +88,9 @@ func (q *QoS) Thresholds() (high, low core.Level) {
 // runtime — the autotuner's dynamic T(t)/T₀(t). Inverted or negative
 // pairs are rejected with ErrBadThresholds and leave the current
 // thresholds in place. The swap is atomic with respect to concurrent
-// Sample/Observe rounds: every per-process hysteresis reads the live
-// thresholds under the same mutex that serialises its queries, so a
-// retune mid-sample cannot record a spurious transition against a
-// half-updated pair.
+// sampling rounds: every interpreter step reads the thresholds under the
+// same mutex, so a retune mid-round cannot record a spurious transition
+// against a half-updated pair.
 func (q *QoS) SetThresholds(high, low core.Level) error {
 	if err := checkThresholds(high, low); err != nil {
 		return err
@@ -89,34 +101,13 @@ func (q *QoS) SetThresholds(high, low core.Level) error {
 	return nil
 }
 
-// procEstimator is the streaming state of one monitored process. The
-// fields metrics() reads come first so a scrape's one estimator read per
-// process stays within the struct's leading cache lines.
-type procEstimator struct {
-	// owner is the QoS whose procs map holds this estimator, nil once
-	// Forget has deleted it: a ProcSeries that cached the estimator
-	// re-probes the map instead of rendering an orphan.
-	owner *QoS
-
-	firstAt time.Time     // first observation
-	accEnd  time.Time     // end of the accuracy window (capped at crashAt)
-	trusted time.Duration // time spent trusted within the accuracy window
-
-	sCount, tCount       int
-	sumTMR, sumTM, sumTG time.Duration
-	nTMR, nTM, nTG       int
-
-	level  core.Level
-	hyst   *transform.Hysteresis
-	status core.Status
-
-	lastAt  time.Time // latest observation
+// estimator is the streaming state of one binding: its latest sampled
+// level, how many samples it has had, and the accounting core, whose
+// Status is the reference interpreter's output.
+type estimator struct {
+	level   core.Level
 	samples int
-
-	lastS, lastT time.Time
-	haveS, haveT bool
-
-	crashAt time.Time // zero while the process is presumed alive
+	run     qos.Run
 }
 
 // Estimate is a point-in-time view of one process's online QoS metrics.
@@ -147,25 +138,51 @@ type Estimate struct {
 	TMR, TM, TG float64
 }
 
-// LevelSource is the level stream Sample polls — implemented by
-// service.Monitor (EachLevel walks the registry shard by shard at one
-// clock reading).
+// LevelSource is the registry a QoS serves — implemented by
+// service.Monitor.
 type LevelSource interface {
 	Now() time.Time
-	EachLevel(fn func(id string, lvl core.Level))
+	// EachSeries calls fn with every binding's series and its suspicion
+	// level at now.
+	EachSeries(now time.Time, fn func(s *ProcSeries, lvl core.Level))
+	// SeriesOf returns the series of id's current binding, or nil when
+	// id is not registered.
+	SeriesOf(id string) *ProcSeries
+}
+
+// Attach binds q to the registry it serves: Estimate, MarkCrashed and
+// AggregateEstimates resolve through it. service.WithTelemetry and
+// service.NewRunner attach the monitor, and Sample attaches its source.
+// Feeding one QoS from a second registry is a programming error and
+// panics. Conversely a registry feeds one QoS: its bindings' estimators
+// are guarded by that QoS's lock.
+func (q *QoS) Attach(src LevelSource) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.attachLocked(src)
+}
+
+func (q *QoS) attachLocked(src LevelSource) {
+	switch q.src {
+	case nil:
+		q.src = src
+	case src:
+	default:
+		panic("telemetry: one QoS fed by two registries")
+	}
 }
 
 // Sample observes every process of src once, at src's current clock
 // reading: one polling round of the online estimators, for callers that
-// drive them alone. It finds each estimator by id; the daemon's
-// combined round (service.Runner) reaches them through the bindings'
-// ProcSeries instead (BeginRound).
+// drive them alone. The daemon's combined round (service.Runner) feeds
+// them through BeginRound and ObserveSeries instead.
 func (q *QoS) Sample(src LevelSource) {
-	now := src.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	src.EachLevel(func(id string, lvl core.Level) {
-		q.observeLocked(id, lvl, now)
+	q.attachLocked(src)
+	now := src.Now()
+	src.EachSeries(now, func(s *ProcSeries, lvl core.Level) {
+		q.ObserveSeries(s, lvl, now)
 	})
 }
 
@@ -177,170 +194,78 @@ func (q *QoS) BeginRound() { q.mu.Lock() }
 // EndRound ends a round opened by BeginRound.
 func (q *QoS) EndRound() { q.mu.Unlock() }
 
-// ObserveSeries feeds one observation of the process bound to s (its id
-// is id) inside a BeginRound/EndRound round. The estimator is reached
-// through the handle cached on s — the one GatherEstimates uses — so a
-// steady-state round probes no map and allocates nothing.
-func (q *QoS) ObserveSeries(s *ProcSeries, id string, lvl core.Level, now time.Time) {
-	pe := q.estimatorOf(s, id)
-	if pe == nil {
-		pe = q.newEstimator(id, now)
-		s.est.Store(pe)
+// ObserveSeries feeds one observation of the binding behind s inside a
+// BeginRound/EndRound round: one Algorithm 3 step of its reference
+// interpreter, folded into its accounting core. The binding's first
+// observation allocates its estimator; every later one allocates
+// nothing. Observations of one binding come in non-decreasing time
+// order.
+func (q *QoS) ObserveSeries(s *ProcSeries, lvl core.Level, now time.Time) {
+	e := s.est
+	if e == nil {
+		e = &estimator{run: qos.NewRun(now, core.Trusted)}
+		s.est = e
 	}
-	pe.observe(lvl, now)
+	e.level = lvl
+	e.samples++
+	e.run.Step(now, transform.HysteresisStep(e.run.Status, lvl, q.high, q.low), nil)
 }
 
-// Observe feeds one (process, level, time) observation. Observations for
-// one process must be fed in non-decreasing time order.
-func (q *QoS) Observe(id string, lvl core.Level, now time.Time) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.observeLocked(id, lvl, now)
-}
-
-// observeLocked is one observation of id, its estimator found by id.
-// Caller holds q.mu.
-func (q *QoS) observeLocked(id string, lvl core.Level, now time.Time) {
-	pe := q.procs[id]
-	if pe == nil {
-		pe = q.newEstimator(id, now)
+// resolve finds the estimator of id's current binding through the
+// registry q serves; nil when q serves none, id is not registered or
+// its binding has not been observed. Caller holds q.mu (the round's
+// lock order: the QoS lock, then a shard read lock).
+func (q *QoS) resolve(id string) *estimator {
+	if q.src == nil {
+		return nil
 	}
-	pe.observe(lvl, now)
-}
-
-// estimatorOf resolves the estimator of the binding behind s: the handle
-// cached on s while it still belongs to q, otherwise a map probe whose
-// result (nil included) is cached. An estimator can be forgotten and
-// replaced while the binding lives — a deregistration's Forget may run
-// after the id was re-registered — so a cached estimator counts only
-// while its owner field still names q. Caller holds q.mu.
-func (q *QoS) estimatorOf(s *ProcSeries, id string) *procEstimator {
-	pe := s.est.Load()
-	if pe == nil || pe.owner != q {
-		pe = q.procs[id]
-		s.est.Store(pe)
+	if s := q.src.SeriesOf(id); s != nil {
+		return s.est
 	}
-	return pe
-}
-
-// newEstimator installs a fresh estimator for id, first observed at
-// now. Caller holds q.mu.
-func (q *QoS) newEstimator(id string, now time.Time) *procEstimator {
-	pe := &procEstimator{owner: q, status: core.Trusted, firstAt: now, lastAt: now, accEnd: now}
-	// The hysteresis source reads the estimator's latest pushed level;
-	// each observation becomes exactly one Algorithm 3 query. The
-	// thresholds are read through q at query time — not captured by
-	// value — so SetThresholds retunes every existing interpreter. Both
-	// reads happen under q.mu (Query is only reached from observe), so
-	// the pair is always coherent.
-	pe.hyst = transform.NewHysteresisFunc(
-		func(time.Time) core.Level { return pe.level },
-		func(time.Time) core.Level { return q.high },
-		func(time.Time) core.Level { return q.low },
-	)
-	q.procs[id] = pe
-	return pe
-}
-
-// observe advances pe by one observation. Caller holds the owner's mu.
-func (pe *procEstimator) observe(lvl core.Level, now time.Time) {
-	// Accrue the time spent in the current status over [lastAt, now],
-	// clipped to the accuracy window (which ends at the crash mark).
-	accEnd := now
-	if !pe.crashAt.IsZero() && pe.crashAt.Before(accEnd) {
-		accEnd = pe.crashAt
-	}
-	if accEnd.After(pe.accEnd) {
-		if pe.status == core.Trusted {
-			pe.trusted += accEnd.Sub(pe.accEnd)
-		}
-		pe.accEnd = accEnd
-	}
-
-	pe.level = lvl
-	pe.samples++
-	pe.lastAt = now
-	if st := pe.hyst.Query(now); st != pe.status {
-		inWindow := pe.crashAt.IsZero() || !now.After(pe.crashAt)
-		switch st {
-		case core.Suspected: // S-transition
-			if inWindow {
-				pe.sCount++
-				if pe.haveS {
-					pe.sumTMR += now.Sub(pe.lastS)
-					pe.nTMR++
-				}
-				if pe.haveT {
-					pe.sumTG += now.Sub(pe.lastT)
-					pe.nTG++
-				}
-			}
-			pe.lastS, pe.haveS = now, true
-		case core.Trusted: // T-transition
-			if inWindow {
-				pe.tCount++
-				if pe.haveS {
-					pe.sumTM += now.Sub(pe.lastS)
-					pe.nTM++
-				}
-			}
-			pe.lastT, pe.haveT = now, true
-		}
-		pe.status = st
-	}
+	return nil
 }
 
 // MarkCrashed records that the process actually crashed at the given
 // instant: accuracy accounting stops there, and the eventual
 // deregistration turns the reference interpreter's final S-transition
-// into a detection-time sample. It reports whether the process was
-// known to the estimators.
+// into a detection-time sample. It reports whether the process's
+// current binding has been observed.
 func (q *QoS) MarkCrashed(id string, at time.Time) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	pe := q.procs[id]
-	if pe == nil {
+	e := q.resolve(id)
+	if e == nil {
 		return false
 	}
-	if pe.crashAt.IsZero() || at.Before(pe.crashAt) {
-		pe.crashAt = at
+	if e.run.CrashAt.IsZero() || at.Before(e.run.CrashAt) {
+		e.run.CrashAt = at
 	}
 	return true
 }
 
-// Forget drops a process's estimator state (on deregistration). If the
-// process was marked crashed and the reference interpreter suspects it,
-// the crash counts as detected and T_D — from the crash mark to the
-// final S-transition, zero when it was already suspected at the crash —
-// becomes a detection-time sample.
-func (q *QoS) Forget(id string, now time.Time) {
+// Forget finalises and releases the estimator of a deregistered binding
+// (service.Monitor.Deregister). If the process was marked crashed and the
+// reference interpreter suspects it, the crash counts as detected and
+// T_D — from the crash mark to the final S-transition, zero when it was
+// already suspected at the crash — becomes a detection-time sample.
+func (q *QoS) Forget(s *ProcSeries, now time.Time) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	pe := q.procs[id]
-	if pe == nil {
+	e := s.est
+	if e == nil {
 		return
 	}
-	if pe.lastAt.After(now) {
-		// The estimator has observations newer than this deregistration
-		// instant: the id has already been re-registered (slab handles
-		// are reused) and sampled, so this state belongs to the
-		// successor. Keep it, and record nothing — the predecessor's
-		// detection outcome is unknowable at this point.
+	s.est = nil
+	// A step at the deregistration instant applies the T_D rule to the
+	// crash mark as it stands now.
+	e.run.Step(now, e.run.Status, nil)
+	if !e.run.Detected {
 		return
-	}
-	delete(q.procs, id)
-	pe.owner = nil
-	if pe.crashAt.IsZero() || pe.status != core.Suspected {
-		return
-	}
-	var td time.Duration
-	if pe.haveS && pe.lastS.After(pe.crashAt) {
-		td = pe.lastS.Sub(pe.crashAt)
 	}
 	q.detCount++
-	q.detSum += td
-	if td > q.detMax {
-		q.detMax = td
+	q.detSum += e.run.TD
+	if e.run.TD > q.detMax {
+		q.detMax = e.run.TD
 	}
 }
 
@@ -358,71 +283,34 @@ func (q *QoS) DetectionStats() (count int, mean, max time.Duration) {
 func (q *QoS) Estimate(id string) (Estimate, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	pe := q.procs[id]
-	if pe == nil {
+	e := q.resolve(id)
+	if e == nil {
 		return Estimate{}, false
 	}
-	return pe.estimate(id), true
-}
-
-// Estimates returns the current estimates of every tracked process,
-// sorted by id.
-func (q *QoS) Estimates() []Estimate {
-	q.mu.Lock()
-	out := make([]Estimate, 0, len(q.procs))
-	for id, pe := range q.procs {
-		out = append(out, pe.estimate(id))
-	}
-	q.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-func (pe *procEstimator) estimate(id string) Estimate {
 	est := Estimate{
 		ID:           id,
-		Level:        pe.level,
-		Status:       pe.status,
-		Observed:     pe.accEnd.Sub(pe.firstAt),
-		Samples:      pe.samples,
-		STransitions: pe.sCount,
-		TTransitions: pe.tCount,
+		Level:        e.level,
+		Status:       e.run.Status,
+		Observed:     e.run.Observed(),
+		Samples:      e.samples,
+		STransitions: e.run.STransitions,
+		TTransitions: e.run.TTransitions,
 	}
-	est.LambdaM, est.PA, est.TMR, est.TM, est.TG = pe.metrics()
-	return est
-}
-
-// metrics derives the five exposed accuracy estimates from the
-// accumulators, NaN where not yet estimable.
-func (pe *procEstimator) metrics() (lambdaM, pa, tmr, tm, tg float64) {
-	lambdaM, pa, tmr, tm, tg = math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()
-	if observed := pe.accEnd.Sub(pe.firstAt); observed > 0 {
-		lambdaM = float64(pe.sCount) / observed.Seconds()
-		pa = float64(pe.trusted) / float64(observed)
-	}
-	if pe.nTMR > 0 {
-		tmr = (pe.sumTMR / time.Duration(pe.nTMR)).Seconds()
-	}
-	if pe.nTM > 0 {
-		tm = (pe.sumTM / time.Duration(pe.nTM)).Seconds()
-	}
-	if pe.nTG > 0 {
-		tg = (pe.sumTG / time.Duration(pe.nTG)).Seconds()
-	}
-	return lambdaM, pa, tmr, tm, tg
+	est.LambdaM, est.PA, est.TMR, est.TM, est.TG = e.run.Metrics()
+	return est, true
 }
 
 // ProcSeries is what one monitored-process binding keeps for the
-// per-process section of the exposition, so that a scrape neither
-// re-renders the process's label nor probes the estimator map for it:
-// the `{proc="…"} ` block rendered (and escaped) once, and a cached
-// route to the process's estimator. The registry creates one per
-// binding and calls Init before sharing it.
+// telemetry layer: the `{proc="…"} ` label block rendered (and escaped)
+// once, so a scrape never re-renders it, and the binding's QoS
+// estimator. The registry creates one per binding and calls Init before
+// sharing it; it dies with the binding.
 type ProcSeries struct {
 	labels string
-	// est is the estimator last resolved for this binding (estimatorOf),
-	// nil until the process has been sampled.
-	est atomic.Pointer[procEstimator]
+	// est is the binding's estimator, nil until its first observation
+	// and again once Forget has finalised it. Guarded by the mutex of
+	// the QoS that feeds the registry.
+	est *estimator
 }
 
 // Init renders id's label block into p, once, before the binding is
@@ -452,20 +340,19 @@ type ProcRow struct {
 
 // GatherEstimates fills the accuracy estimates of every row — the values
 // Estimate(row.ID) would return — under a single hold of the estimator
-// lock, reaching each estimator through the handle cached on the row's
-// series (estimatorOf, the resolver the combined round shares). The lock is released before it
-// returns: a scrape gathers a shard, then renders it to the client.
+// lock, reading each estimator off the row's series. The lock is
+// released before it returns: a scrape gathers a shard, then renders it
+// to the client.
 func (q *QoS) GatherEstimates(rows []ProcRow) {
 	q.mu.Lock()
 	for i := range rows {
 		r := &rows[i]
-		pe := q.estimatorOf(r.Series, r.ID)
-		if pe == nil {
-			nan := math.NaN()
-			r.LambdaM, r.PA, r.TMR, r.TM, r.TG = nan, nan, nan, nan, nan
+		if e := r.Series.est; e != nil {
+			r.LambdaM, r.PA, r.TMR, r.TM, r.TG = e.run.Metrics()
 			continue
 		}
-		r.LambdaM, r.PA, r.TMR, r.TM, r.TG = pe.metrics()
+		nan := math.NaN()
+		r.LambdaM, r.PA, r.TMR, r.TM, r.TG = nan, nan, nan, nan, nan
 	}
 	q.mu.Unlock()
 }
@@ -488,47 +375,52 @@ type Aggregate struct {
 }
 
 // AggregateEstimates folds every process's current estimate into one
-// fleet-level Aggregate. It allocates nothing: the fold runs over the
-// estimator map under the mutex and returns a value struct.
+// fleet-level Aggregate: one walk of the registry q serves, under the
+// estimator lock. It allocates nothing.
 func (q *QoS) AggregateEstimates() Aggregate {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	agg := Aggregate{
-		Procs:       len(q.procs),
-		MeanLambdaM: math.NaN(),
-		MeanPA:      math.NaN(),
-		MeanTM:      math.NaN(),
+	f := &q.fold
+	*f = aggFold{}
+	if q.src != nil {
+		q.src.EachSeries(q.src.Now(), q.foldFn)
 	}
-	var sumLambda, sumPA, sumTM float64
-	var nTM int
-	for _, pe := range q.procs {
-		if pe.status == core.Suspected {
-			agg.Suspected++
-		}
-		observed := pe.accEnd.Sub(pe.firstAt)
-		if observed > 0 {
-			agg.Estimable++
-			sumLambda += float64(pe.sCount) / observed.Seconds()
-			sumPA += float64(pe.trusted) / float64(observed)
-		}
-		if pe.nTM > 0 {
-			sumTM += (pe.sumTM / time.Duration(pe.nTM)).Seconds()
-			nTM++
-		}
-	}
+	agg := f.agg
+	agg.MeanLambdaM, agg.MeanPA, agg.MeanTM = math.NaN(), math.NaN(), math.NaN()
 	if agg.Estimable > 0 {
-		agg.MeanLambdaM = sumLambda / float64(agg.Estimable)
-		agg.MeanPA = sumPA / float64(agg.Estimable)
+		agg.MeanLambdaM = f.sumLambda / float64(agg.Estimable)
+		agg.MeanPA = f.sumPA / float64(agg.Estimable)
 	}
-	if nTM > 0 {
-		agg.MeanTM = sumTM / float64(nTM)
+	if f.nTM > 0 {
+		agg.MeanTM = f.sumTM / float64(f.nTM)
 	}
 	return agg
 }
 
-// Len returns how many processes currently have estimator state.
-func (q *QoS) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.procs)
+// aggFold is AggregateEstimates' running sums over the registry walk.
+type aggFold struct {
+	agg                     Aggregate
+	sumLambda, sumPA, sumTM float64
+	nTM                     int
+}
+
+func (f *aggFold) add(s *ProcSeries, _ core.Level) {
+	e := s.est
+	if e == nil {
+		return
+	}
+	f.agg.Procs++
+	if e.run.Status == core.Suspected {
+		f.agg.Suspected++
+	}
+	lambdaM, pa, _, tm, _ := e.run.Metrics()
+	if !math.IsNaN(lambdaM) {
+		f.agg.Estimable++
+		f.sumLambda += lambdaM
+		f.sumPA += pa
+	}
+	if !math.IsNaN(tm) {
+		f.sumTM += tm
+		f.nTM++
+	}
 }

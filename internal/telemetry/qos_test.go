@@ -3,6 +3,7 @@ package telemetry_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,70 +19,155 @@ import (
 
 var qosStart = time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
 
+// fleet is a LevelSource over hand-set levels: each bound id has a
+// series and a level, the way a service.Monitor yields them, so a test
+// can feed the estimators one observation at a time.
+type fleet struct {
+	now    time.Time
+	only   string // when set, EachSeries yields this id alone
+	ids    []string
+	series map[string]*telemetry.ProcSeries
+	levels map[string]core.Level
+}
+
+func newFleet() *fleet {
+	return &fleet{series: map[string]*telemetry.ProcSeries{}, levels: map[string]core.Level{}}
+}
+
+func (f *fleet) Now() time.Time { return f.now }
+
+func (f *fleet) EachSeries(_ time.Time, fn func(*telemetry.ProcSeries, core.Level)) {
+	for _, id := range f.ids {
+		if f.only == "" || id == f.only {
+			fn(f.series[id], f.levels[id])
+		}
+	}
+}
+
+func (f *fleet) SeriesOf(id string) *telemetry.ProcSeries { return f.series[id] }
+
+// observe feeds q one observation of id at level lvl and time at,
+// binding id first if it is not bound.
+func (f *fleet) observe(q *telemetry.QoS, id string, lvl core.Level, at time.Time) {
+	if f.series[id] == nil {
+		s := new(telemetry.ProcSeries)
+		s.Init(id)
+		f.series[id] = s
+		f.ids = append(f.ids, id)
+	}
+	f.now, f.levels[id], f.only = at, lvl, id
+	q.Sample(f)
+	f.only = ""
+}
+
+// deregister unbinds id and hands its series to q.Forget, as
+// service.Monitor.Deregister does; a later observe binds id afresh.
+func (f *fleet) deregister(q *telemetry.QoS, id string, at time.Time) {
+	s := f.series[id]
+	delete(f.series, id)
+	delete(f.levels, id)
+	f.ids = slices.DeleteFunc(f.ids, func(x string) bool { return x == id })
+	q.Forget(s, at)
+}
+
 // TestOnlineMatchesOffline drives the online estimator and the offline
-// internal/qos pipeline with the identical sampled level trace and
-// requires the accuracy metrics to agree (the acceptance bound is 10%;
-// streaming the same integer arithmetic should land far inside it).
+// internal/qos pipeline with the identical sampled level trace. Both
+// fold it through the same accounting core (qos.Run), so the accuracy
+// metrics must agree exactly — and for a crash-marked process, so must
+// the detection time recorded at deregistration.
 func TestOnlineMatchesOffline(t *testing.T) {
 	const (
 		high, low = 2, 1
 		step      = 50 * time.Millisecond
 		steps     = 20_000 // 1000 seconds of observation
 	)
-	q := mustQoS(t, high, low)
+	for _, tc := range []struct {
+		name    string
+		crashAt int // step of the crash mark; 0 = never crashes
+	}{
+		{"correct", 0},
+		{"crashed", 12_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := mustQoS(t, high, low)
+			f := newFleet()
 
-	// The offline replica: the same Algorithm 3 interpreter over the
-	// same sampled levels, recorded as a transition trace.
-	var lvl core.Level
-	hyst := transform.NewHysteresis(func(time.Time) core.Level { return lvl }, high, low)
-	obs := trace.NewStatusObserver(core.Trusted)
+			// The offline replica: the same Algorithm 3 interpreter over
+			// the same sampled levels, recorded as a transition trace.
+			var lvl core.Level
+			hyst := transform.NewHysteresis(func(time.Time) core.Level { return lvl }, high, low)
+			obs := trace.NewStatusObserver(core.Trusted)
 
-	rnd := rand.New(rand.NewSource(7))
-	now := qosStart
-	for i := 0; i < steps; i++ {
-		lvl = core.Level(rnd.Float64() * 3) // crosses both thresholds regularly
-		q.Observe("p", lvl, now)
-		obs.Observe(now, hyst.Query(now))
-		now = now.Add(step)
-	}
-	end := now.Add(-step) // last observation time
+			rnd := rand.New(rand.NewSource(7))
+			now := qosStart
+			var crashAt time.Time
+			for i := 0; i < steps; i++ {
+				lvl = core.Level(rnd.Float64() * 3) // crosses both thresholds regularly
+				if i >= steps-10 {
+					lvl = 3 // end suspected, so a crash counts as detected
+				}
+				f.observe(q, "p", lvl, now)
+				obs.Observe(now, hyst.Query(now))
+				if tc.crashAt > 0 && i == tc.crashAt {
+					crashAt = now.Add(step / 2)
+					q.MarkCrashed("p", crashAt)
+				}
+				now = now.Add(step)
+			}
+			end := now.Add(-step) // last observation time
 
-	rep, err := qos.Evaluate(qos.Input{
-		Transitions: obs.Transitions(),
-		Start:       qosStart,
-		End:         end,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, ok := q.Estimate("p")
-	if !ok {
-		t.Fatal("no online estimate for p")
-	}
+			rep, err := qos.Evaluate(qos.Input{
+				Transitions: obs.Transitions(),
+				Start:       qosStart,
+				End:         end,
+				CrashAt:     crashAt,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, ok := q.Estimate("p")
+			if !ok {
+				t.Fatal("no online estimate for p")
+			}
 
-	if est.STransitions != rep.STransitions || est.TTransitions != rep.TTransitions {
-		t.Errorf("transitions online S=%d T=%d, offline S=%d T=%d",
-			est.STransitions, est.TTransitions, rep.STransitions, rep.TTransitions)
-	}
-	if est.STransitions < 100 {
-		t.Fatalf("trace too tame: only %d S-transitions", est.STransitions)
-	}
-	within := func(name string, got, want float64) {
-		t.Helper()
-		if want == 0 {
-			t.Fatalf("%s: offline value is 0, trace not exercising the metric", name)
-		}
-		if rel := math.Abs(got-want) / math.Abs(want); rel > 0.10 {
-			t.Errorf("%s: online %v vs offline %v (rel err %.4f > 10%%)", name, got, want, rel)
-		}
-	}
-	within("lambda_m", est.LambdaM, rep.LambdaM)
-	within("pa", est.PA, rep.PA)
-	within("t_mr", est.TMR, rep.MeanMistakeRecurrence().Seconds())
-	within("t_m", est.TM, rep.MeanMistakeDuration().Seconds())
-	within("t_g", est.TG, rep.MeanGoodPeriod().Seconds())
-	if est.Observed != end.Sub(qosStart) {
-		t.Errorf("observed window = %v, want %v", est.Observed, end.Sub(qosStart))
+			if est.STransitions != rep.STransitions || est.TTransitions != rep.TTransitions {
+				t.Errorf("transitions online S=%d T=%d, offline S=%d T=%d",
+					est.STransitions, est.TTransitions, rep.STransitions, rep.TTransitions)
+			}
+			if est.STransitions < 100 {
+				t.Fatalf("trace too tame: only %d S-transitions", est.STransitions)
+			}
+			same := func(name string, got, want float64) {
+				t.Helper()
+				if want == 0 {
+					t.Fatalf("%s: offline value is 0, trace not exercising the metric", name)
+				}
+				if got != want {
+					t.Errorf("%s: online %v, offline %v", name, got, want)
+				}
+			}
+			same("lambda_m", est.LambdaM, rep.LambdaM)
+			same("pa", est.PA, rep.PA)
+			same("t_mr", est.TMR, rep.MeanMistakeRecurrence().Seconds())
+			same("t_m", est.TM, rep.MeanMistakeDuration().Seconds())
+			same("t_g", est.TG, rep.MeanGoodPeriod().Seconds())
+			if est.Observed != rep.AccuracyWindow {
+				t.Errorf("observed window = %v, offline %v", est.Observed, rep.AccuracyWindow)
+			}
+
+			f.deregister(q, "p", end)
+			count, td, _ := q.DetectionStats()
+			switch {
+			case crashAt.IsZero():
+				if count != 0 {
+					t.Errorf("%d detections of a process never marked crashed", count)
+				}
+			case !rep.Detected || rep.TD <= 0:
+				t.Fatalf("fixture: offline report %+v, want a detection after the crash", rep)
+			case count != 1 || td != rep.TD:
+				t.Errorf("online detections %d with T_D %v, offline T_D %v", count, td, rep.TD)
+			}
+		})
 	}
 }
 
@@ -90,7 +176,8 @@ func TestOnlineMatchesOffline(t *testing.T) {
 // exposition renders verbatim.
 func TestFreshProcessNaN(t *testing.T) {
 	q := mustQoS(t, 2, 1)
-	q.Observe("p", 0, qosStart)
+	f := newFleet()
+	f.observe(q, "p", 0, qosStart)
 	est, ok := q.Estimate("p")
 	if !ok {
 		t.Fatal("no estimate")
@@ -112,9 +199,10 @@ func TestFreshProcessNaN(t *testing.T) {
 // the T_D sample must span crash → final S-transition.
 func TestDetectionTimeSample(t *testing.T) {
 	q := mustQoS(t, 2, 1)
+	f := newFleet()
 	now := qosStart
 	for i := 0; i < 10; i++ {
-		q.Observe("p", 0.1, now)
+		f.observe(q, "p", 0.1, now)
 		now = now.Add(time.Second)
 	}
 	crashAt := now
@@ -122,9 +210,9 @@ func TestDetectionTimeSample(t *testing.T) {
 		t.Fatal("MarkCrashed on a tracked process returned false")
 	}
 	// The level climbs past the high threshold 3 seconds after the crash.
-	q.Observe("p", 0.5, now.Add(time.Second))
-	q.Observe("p", 5, now.Add(3*time.Second))
-	q.Forget("p", now.Add(5*time.Second))
+	f.observe(q, "p", 0.5, now.Add(time.Second))
+	f.observe(q, "p", 5, now.Add(3*time.Second))
+	f.deregister(q, "p", now.Add(5*time.Second))
 
 	count, mean, max := q.DetectionStats()
 	if count != 1 {
@@ -133,12 +221,6 @@ func TestDetectionTimeSample(t *testing.T) {
 	if want := 3 * time.Second; mean != want || max != want {
 		t.Errorf("T_D mean=%v max=%v, want %v", mean, max, want)
 	}
-	if q.Len() != 0 {
-		t.Errorf("estimator state not dropped: %d procs", q.Len())
-	}
-
-	// Accuracy accounting stopped at the crash: the post-crash suspected
-	// stretch must not count against P_A.
 	if est, ok := q.Estimate("p"); ok {
 		t.Fatalf("forgotten process still estimable: %+v", est)
 	}
@@ -148,13 +230,14 @@ func TestDetectionTimeSample(t *testing.T) {
 // mark, or crashed-but-never-suspected, records nothing.
 func TestDetectionRequiresCrashAndSuspicion(t *testing.T) {
 	q := mustQoS(t, 2, 1)
-	q.Observe("alive", 0.1, qosStart)
-	q.Observe("alive", 5, qosStart.Add(time.Second)) // suspected, but no crash mark
-	q.Forget("alive", qosStart.Add(2*time.Second))
+	f := newFleet()
+	f.observe(q, "alive", 0.1, qosStart)
+	f.observe(q, "alive", 5, qosStart.Add(time.Second)) // suspected, but no crash mark
+	f.deregister(q, "alive", qosStart.Add(2*time.Second))
 
-	q.Observe("quiet", 0.1, qosStart)
+	f.observe(q, "quiet", 0.1, qosStart)
 	q.MarkCrashed("quiet", qosStart.Add(time.Second))
-	q.Forget("quiet", qosStart.Add(2*time.Second)) // never suspected
+	f.deregister(q, "quiet", qosStart.Add(2*time.Second)) // never suspected
 
 	if count, _, _ := q.DetectionStats(); count != 0 {
 		t.Errorf("detection samples = %d, want 0", count)
@@ -168,16 +251,17 @@ func TestDetectionRequiresCrashAndSuspicion(t *testing.T) {
 // mark even as observations continue.
 func TestCrashFreezesAccuracyWindow(t *testing.T) {
 	q := mustQoS(t, 2, 1)
+	f := newFleet()
 	now := qosStart
 	for i := 0; i < 20; i++ {
-		q.Observe("p", 0.1, now)
+		f.observe(q, "p", 0.1, now)
 		now = now.Add(time.Second)
 	}
-	q.Observe("p", 0.1, now) // last in-window observation, at the crash instant
+	f.observe(q, "p", 0.1, now) // last in-window observation, at the crash instant
 	q.MarkCrashed("p", now)
 	before, _ := q.Estimate("p")
 	for i := 1; i <= 20; i++ {
-		q.Observe("p", 5, now.Add(time.Duration(i)*time.Second))
+		f.observe(q, "p", 5, now.Add(time.Duration(i)*time.Second))
 	}
 	after, _ := q.Estimate("p")
 	if before.PA != after.PA || before.Observed != after.Observed {
@@ -209,9 +293,13 @@ func TestSampleFromMonitor(t *testing.T) {
 		_ = mon.Heartbeat(core.Heartbeat{From: "a", Seq: uint64(6 + i), Arrived: at})
 		q.Sample(mon)
 	}
-	ests := q.Estimates()
-	if len(ests) != 2 || ests[0].ID != "a" || ests[1].ID != "b" {
-		t.Fatalf("estimates = %+v", ests)
+	var ests [2]telemetry.Estimate
+	for i, id := range []string{"a", "b"} {
+		est, ok := q.Estimate(id)
+		if !ok || est.ID != id {
+			t.Fatalf("%s: estimate %+v (ok=%v)", id, est, ok)
+		}
+		ests[i] = est
 	}
 	if ests[0].Status != core.Trusted {
 		t.Errorf("a: status %v, want trusted while heartbeating", ests[0].Status)
@@ -251,81 +339,7 @@ func TestSamplerLoop(t *testing.T) {
 	}
 	r.Stop()
 	r.Stop() // idempotent
-	if q.Len() != 1 {
-		t.Errorf("sampled procs = %d, want 1", q.Len())
-	}
 	if est, ok := q.Estimate("p"); !ok || int64(est.Samples) != r.Rounds() {
 		t.Errorf("estimate %+v (ok=%v), want one sample per round (%d)", est, ok, r.Rounds())
 	}
-}
-
-// sameFloat is float equality with NaN equal to NaN: the estimates are
-// NaN until estimable and the scrape renders them verbatim.
-func sameFloat(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
-}
-
-// gatherOne runs GatherEstimates over the single series and requires
-// the row to carry exactly what Estimate(id) reports — all NaN when the
-// estimators do not know the id.
-func gatherOne(t *testing.T, q *telemetry.QoS, id string, series *telemetry.ProcSeries) telemetry.ProcRow {
-	t.Helper()
-	rows := []telemetry.ProcRow{{ID: id, Series: series, LambdaM: -1, PA: -1, TMR: -1, TM: -1, TG: -1}}
-	q.GatherEstimates(rows)
-	want, ok := q.Estimate(id)
-	if !ok {
-		nan := math.NaN()
-		want = telemetry.Estimate{LambdaM: nan, PA: nan, TMR: nan, TM: nan, TG: nan}
-	}
-	r := rows[0]
-	if !sameFloat(r.LambdaM, want.LambdaM) || !sameFloat(r.PA, want.PA) ||
-		!sameFloat(r.TMR, want.TMR) || !sameFloat(r.TM, want.TM) || !sameFloat(r.TG, want.TG) {
-		t.Errorf("gathered %+v, Estimate(%q) = %+v (known %v)", r, id, want, ok)
-	}
-	return r
-}
-
-// TestGatherEstimatesFollowsForgottenEstimator: a series caches its
-// estimator, so a Forget that runs after the id's successor binding has
-// already cached the predecessor's estimator must not leave the scrape
-// rendering the orphan — nor may the cache hide a process the estimators
-// simply have not met yet.
-func TestGatherEstimatesFollowsForgottenEstimator(t *testing.T) {
-	q := mustQoS(t, 2, 1)
-	var series telemetry.ProcSeries
-	series.Init("p")
-
-	// Not sampled yet: all NaN, and again NaN on the cached-miss path.
-	gatherOne(t, q, "p", &series)
-	gatherOne(t, q, "p", &series)
-
-	// The predecessor's history: a mistake and its correction, so every
-	// estimate is a finite number the successor's cannot equal.
-	at := qosStart
-	for _, lvl := range []core.Level{0, 3, 3, 0, 0, 3, 0} {
-		q.Observe("p", lvl, at)
-		at = at.Add(time.Second)
-	}
-	old := gatherOne(t, q, "p", &series) // the series now holds the estimator
-	if math.IsNaN(old.TM) || math.IsNaN(old.TMR) || old.LambdaM == 0 {
-		t.Fatalf("fixture: predecessor estimates not finite: %+v", old)
-	}
-
-	// The late Forget deletes the estimator the series still points at.
-	q.Forget("p", at)
-	if r := gatherOne(t, q, "p", &series); !math.IsNaN(r.PA) {
-		t.Errorf("forgotten estimator still rendered: %+v", r)
-	}
-
-	// The successor is sampled into a fresh estimator; the series must
-	// find it.
-	q.Observe("p", 0, at.Add(time.Second))
-	q.Observe("p", 0, at.Add(2*time.Second))
-	if r := gatherOne(t, q, "p", &series); r.PA != 1 || r.LambdaM != 0 {
-		t.Errorf("successor estimates = %+v, want P_A 1 and lambda_M 0", r)
-	}
-	// And keeps following it through the cache.
-	q.Observe("p", 3, at.Add(3*time.Second))
-	q.Observe("p", 3, at.Add(4*time.Second))
-	gatherOne(t, q, "p", &series)
 }

@@ -49,11 +49,12 @@ func TestNewQoSRejectsBadThresholds(t *testing.T) {
 
 func TestSetThresholdsValidatesAndRetunesInterpreters(t *testing.T) {
 	q := mustQoS(t, 10, 5)
+	f := newFleet()
 	t0 := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
 
 	// A level of 7 is below the initial high threshold: trusted.
-	q.Observe("p", 0, t0)
-	q.Observe("p", 7, t0.Add(time.Second))
+	f.observe(q, "p", 0, t0)
+	f.observe(q, "p", 7, t0.Add(time.Second))
 	if est, _ := q.Estimate("p"); est.Status != core.Trusted {
 		t.Fatalf("status = %v before retune, want trusted", est.Status)
 	}
@@ -74,7 +75,7 @@ func TestSetThresholdsValidatesAndRetunesInterpreters(t *testing.T) {
 	if err := q.SetThresholds(6, 3); err != nil {
 		t.Fatal(err)
 	}
-	q.Observe("p", 7, t0.Add(2*time.Second))
+	f.observe(q, "p", 7, t0.Add(2*time.Second))
 	if est, _ := q.Estimate("p"); est.Status != core.Suspected {
 		t.Fatalf("status = %v after lowering thresholds, want suspected", est.Status)
 	}
@@ -87,6 +88,7 @@ func TestSetThresholdsValidatesAndRetunesInterpreters(t *testing.T) {
 // under -race this also proves the swap is properly synchronised.
 func TestThresholdSwapAtomicWithObserve(t *testing.T) {
 	q := mustQoS(t, 10, 5)
+	f := newFleet()
 	t0 := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
 
 	var wg sync.WaitGroup
@@ -109,8 +111,7 @@ func TestThresholdSwapAtomicWithObserve(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 5000; i++ {
-		q.Observe("p", 3, t0.Add(time.Duration(i)*time.Millisecond))
-		q.Sample(constSource{now: t0.Add(time.Duration(i) * time.Millisecond)})
+		f.observe(q, "p", 3, t0.Add(time.Duration(i)*time.Millisecond))
 	}
 	close(stop)
 	wg.Wait()
@@ -124,27 +125,20 @@ func TestThresholdSwapAtomicWithObserve(t *testing.T) {
 	}
 }
 
-// constSource is a LevelSource with one process at a constant level 3.
-type constSource struct{ now time.Time }
-
-func (c constSource) Now() time.Time { return c.now }
-func (c constSource) EachLevel(fn func(id string, lvl core.Level)) {
-	fn("q", 3)
-}
-
 // TestChurnRestartsEstimator is the crash → forget → re-register
 // regression test: a process whose slab handle is reused must start a
 // fresh estimator rather than inheriting the predecessor's detection
 // samples, and the predecessor's T_D must be recorded exactly once.
 func TestChurnRestartsEstimator(t *testing.T) {
 	q := mustQoS(t, 2, 1)
+	f := newFleet()
 	t0 := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
 
 	// Life 1: trusted, crashes, gets suspected, is deregistered.
-	q.Observe("a", 0, t0)
+	f.observe(q, "a", 0, t0)
 	q.MarkCrashed("a", t0.Add(500*time.Millisecond))
-	q.Observe("a", 5, t0.Add(time.Second)) // S-transition past the crash
-	q.Forget("a", t0.Add(2*time.Second))
+	f.observe(q, "a", 5, t0.Add(time.Second)) // S-transition past the crash
+	f.deregister(q, "a", t0.Add(2*time.Second))
 
 	count, mean, max := q.DetectionStats()
 	if count != 1 {
@@ -153,13 +147,13 @@ func TestChurnRestartsEstimator(t *testing.T) {
 	if want := 500 * time.Millisecond; mean != want || max != want {
 		t.Fatalf("T_D mean=%v max=%v, want %v", mean, max, want)
 	}
-	if q.Len() != 0 {
-		t.Fatalf("estimator count = %d after Forget, want 0", q.Len())
+	if est, ok := q.Estimate("a"); ok {
+		t.Fatalf("deregistered process still estimable: %+v", est)
 	}
 
 	// Life 2: same id re-registers. The estimator must be fresh — no
 	// inherited samples, transitions or crash mark.
-	q.Observe("a", 0, t0.Add(3*time.Second))
+	f.observe(q, "a", 0, t0.Add(3*time.Second))
 	est, ok := q.Estimate("a")
 	if !ok {
 		t.Fatal("no estimator after re-registration")
@@ -172,35 +166,15 @@ func TestChurnRestartsEstimator(t *testing.T) {
 	}
 
 	// Life 2 deregisters without a crash: no new detection sample.
-	q.Forget("a", t0.Add(4*time.Second))
+	f.deregister(q, "a", t0.Add(4*time.Second))
 	if count, _, _ := q.DetectionStats(); count != 1 {
 		t.Fatalf("detection count = %d after clean deregistration, want 1", count)
 	}
 }
 
-// TestForgetIgnoresStaleDeregistration covers the notification race:
-// the monitor delivers Deregister notifications after releasing its
-// shard lock, so a re-registered process can be sampled before the
-// predecessor's Forget lands. A Forget whose timestamp predates the
-// estimator's latest observation must leave the successor's state
-// alone.
-func TestForgetIgnoresStaleDeregistration(t *testing.T) {
-	q := mustQoS(t, 2, 1)
-	t0 := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
-
-	q.Observe("a", 0, t0.Add(5*time.Second)) // successor already sampled
-	q.Forget("a", t0.Add(4*time.Second))     // stale notification
-
-	if _, ok := q.Estimate("a"); !ok {
-		t.Fatal("stale Forget destroyed the successor's estimator")
-	}
-	if count, _, _ := q.DetectionStats(); count != 0 {
-		t.Fatalf("detection count = %d from stale Forget, want 0", count)
-	}
-}
-
 func TestAggregateEstimates(t *testing.T) {
 	q := mustQoS(t, 2, 1)
+	f := newFleet()
 	t0 := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
 
 	agg := q.AggregateEstimates()
@@ -211,12 +185,12 @@ func TestAggregateEstimates(t *testing.T) {
 	// "good" stays trusted for 10s; "bad" is suspected from t+5s on.
 	for i := 0; i <= 10; i++ {
 		now := t0.Add(time.Duration(i) * time.Second)
-		q.Observe("good", 0, now)
+		f.observe(q, "good", 0, now)
 		lvl := core.Level(0)
 		if i >= 5 {
 			lvl = 5
 		}
-		q.Observe("bad", lvl, now)
+		f.observe(q, "bad", lvl, now)
 	}
 	agg = q.AggregateEstimates()
 	if agg.Procs != 2 || agg.Estimable != 2 {

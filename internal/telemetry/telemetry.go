@@ -19,9 +19,10 @@
 //
 // Three layers:
 //
-//   - QoS: the online estimators, one per monitored process, fed each
-//     interval by the daemon's background round (service.Runner), or by
-//     Sample polling a LevelSource (a service.Monitor).
+//   - QoS: the online estimators, one per registry binding and carried
+//     on it (ProcSeries), fed each interval by the daemon's background
+//     round (service.Runner), or by Sample polling a LevelSource (a
+//     service.Monitor).
 //   - Counters / TransportCounters: cache-line-striped and plain atomic
 //     counters wired into the heartbeat ingest and query hot paths; an
 //     instrumented ingest stays zero-alloc and contention-free.
@@ -33,11 +34,7 @@
 // the monitor, the UDP listener and the HTTP API.
 package telemetry
 
-import (
-	"time"
-
-	"accrual/internal/core"
-)
+import "accrual/internal/core"
 
 // Default reference thresholds for the per-process QoS interpreter.
 // The high threshold matches the conservative end of the per-detector
@@ -57,8 +54,8 @@ type Hub struct {
 	// Counters aggregates the monitor hot path (heartbeats, queries,
 	// registrations) across cache-line-padded stripes.
 	Counters Counters
-	// Transport counts UDP packet dispositions and the ingest queue
-	// high-water mark.
+	// Transport counts UDP packet dispositions, decoded batch frames and
+	// sender failures.
 	Transport TransportCounters
 	// Federation counts the gossip plane's digest traffic
 	// (internal/federation); zero and inert on a non-federated daemon.
@@ -73,43 +70,15 @@ type Hub struct {
 	qos *QoS
 }
 
-// HubOption configures a Hub.
-type HubOption func(*Hub)
-
-// WithQoSThresholds sets the reference interpreter's two thresholds
-// (Algorithm 3's T and T_0; high must exceed low for the hysteresis to
-// be meaningful — invalid pairs fall back to the defaults; callers that
-// want a hard failure should validate with NewQoS first, as
-// cmd/accruald does at boot).
-func WithQoSThresholds(high, low core.Level) HubOption {
-	return func(h *Hub) {
-		if qos, err := NewQoS(high, low); err == nil {
-			h.qos = qos
-		}
-	}
-}
-
-// NewHub returns a telemetry hub with default QoS thresholds unless
-// overridden.
-func NewHub(opts ...HubOption) *Hub {
+// NewHub returns a telemetry hub whose QoS estimators use the default
+// reference thresholds; Hub.QoS().SetThresholds changes them.
+func NewHub() *Hub {
 	qos, err := NewQoS(DefaultQoSHigh, DefaultQoSLow)
 	if err != nil {
 		panic(err) // the defaults are constants; unreachable
 	}
-	h := &Hub{qos: qos}
-	for _, opt := range opts {
-		opt(h)
-	}
-	return h
+	return &Hub{qos: qos}
 }
 
 // QoS returns the online QoS estimators.
 func (h *Hub) QoS() *QoS { return h.qos }
-
-// ProcessDeregistered tells the QoS layer a process left the monitor,
-// finalising its detection-time sample if it had been marked crashed.
-// The service.Monitor calls this from Deregister after releasing its
-// shard lock.
-func (h *Hub) ProcessDeregistered(id string, now time.Time) {
-	h.qos.Forget(id, now)
-}

@@ -191,44 +191,42 @@ func (d *ConstantThreshold) Query(now time.Time) core.Status {
 }
 
 // Hysteresis is Algorithm 3: the two-threshold interpreter D'_T. An
-// S-transition fires when the level exceeds the high threshold T(t); a
+// S-transition fires when the level exceeds the high threshold T; a
 // T-transition fires when the level falls to or below the low threshold
-// T0(t). T0(t) < T(t) must hold at all times for the QoS orderings of
-// Theorems 1 and 4 to apply.
+// T0. T0 < T must hold for the QoS orderings of Theorems 1 and 4 to
+// apply.
 type Hysteresis struct {
-	src    LevelFunc
-	T      func(now time.Time) core.Level
-	T0     func(now time.Time) core.Level
-	status core.Status
+	src       LevelFunc
+	high, low core.Level
+	status    core.Status
 }
 
 var _ core.BinaryDetector = (*Hysteresis)(nil)
 
-// NewHysteresis returns D'_T with constant thresholds high and low.
+// NewHysteresis returns D'_T with thresholds high and low.
 func NewHysteresis(src LevelFunc, high, low core.Level) *Hysteresis {
-	return &Hysteresis{
-		src:    src,
-		T:      func(time.Time) core.Level { return high },
-		T0:     func(time.Time) core.Level { return low },
-		status: core.Trusted,
-	}
-}
-
-// NewHysteresisFunc returns D'_T with time-varying threshold functions.
-func NewHysteresisFunc(src LevelFunc, high, low func(now time.Time) core.Level) *Hysteresis {
-	return &Hysteresis{src: src, T: high, T0: low, status: core.Trusted}
+	return &Hysteresis{src: src, high: high, low: low, status: core.Trusted}
 }
 
 // Query runs one iteration of Algorithm 3 and returns the status.
 func (d *Hysteresis) Query(now time.Time) core.Status {
-	sl := d.src(now)
-	if sl > d.T(now) && d.status == core.Trusted {
-		d.status = core.Suspected
-	}
-	if sl <= d.T0(now) && d.status == core.Suspected {
-		d.status = core.Trusted
-	}
+	d.status = HysteresisStep(d.status, d.src(now), d.high, d.low)
 	return d.status
+}
+
+// HysteresisStep is one iteration of Algorithm 3 on a level sl already
+// read: from status, suspect when sl exceeds the high threshold, trust
+// again when it falls to or below the low one. It is the one place D'_T
+// compares a level, shared by Hysteresis and the daemon's online QoS
+// estimators, which keep only the status per process.
+func HysteresisStep(status core.Status, sl, high, low core.Level) core.Status {
+	if sl > high && status == core.Trusted {
+		status = core.Suspected
+	}
+	if sl <= low && status == core.Suspected {
+		status = core.Trusted
+	}
+	return status
 }
 
 // Status returns the current status without running a query.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -187,18 +188,21 @@ func TestScrapeEqualsReferenceRenderThroughChurn(t *testing.T) {
 	}
 }
 
-// TestScrapeFollowsLateForget is the deregister → re-register → Forget
-// interleaving end to end: the successor binding is scraped (and caches
-// the predecessor's estimator) before the predecessor's Forget runs.
-// The monitor is built without the hub so the test, not Deregister,
-// decides when Forget happens.
-func TestScrapeFollowsLateForget(t *testing.T) {
+// TestLateDeregistrationNoticeKeepsLivesApart is the deregister →
+// re-register → late notice interleaving end to end, through the
+// Monitor. Deregister tells the QoS layer only after releasing its shard
+// lock; here a sampling round holds that notice back while p registers
+// again and the round observes the successor at the same instant. The
+// notice must still finalise the predecessor's own estimator: exactly one
+// detection, a successor that counts only its own samples and carries no
+// crash mark, and no scrape that renders the predecessor's T_M.
+func TestLateDeregistrationNoticeKeepsLivesApart(t *testing.T) {
 	epoch := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
 	clk := clock.NewManual(epoch)
 	hub := telemetry.NewHub()
 	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
 		return simple.New(start)
-	})
+	}, service.WithTelemetry(hub))
 	api := NewAPI(mon, WithAPITelemetry(hub))
 	q := hub.QoS()
 	beat := func(seq uint64) {
@@ -207,9 +211,12 @@ func TestScrapeFollowsLateForget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	renderedTM := func(tm float64) bool {
+		return strings.Contains(string(scrapedPerProcessSection(api)), fmt.Sprintf("%s{proc=\"p\"} %v\n", telemetry.MetricQoSTM, tm))
+	}
 
-	// First life: one mistake, corrected — estimates a fresh estimator
-	// cannot reproduce.
+	// First life: one mistake, corrected (a T_M no fresh estimator can
+	// show), then a crash mark and a suspicion 4s after it.
 	beat(1)
 	q.Sample(mon)
 	clk.Advance(5 * time.Second)
@@ -218,26 +225,59 @@ func TestScrapeFollowsLateForget(t *testing.T) {
 	q.Sample(mon)
 	clk.Advance(time.Second)
 	q.Sample(mon)
-	requireReferenceRender(t, api, "first life")
-	orphan, _ := q.Estimate("p")
-	if orphan.STransitions != 1 || orphan.TTransitions != 1 {
-		t.Fatalf("fixture: first life recorded %d S / %d T transitions, want 1 / 1", orphan.STransitions, orphan.TTransitions)
+	q.MarkCrashed("p", clk.Now())
+	clk.Advance(4 * time.Second)
+	q.Sample(mon)
+	pred, _ := q.Estimate("p")
+	if pred.Status != core.Suspected || pred.TTransitions != 1 || !renderedTM(pred.TM) {
+		t.Fatalf("fixture: first life %+v, want suspected after one corrected mistake", pred)
 	}
 
-	mon.Deregister("p")
-	beat(1) // second life, bound before the first one's Forget
-	requireReferenceRender(t, api, "successor scraped before Forget")
-	q.Forget("p", clk.Now())
-	requireReferenceRender(t, api, "after the late Forget")
+	// Deregister while a round holds the estimator lock, so its notice
+	// waits; the successor binds and the round observes it meanwhile.
+	q.BeginRound()
+	deregistered := make(chan bool)
+	go func() { deregistered <- mon.Deregister("p") }()
+	for deadline := time.Now().Add(10 * time.Second); mon.Known("p"); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			q.EndRound()
+			t.Fatal("Deregister never unbound p")
+		}
+	}
+	beat(1)
+	now := mon.Now()
+	mon.EachSeries(now, func(s *telemetry.ProcSeries, lvl core.Level) { q.ObserveSeries(s, lvl, now) })
+	q.EndRound()
+	if !<-deregistered {
+		t.Fatal("Deregister(p) = false")
+	}
 
-	clk.Advance(time.Second)
-	beat(2)
+	if count, td, _ := q.DetectionStats(); count != 1 || td != 4*time.Second {
+		t.Errorf("detections = %d with T_D %v, want 1 with 4s", count, td)
+	}
+	succ, ok := q.Estimate("p")
+	if !ok || succ.Samples != 1 || succ.STransitions != 0 || succ.Status != core.Trusted {
+		t.Errorf("successor estimate %+v (ok=%v), want one trusted sample of its own", succ, ok)
+	}
+	requireReferenceRender(t, api, "successor sampled once")
+	if renderedTM(pred.TM) {
+		t.Errorf("scrape renders the predecessor's T_M %v", pred.TM)
+	}
+
+	// The successor carries no crash mark: suspected and deregistered,
+	// it is no detection.
+	clk.Advance(5 * time.Second)
 	q.Sample(mon)
-	clk.Advance(time.Second)
-	q.Sample(mon)
-	requireReferenceRender(t, api, "successor sampled")
-	if strings.Contains(string(scrapedPerProcessSection(api)), fmt.Sprintf("%s{proc=\"p\"} %v\n", telemetry.MetricQoSTM, orphan.TM)) {
-		t.Errorf("scrape still renders the forgotten estimator's T_M %v", orphan.TM)
+	requireReferenceRender(t, api, "successor suspected")
+	if renderedTM(pred.TM) {
+		t.Errorf("scrape renders the predecessor's T_M %v", pred.TM)
+	}
+	if est, _ := q.Estimate("p"); est.Status != core.Suspected {
+		t.Fatalf("fixture: successor %+v, want suspected after 5s of silence", est)
+	}
+	mon.Deregister("p")
+	if count, _, _ := q.DetectionStats(); count != 1 {
+		t.Errorf("detections = %d after the unmarked successor left, want 1", count)
 	}
 }
 
