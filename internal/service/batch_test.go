@@ -121,28 +121,50 @@ func TestHeartbeatBatchRejectsUnknown(t *testing.T) {
 // TestHeartbeatBatchZeroAllocSteadyState pins the batch ingest hot path
 // at zero allocations once every sender is registered — the registry
 // half of the end-to-end zero-alloc batch pipeline (the codec half lives
-// in transport).
+// in transport) — for string-keyed batches and for byte-keyed frames of
+// one record and of more than one group.
 func TestHeartbeatBatchZeroAllocSteadyState(t *testing.T) {
-	mon := batchTestMonitor(WithTelemetry(telemetry.NewHub()))
-	at := mon.Now()
-	beats := make([]core.Heartbeat, 32)
-	for i := range beats {
-		beats[i] = core.Heartbeat{From: fmt.Sprintf("proc-%02d", i%8), Seq: 1, Arrived: at}
-	}
-	mon.HeartbeatBatch(beats) // register everyone
-	seq := uint64(1)
-	if allocs := testing.AllocsPerRun(1000, func() {
-		seq++
-		at = at.Add(100 * time.Millisecond)
-		for i := range beats {
-			beats[i].Seq = seq
-			beats[i].Arrived = at
-		}
-		if acc, _ := mon.HeartbeatBatch(beats); acc != len(beats) {
-			t.Fatalf("accepted %d, want %d", acc, len(beats))
-		}
-	}); allocs != 0 {
-		t.Errorf("steady-state HeartbeatBatch: %.1f allocs/op, want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		beats int
+		bytes bool
+	}{
+		{"HeartbeatBatch", 32, false},
+		{"HeartbeatIDs", 100, true},
+		{"HeartbeatIDs/one", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mon := batchTestMonitor(WithTelemetry(telemetry.NewHub()))
+			at := mon.Now()
+			beats := make([]core.Heartbeat, tc.beats)
+			ids := make([][]byte, tc.beats)
+			known := make([]bool, tc.beats)
+			for i := range beats {
+				beats[i] = core.Heartbeat{From: fmt.Sprintf("proc-%02d", i%8), Seq: 1, Arrived: at}
+				ids[i] = []byte(beats[i].From)
+			}
+			mon.HeartbeatBatch(beats) // register everyone
+			seq := uint64(1)
+			if allocs := testing.AllocsPerRun(1000, func() {
+				seq++
+				at = at.Add(100 * time.Millisecond)
+				for i := range beats {
+					beats[i].Seq = seq
+					beats[i].Arrived = at
+				}
+				acc := 0
+				if tc.bytes {
+					acc = mon.HeartbeatIDs(ids, beats, known)
+				} else {
+					acc, _ = mon.HeartbeatBatch(beats)
+				}
+				if acc != len(beats) {
+					t.Fatalf("accepted %d, want %d", acc, len(beats))
+				}
+			}); allocs != 0 {
+				t.Errorf("steady-state %s: %.1f allocs/op, want 0", tc.name, allocs)
+			}
+		})
 	}
 }
 
@@ -178,7 +200,7 @@ func TestHeartbeatBatchConcurrent(t *testing.T) {
 			for i := 0; i < 16; i++ {
 				id := fmt.Appendf(nil, "g1-proc-%d", i)
 				hb := core.Heartbeat{Seq: uint64(round + 1), Arrived: at}
-				if !mon.HeartbeatID(id, hb) {
+				if !heartbeatID(mon, id, hb) {
 					hb.From = tab.Intern(id)
 					_ = mon.Heartbeat(hb) // auto-registration is on
 				}

@@ -65,6 +65,22 @@ func find[T ~string | ~[]byte](sh *shard, h uint32, id T) (uint32, *entry) {
 	}
 }
 
+// probeLine continues h's probe past its home through the rest of the
+// home word's cache line — a 64-byte line holds eight words, and the
+// array, a power of two of at least 128 bytes, is line-aligned — and
+// returns the first word tagged h, 0 when an empty word ends the chain
+// first (h is not indexed), or offLine when the line ends first. It reads
+// no memory the home word's load did not bring in. Caller holds sh.mu.
+func (x *idIndex) probeLine(h uint32) uint64 {
+	mask := len(x.words) - 1
+	for i := (x.home(h) + 1) & mask; i&7 != 0; i = (i + 1) & mask {
+		if w := x.words[i]; w == 0 || wordTag(w) == h {
+			return w
+		}
+	}
+	return offLine
+}
+
 // eachSlot calls fn with every indexed slot, in index order. Caller
 // holds the shard lock.
 func (x *idIndex) eachSlot(fn func(slot uint32)) {

@@ -28,7 +28,11 @@
 //
 // Lock ordering is shard lock → entry lock; no code path acquires a
 // shard lock while holding an entry lock, and no code path holds two
-// entry locks at once.
+// entry locks at once. Heartbeat ingest resolves a frame's beats in
+// groups and holds the read locks of a group's distinct shards together,
+// taken in ascending shard index, then takes its beats' entry locks one
+// at a time; every other path holds at most one shard lock. A
+// registration or deregistration waits out the groups reading its shard.
 //
 // # Memory layout
 //
@@ -177,10 +181,11 @@ func (p Profile) EstimatorWindow(def int) int {
 // then the slot, the id's bytes (the index's tag hit is verified against
 // id), its detector and the detector's sample buffer, and nothing else.
 // With a registry far beyond cache each object is a dependent miss per
-// beat, so what the write path needs stays inline: the canonical id it
-// compares and stamps on hb.From is the slot's own copy (id), not
-// entryMeta's, and the last-arrival stamp lives only in the eval cell
-// (evalLast).
+// beat — resolveGroup overlaps the misses of a frame's beats, but not
+// one beat's chain — so what the write path needs stays inline: the
+// canonical id it compares and stamps on hb.From is the slot's own copy
+// (id), not entryMeta's, and the last-arrival stamp lives only in the
+// eval cell (evalLast).
 type entry struct {
 	mu  sync.Mutex
 	gen atomic.Uint64
@@ -388,10 +393,9 @@ func (s *slab) alloc() (uint32, *entry) {
 
 // shard is one slice of the registry with its own lock: an id → slot
 // index plus the entry slab the indices address. The per-beat footprint
-// inside the read lock is one probe of the index — usually one cache
-// line, the home word — and the id compare on the slot the beat is about
-// to lock anyway; the index holds no id and no pointer, so the collector
-// never scans it.
+// in the index is one probe — usually one cache line, the home word —
+// and the id compare on the slot the beat is about to lock anyway; the
+// index holds no id and no pointer, so the collector never scans it.
 type shard struct {
 	mu    sync.RWMutex
 	index idIndex

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -577,14 +576,16 @@ func (s *Sender) Stop() {
 // Every heartbeat takes one path from the socket to its registry slot,
 // on the read loop itself: decode → resolve → report. The loop validates
 // each datagram — an AFB1 frame, or an AFD1 datagram as its one-record
-// case — and hands each record, its id still the bytes of the read
-// buffer, to Monitor.HeartbeatID. A known id costs one intern.Hash and
-// one probe of its registry shard's index; the beat is reported in
-// place, with no allocation. A first-contact id is converted to a string
-// once, and the registry keeps that string as the binding's id. There
-// is no queue between socket and slot: under overload the socket's
-// receive buffer is the queue, and what the kernel drops is the same
-// loss the detectors already tolerate from the network.
+// case — decodes its records, their ids still the bytes of the read
+// buffer, and hands the frame to Monitor.HeartbeatIDs in one call, which
+// resolves the records together so their registry misses overlap. A
+// known id costs one intern.Hash and one probe of its registry shard's
+// index; the beat is reported in place, with no allocation. A
+// first-contact id is converted to a string once, and the registry keeps
+// that string as the binding's id. There is no queue between socket and
+// slot: under overload the socket's receive buffer is the queue, and
+// what the kernel drops is the same loss the detectors already tolerate
+// from the network.
 type Listener struct {
 	conn      *net.UDPConn
 	clk       clock.Clock
@@ -611,12 +612,17 @@ type Listener struct {
 	digestFn func(d *Digest, arrived time.Time)
 
 	// Read-loop state, touched only by the read goroutine and reused
-	// datagram after datagram: the socket's counter cell, the beats of
-	// senders awaiting registration, and the digest decode scratch (the
-	// digest handler must copy anything it keeps).
-	cell  *telemetry.SocketCell
-	fresh []core.Heartbeat
-	dig   Digest
+	// datagram after datagram: the socket's counter cell, the decoded
+	// frame (each record's id, aliasing the read buffer, its beat, and
+	// whether the registry knew it), the beats of senders awaiting
+	// registration, and the digest decode scratch (the digest handler
+	// must copy anything it keeps).
+	cell   *telemetry.SocketCell
+	recIDs [][]byte
+	recs   []core.Heartbeat
+	known  []bool
+	fresh  []core.Heartbeat
+	dig    Digest
 }
 
 // ListenerOption configures a Listener.
@@ -787,34 +793,31 @@ func (l *Listener) handleDatagram(buf []byte, arrived time.Time) {
 		l.countDecodeError(err)
 		return
 	}
-	var delivered, rejected uint64
-	l.fresh = l.fresh[:0]
+	l.recIDs, l.recs = l.recIDs[:0], l.recs[:0]
 	for i := 0; i < n; i++ {
 		id, hb, next := decodeRecord(buf, off)
 		off = next
 		hb.Arrived = arrived
-		if l.mon.HeartbeatID(id, hb) {
-			delivered++
-			continue
-		}
-		// First contact: this conversion is the id's one allocation; the
-		// registry keeps the string when it binds the sender below.
-		hb.From = string(id)
-		l.fresh = append(l.fresh, hb)
+		l.recIDs = append(l.recIDs, id)
+		l.recs = append(l.recs, hb)
 	}
-	if len(l.fresh) > 0 {
-		// New senders are registered after the known ones, in registry-
-		// shard order. Walks (scrape, top-k, sampling, digests) visit the
-		// registry shard by shard, and a binding's per-process objects are
-		// allocated when it is bound, so a burst bound in shard order is
-		// laid out in the order the walks read it; bound in arrival order,
-		// a fleet registering in bulk made the read-heavy benchmark's
-		// top-k and scrape walks ~20% dearer. The sort is stable, so one
-		// process's beats keep their order.
-		mask := uint32(l.mon.ShardCount() - 1)
-		slices.SortStableFunc(l.fresh, func(a, b core.Heartbeat) int {
-			return int(intern.Hash(a.From)&mask) - int(intern.Hash(b.From)&mask)
-		})
+	if cap(l.known) < n {
+		l.known = make([]bool, n)
+	}
+	known := l.known[:n]
+	delivered := uint64(l.mon.HeartbeatIDs(l.recIDs, l.recs, known))
+	var rejected uint64
+	if delivered < uint64(n) {
+		// First contact: each conversion is the id's one allocation; the
+		// registry keeps the string when it binds the sender.
+		l.fresh = l.fresh[:0]
+		for i, ok := range known {
+			if !ok {
+				hb := l.recs[i]
+				hb.From = string(l.recIDs[i])
+				l.fresh = append(l.fresh, hb)
+			}
+		}
 		acc, rej := l.mon.HeartbeatBatch(l.fresh)
 		delivered += uint64(acc)
 		rejected += uint64(rej)
