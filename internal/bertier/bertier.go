@@ -129,6 +129,10 @@ func (d *Detector) Report(hb core.Heartbeat) bool {
 	return d.est.Report(hb)
 }
 
+// Prefetch starts loading the estimator's window slot the next Report
+// writes (see core.Detector.Prefetch).
+func (d *Detector) Prefetch() { d.est.Prefetch() }
+
 // Margin returns the current adaptive safety margin.
 func (d *Detector) Margin() time.Duration {
 	m := d.beta*d.delay + d.phi*d.dev

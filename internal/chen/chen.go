@@ -130,6 +130,10 @@ func (d *Detector) Suspicion(now time.Time) core.Level {
 	return d.EvalSnapshot().Level(now)
 }
 
+// Prefetch starts loading the window slot the next Report writes (see
+// core.Detector.Prefetch).
+func (d *Detector) Prefetch() { d.window.Prefetch() }
+
 // LastSeq returns the largest sequence number received.
 func (d *Detector) LastSeq() uint64 { return d.snLast }
 

@@ -94,6 +94,13 @@ type Detector interface {
 	// heartbeat as stale and lets it move neither the level nor the
 	// last-arrival stamp.
 	Report(hb Heartbeat) bool
+	// Prefetch asks the CPU to start loading the memory the next Report
+	// touches beyond the detector itself — a sample window's next slot —
+	// and does nothing else: it changes no state, observable or not,
+	// and allocates nothing. A detector without such memory does
+	// nothing. internal/service calls it, under the entry lock, for each
+	// beat of a frame before reporting any, so the beats' misses overlap.
+	Prefetch()
 	// Suspicion returns the suspicion level sl_qp(now): by contract
 	// EvalSnapshot().Level(now). now must be monotonically
 	// non-decreasing across calls for the accruement guarantees to hold.

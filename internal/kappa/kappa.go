@@ -343,6 +343,10 @@ func (d *Detector) RestoreState(st core.State) error {
 	return nil
 }
 
+// Prefetch starts loading the window slot the next Report writes (see
+// core.Detector.Prefetch).
+func (d *Detector) Prefetch() { d.window.Prefetch() }
+
 // LastSeq returns the sequence number of the most recent accepted
 // heartbeat.
 func (d *Detector) LastSeq() uint64 { return d.snLast }

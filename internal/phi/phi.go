@@ -254,6 +254,10 @@ func (d *Detector) RestoreState(st core.State) error {
 // heartbeat and whether one has arrived at all.
 func (d *Detector) LastArrival() (time.Time, bool) { return d.last, d.hasLast }
 
+// Prefetch starts loading the window slot the next Report writes (see
+// core.Detector.Prefetch).
+func (d *Detector) Prefetch() { d.window.Prefetch() }
+
 // LastSeq returns the sequence number of the most recent accepted
 // heartbeat.
 func (d *Detector) LastSeq() uint64 { return d.snLast }

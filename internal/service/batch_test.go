@@ -8,6 +8,7 @@ import (
 
 	"accrual/internal/clock"
 	"accrual/internal/core"
+	"accrual/internal/phi"
 	"accrual/internal/simple"
 	"accrual/internal/telemetry"
 	"accrual/internal/transport/intern"
@@ -122,25 +123,35 @@ func TestHeartbeatBatchRejectsUnknown(t *testing.T) {
 // at zero allocations once every sender is registered — the registry
 // half of the end-to-end zero-alloc batch pipeline (the codec half lives
 // in transport) — for string-keyed batches and for byte-keyed frames of
-// one record and of more than one group.
+// one record and of more than one group, and for a full-group frame of
+// distinct φ senders, whose detectors prefetch their sample windows
+// before any is reported.
 func TestHeartbeatBatchZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		beats int
-		bytes bool
+		name    string
+		beats   int
+		procs   int
+		bytes   bool
+		factory Factory // nil: batchTestMonitor's simple detector
 	}{
-		{"HeartbeatBatch", 32, false},
-		{"HeartbeatIDs", 100, true},
-		{"HeartbeatIDs/one", 1, true},
+		{"HeartbeatBatch", 32, 8, false, nil},
+		{"HeartbeatIDs", 100, 8, true, nil},
+		{"HeartbeatIDs/one", 1, 8, true, nil},
+		{"HeartbeatIDs/frame-phi", groupSize, groupSize, true, func(_ string, at time.Time) core.Detector {
+			return phi.New(at, phi.WithBootstrap(100*time.Millisecond, 25*time.Millisecond))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mon := batchTestMonitor(WithTelemetry(telemetry.NewHub()))
+			if tc.factory != nil {
+				mon = NewMonitor(clock.NewManual(start), tc.factory, WithTelemetry(telemetry.NewHub()))
+			}
 			at := mon.Now()
 			beats := make([]core.Heartbeat, tc.beats)
 			ids := make([][]byte, tc.beats)
 			known := make([]bool, tc.beats)
 			for i := range beats {
-				beats[i] = core.Heartbeat{From: fmt.Sprintf("proc-%02d", i%8), Seq: 1, Arrived: at}
+				beats[i] = core.Heartbeat{From: fmt.Sprintf("proc-%02d", i%tc.procs), Seq: 1, Arrived: at}
 				ids[i] = []byte(beats[i].From)
 			}
 			mon.HeartbeatBatch(beats) // register everyone

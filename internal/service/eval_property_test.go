@@ -1,8 +1,10 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -152,5 +154,54 @@ func comparePublishedToLocked(t *testing.T, m *Monitor, now time.Time) {
 		if len(got) != checked {
 			t.Fatalf("%s visited %d processes, registry holds %d", path, len(got), checked)
 		}
+	}
+}
+
+// TestDetectorPrefetchIsInert pins core.Detector's Prefetch contract on
+// every detector kind: it moves nothing a reader can see — the eval
+// snapshot, the exported state, the tuning view — and allocates
+// nothing, on a fresh detector, a partly and a fully fed window, and a
+// window shrunk below the samples it holds, before and after a beat
+// drains the excess (the buffer stays larger than the capacity).
+func TestDetectorPrefetchIsInert(t *testing.T) {
+	for _, k := range detectorKinds {
+		t.Run(k.name, func(t *testing.T) {
+			det := k.factory("p", start)
+			at, seq := start, uint64(0)
+			feed := func(n int) {
+				for i := 0; i < n; i++ {
+					seq++
+					at = at.Add(time.Second + time.Duration(seq%7)*time.Millisecond)
+					det.Report(core.Heartbeat{From: "p", Seq: seq, Arrived: at})
+				}
+			}
+			check := func(state string) {
+				t.Helper()
+				snap, st, info := det.EvalSnapshot(), det.SnapshotState(), det.TuneInfo()
+				if allocs := testing.AllocsPerRun(100, det.Prefetch); allocs != 0 {
+					t.Errorf("%s: Prefetch %.1f allocs/op, want 0", state, allocs)
+				}
+				if got := det.EvalSnapshot(); !reflect.DeepEqual(got, snap) {
+					t.Errorf("%s: EvalSnapshot moved %+v -> %+v", state, snap, got)
+				}
+				if got := det.SnapshotState(); !reflect.DeepEqual(got, st) {
+					t.Errorf("%s: SnapshotState moved %+v -> %+v", state, st, got)
+				}
+				if got := det.TuneInfo(); !reflect.DeepEqual(got, info) {
+					t.Errorf("%s: TuneInfo moved %+v -> %+v", state, info, got)
+				}
+			}
+			check("fresh")
+			feed(5)
+			check("partial")
+			feed(300)
+			check("full")
+			if err := det.Retune(core.Tuning{WindowSize: 16}); err != nil && !errors.Is(err, core.ErrBadTuning) {
+				t.Fatal(err)
+			}
+			check("shrunk")
+			feed(3)
+			check("shrunk, fed")
+		})
 	}
 }

@@ -280,3 +280,87 @@ func TestFrameIngestUnderChurn(t *testing.T) {
 		t.Error("scrapes rebuilt no sorted order under churn")
 	}
 }
+
+// frameFleet is BenchmarkFrameIngest's registry, built once per test
+// binary: registering and warming 30k windows takes seconds, and the
+// benchmark function runs once per b.N probe.
+var frameFleet frameFixture
+
+type frameFixture struct {
+	sync.Once
+	m     *Monitor
+	ids   [][]byte
+	perms [][]int // shuffled fleet orders, one per round in turn
+	round uint64  // the beat number of the round being sent
+	pos   int     // the round's next process, an index into its order
+}
+
+// sendFrame sends the next len(frame) processes of the current round,
+// fewer at the round's end, one beat each, as one frame through
+// HeartbeatIDs, and returns how many beats it sent. Every process beats
+// once a round, in the round's shuffled order, about a second after its
+// previous beat.
+func (f *frameFixture) sendFrame(frame [][]byte, beats []core.Heartbeat, known []bool) int {
+	perm := f.perms[f.round%uint64(len(f.perms))]
+	base := start.Add(time.Duration(f.round) * time.Second)
+	n := min(len(frame), len(perm)-f.pos)
+	for i, p := range perm[f.pos : f.pos+n] {
+		frame[i] = f.ids[p]
+		jitter := time.Duration((p*7919+int(f.round)*104729)%100) * time.Millisecond
+		beats[i] = core.Heartbeat{Seq: f.round, Arrived: base.Add(jitter)}
+	}
+	f.m.HeartbeatIDs(frame[:n], beats[:n], known)
+	if f.pos += n; f.pos == len(perm) {
+		f.pos = 0
+		f.round++
+	}
+	return n
+}
+
+// BenchmarkFrameIngest measures the staged frame path on a registry far
+// beyond cache: 30k processes with accruald's φ detector (200-sample
+// window, bootstrapped), their windows full after 250 warm-up rounds,
+// fed 64-beat frames of shuffled ids through HeartbeatIDs as the UDP
+// read loop feeds a decoded AFB1 frame. An op is one frame; ns/beat is
+// the figure to read. It is a tool for locating per-beat costs, not a
+// pinned figure: the daemon benchmark (perfbench) is the end-to-end
+// measure.
+func BenchmarkFrameIngest(b *testing.B) {
+	const (
+		procs  = 30000
+		warmup = 250
+		frameN = 64
+	)
+	f := &frameFleet
+	frame := make([][]byte, frameN)
+	beats := make([]core.Heartbeat, frameN)
+	known := make([]bool, frameN)
+	f.Do(func() {
+		f.m = NewMonitor(clock.NewManual(start), func(_ string, at time.Time) core.Detector {
+			return phi.New(at, phi.WithBootstrap(time.Second, time.Second/4), phi.WithWindowSize(200))
+		}, WithTelemetry(telemetry.NewHub()))
+		f.ids = make([][]byte, procs)
+		for i := range f.ids {
+			f.ids[i] = fmt.Appendf(nil, "node-%05d", i)
+			if err := f.m.Register(string(f.ids[i])); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		f.perms = make([][]int, 8)
+		for i := range f.perms {
+			f.perms[i] = rng.Perm(procs)
+		}
+		for f.round = 1; f.round <= warmup; {
+			f.sendFrame(frame, beats, known)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	sent := 0
+	for i := 0; i < b.N; i++ {
+		sent += f.sendFrame(frame, beats, known)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sent), "ns/beat")
+}

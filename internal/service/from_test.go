@@ -107,10 +107,11 @@ func TestReportFromIsCanonicalID(t *testing.T) {
 	}
 }
 
-// TestEntryFitsTwoCacheLines bounds the registry slot's size. A
-// heartbeat of a known process touches the slot and its detector only,
-// so the slot's size is the write path's per-beat cache footprint, and
-// prefetchEntry covers a slot of up to 128 bytes. The bound is on size,
+// TestEntryFitsTwoCacheLines bounds the registry slot's size. Past its
+// index line, a heartbeat of a known process touches the slot, its
+// detector and one line of the detector's sample window, so the slot's
+// size is the part of the write path's per-beat cache footprint the
+// registry controls, and prefetchEntry covers a slot of up to 128 bytes. The bound is on size,
 // not placement: at the 112-byte stride half the slots straddle three
 // lines, and padding them to 128 bytes measured no gain.
 func TestEntryFitsTwoCacheLines(t *testing.T) {

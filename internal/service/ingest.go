@@ -143,8 +143,19 @@ var findFallback func()
 //  4. compare the ids; a tag collision, or a chain that leaves its line,
 //     is resolved by find;
 //  5. prefetch each detector's first lines;
-//  6. report each beat in order under its entry lock, one at a time;
-//  7. release the shard locks.
+//  6. under each beat's entry lock in turn, have its detector prefetch
+//     the memory its Report touches beyond itself (core.Detector's
+//     Prefetch: a sample window's next slot, the miss stage 5 cannot
+//     reach without knowing the detector's layout);
+//  7. report each beat in order under its entry lock, one at a time;
+//  8. release the shard locks.
+//
+// A one-beat group skips stage 6: with nothing to overlap its miss with,
+// the extra lock round trip is pure cost.
+//
+// Stage 6 takes the entry lock because a detector's window is not
+// immutable under the shard read lock alone: a retune resizes it, and a
+// state import restores it, under the entry lock.
 //
 // Only bind and unbind write the index, e.id and e.det, and they hold
 // the shard write lock, so every load above is race-free under the read
@@ -200,6 +211,16 @@ func resolveGroup[T ~string | ~[]byte](m *Monitor, g *group, id func(int) T, bea
 	for i := range ps {
 		if e := ps[i].e; e != nil {
 			prefetchDetector(e.det)
+		}
+	}
+
+	if len(ps) > 1 {
+		for i := range ps {
+			if e := ps[i].e; e != nil {
+				e.mu.Lock()
+				e.det.Prefetch()
+				e.mu.Unlock()
+			}
 		}
 	}
 

@@ -1,22 +1,23 @@
-//go:build amd64 || arm64
-
 package service
 
-import "accrual/internal/core"
+import (
+	"unsafe"
+
+	"accrual/internal/core"
+	"accrual/internal/prefetch"
+)
 
 // The prefetch helpers ask the CPU to start loading cache lines a later
 // stage of resolveGroup reads, so the misses of a whole group are in
-// flight together. A prefetch is a hint, not a memory access: it never
-// faults, and the race detector has nothing to see.
+// flight together (see package prefetch).
 
-// prefetchEntry prefetches every line e spans: the lines at e, e+64 and
-// e+127 cover any slot of up to 128 bytes (TestEntryFitsTwoCacheLines).
-//
-//go:noescape
-func prefetchEntry(e *entry)
+// prefetchEntry prefetches every line e spans: a slot is at most 128
+// bytes (TestEntryFitsTwoCacheLines).
+func prefetchEntry(e *entry) { prefetch.Span(unsafe.Pointer(e)) }
 
 // prefetchDetector prefetches the first three lines of the detector d
-// points to.
-//
-//go:noescape
-func prefetchDetector(d core.Detector)
+// points to: an interface value is a (type, data) word pair, and data
+// is the detector's pointer.
+func prefetchDetector(d core.Detector) {
+	prefetch.Head((*[2]unsafe.Pointer)(unsafe.Pointer(&d))[1])
+}

@@ -179,13 +179,14 @@ func (p Profile) EstimatorWindow(def int) int {
 //
 // A heartbeat of a known process reads one line of its shard's id index,
 // then the slot, the id's bytes (the index's tag hit is verified against
-// id), its detector and the detector's sample buffer, and nothing else.
-// With a registry far beyond cache each object is a dependent miss per
-// beat — resolveGroup overlaps the misses of a frame's beats, but not
-// one beat's chain — so what the write path needs stays inline: the
-// canonical id it compares and stamps on hb.From is the slot's own copy
-// (id), not entryMeta's, and the last-arrival stamp lives only in the
-// eval cell (evalLast).
+// id), its detector and one line of the detector's sample buffer, and
+// nothing else. With a registry far beyond cache each object is a
+// dependent miss per beat. resolveGroup overlaps each link of the chain
+// across a frame's beats — the last, the sample line, through the
+// detector's Prefetch — but not one beat's links with each other, so
+// what the write path needs stays inline: the canonical id it compares
+// and stamps on hb.From is the slot's own copy (id), not entryMeta's,
+// and the last-arrival stamp lives only in the eval cell (evalLast).
 type entry struct {
 	mu  sync.Mutex
 	gen atomic.Uint64

@@ -127,6 +127,10 @@ func (d *Detector) RestoreState(st core.State) error {
 // heartbeat (the detector start time if none arrived yet).
 func (d *Detector) LastArrival() time.Time { return d.tLast }
 
+// Prefetch does nothing: a Report touches no memory beyond the
+// detector (see core.Detector.Prefetch).
+func (d *Detector) Prefetch() {}
+
 // LastSeq returns the sequence number of the most recent accepted
 // heartbeat, zero if none arrived yet.
 func (d *Detector) LastSeq() uint64 { return d.snLast }

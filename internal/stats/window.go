@@ -4,7 +4,12 @@
 // probability distributions with tail functions, and histograms.
 package stats
 
-import "math"
+import (
+	"math"
+	"unsafe"
+
+	"accrual/internal/prefetch"
+)
 
 // Window is a fixed-capacity sliding window of float64 samples with O(1)
 // mean and variance queries. When full, pushing a new sample evicts the
@@ -60,6 +65,23 @@ func (w *Window) Push(v float64) {
 	if w.evicts >= rebuildEvery {
 		w.rebuild()
 	}
+}
+
+// Prefetch starts loading the buffer line the next Push reads and
+// writes: buf[head], the sample it evicts, when the window is full, and
+// otherwise the free slot it fills. It changes nothing, allocates
+// nothing, and does nothing for an empty buffer. A caller resolving a
+// batch of beats prefetches every beat's window before reporting any,
+// so their misses overlap.
+func (w *Window) Prefetch() {
+	if len(w.buf) == 0 {
+		return
+	}
+	i := w.head
+	if w.n < w.limit {
+		i = w.slot(w.n)
+	}
+	prefetch.Line(unsafe.Pointer(&w.buf[i]))
 }
 
 // slot returns the buf index of the i-th sample, 0 the oldest, for

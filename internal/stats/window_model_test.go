@@ -94,13 +94,37 @@ func checkWindow(t *testing.T, step int, op string, w *Window, m *windowModel) {
 	}
 }
 
+// checkPrefetch calls w.Prefetch and asserts it moved nothing: every
+// field of the window, every buffered value, and every observer against
+// the model.
+func checkPrefetch(t *testing.T, step int, op string, w *Window, m *windowModel) {
+	t.Helper()
+	before := *w
+	vals := append([]float64(nil), w.buf...)
+	w.Prefetch()
+	if len(w.buf) != len(before.buf) || cap(w.buf) != cap(before.buf) ||
+		(len(w.buf) > 0 && &w.buf[0] != &before.buf[0]) ||
+		w.head != before.head || w.n != before.n || w.limit != before.limit ||
+		w.sum != before.sum || w.sumSq != before.sumSq || w.evicts != before.evicts {
+		t.Fatalf("step %d (%s): Prefetch moved the window: %+v -> %+v", step, op, before, *w)
+	}
+	for i, v := range vals {
+		if w.buf[i] != v {
+			t.Fatalf("step %d (%s): Prefetch changed buf[%d] %v -> %v", step, op, i, v, w.buf[i])
+		}
+	}
+	checkWindow(t, step, op+"+prefetch", w, m)
+}
+
 // runWindowModel drives a Window and the model through the same seeded
 // sequence of Push, Resize (growing, and shrinking below the samples
 // held, which leaves len(buf) > limit until pushes drain it), Shift,
-// Restore and Reset, checking every observer after every step. It
-// returns how many samples were evicted and how many steps ran on a
-// lazily shrunk buffer.
-func runWindowModel(t *testing.T, seed uint64, steps int) (evicted, lazy int) {
+// Restore and Reset, checking every observer after every step, and
+// again after a Prefetch. It returns how many samples were evicted, and
+// counts in cover the states Prefetch ran in: by fill ("empty",
+// "partial", "full", "lazy" for a lazily shrunk buffer) and by the step
+// just taken ("after resize" and so on).
+func runWindowModel(t *testing.T, seed uint64, steps int, cover map[string]int) (evicted int) {
 	t.Helper()
 	rng := NewRand(seed)
 	capacity := 1 + rng.IntN(24)
@@ -140,30 +164,48 @@ func runWindowModel(t *testing.T, seed uint64, steps int) (evicted, lazy int) {
 			w.Reset()
 			m.samples = nil
 		}
-		if len(w.buf) > w.limit {
-			lazy++
-		}
 		checkWindow(t, step, op, w, m)
+		switch {
+		case w.Len() == 0:
+			cover["empty"]++
+		case !w.Full():
+			cover["partial"]++
+		default:
+			cover["full"]++
+		}
+		if len(w.buf) > w.limit {
+			cover["lazy"]++
+		}
+		cover["after "+op]++
+		checkPrefetch(t, step, op, w, m)
 	}
-	return evicted, lazy
+	return evicted
 }
 
 // TestWindowMatchesModel pins Window, and its divide-free ring wrap,
 // to the plain-slice model over many short seeded runs and a few long
 // ones; the long runs evict well past rebuildEvery, so the periodic
-// rebuild of the running moments is crossed too.
+// rebuild of the running moments is crossed too. Prefetch runs between
+// steps and must leave every observer, and the window itself, as it
+// was, in every state the runs reach.
 func TestWindowMatchesModel(t *testing.T) {
-	var lazy int
+	cover := map[string]int{}
 	for seed := uint64(1); seed <= 40; seed++ {
-		_, l := runWindowModel(t, seed, 500)
-		lazy += l
+		runWindowModel(t, seed, 500, cover)
 	}
-	if lazy == 0 {
-		t.Error("no step ran on a lazily shrunk buffer (len(buf) > limit)")
+	for _, state := range []string{"empty", "partial", "full", "lazy", "after push", "after resize", "after shift", "after restore", "after reset"} {
+		if cover[state] == 0 {
+			t.Errorf("Prefetch never ran on a window %s", state)
+		}
 	}
 	for seed := uint64(100); seed < 103; seed++ {
-		if evicted, _ := runWindowModel(t, seed, 20000); evicted < 2*rebuildEvery {
+		if evicted := runWindowModel(t, seed, 20000, cover); evicted < 2*rebuildEvery {
 			t.Errorf("seed %d: %d evictions, want > %d to cross the moment rebuild", seed, evicted, 2*rebuildEvery)
 		}
+	}
+	var zero Window
+	zero.Prefetch() // no buffer: nothing to hint, and no panic
+	if zero.buf != nil || zero.n != 0 || zero.head != 0 {
+		t.Errorf("Prefetch on the zero Window moved it: %+v", zero)
 	}
 }
