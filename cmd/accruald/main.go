@@ -98,11 +98,9 @@ import (
 	"accrual/internal/chen"
 	"accrual/internal/clock"
 	"accrual/internal/core"
+	"accrual/internal/detectors"
 	"accrual/internal/federation"
-	"accrual/internal/kappa"
-	"accrual/internal/phi"
 	"accrual/internal/service"
-	"accrual/internal/simple"
 	"accrual/internal/telemetry"
 	"accrual/internal/transport"
 	"accrual/internal/transport/statecodec"
@@ -157,7 +155,7 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 	if err != nil {
 		return err
 	}
-	factory, err := detectorFactory(*detName, *interval, profile)
+	factory, err := detectors.Factory(*detName, *interval, profile)
 	if err != nil {
 		return err
 	}
@@ -404,29 +402,4 @@ func loadState(mon *service.Monitor, path string) (int, error) {
 		return 0, err
 	}
 	return mon.ImportState(st)
-}
-
-func detectorFactory(name string, interval time.Duration, profile service.Profile) (service.Factory, error) {
-	switch name {
-	case "phi":
-		window := profile.EstimatorWindow(200)
-		return func(_ string, start time.Time) core.Detector {
-			return phi.New(start, phi.WithBootstrap(interval, interval/4), phi.WithWindowSize(window))
-		}, nil
-	case "chen":
-		window := profile.EstimatorWindow(100)
-		return func(_ string, start time.Time) core.Detector {
-			return chen.New(start, interval, chen.WithWindowSize(window))
-		}, nil
-	case "kappa":
-		return func(_ string, start time.Time) core.Detector {
-			return kappa.New(start, kappa.PLater{}, kappa.WithFixedInterval(interval))
-		}, nil
-	case "simple":
-		return func(_ string, start time.Time) core.Detector {
-			return simple.New(start)
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown detector %q (want phi, chen, kappa or simple)", name)
-	}
 }

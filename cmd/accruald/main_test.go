@@ -13,14 +13,17 @@ import (
 
 	"accrual/internal/clock"
 	"accrual/internal/core"
+	"accrual/internal/detectors"
 	"accrual/internal/service"
 	"accrual/internal/transport"
 	"accrual/internal/transport/statecodec"
 )
 
+// TestDetectorFactory checks that every -detector name the daemon accepts
+// resolves through the shared factory and that an unknown one fails.
 func TestDetectorFactory(t *testing.T) {
 	for _, name := range []string{"phi", "chen", "kappa", "simple"} {
-		f, err := detectorFactory(name, time.Second, service.ProfileDefault)
+		f, err := detectors.Factory(name, time.Second, service.ProfileDefault)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -29,7 +32,7 @@ func TestDetectorFactory(t *testing.T) {
 			t.Fatalf("%s: nil detector", name)
 		}
 	}
-	if _, err := detectorFactory("bogus", time.Second, service.ProfileDefault); err == nil {
+	if _, err := detectors.Factory("bogus", time.Second, service.ProfileDefault); err == nil {
 		t.Error("unknown detector name should fail")
 	}
 }
@@ -231,7 +234,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 // directly, including the corrupt-file path.
 func TestSaveLoadStateRoundTrip(t *testing.T) {
 	clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
-	factory, err := detectorFactory("phi", 100*time.Millisecond, service.ProfileDefault)
+	factory, err := detectors.Factory("phi", 100*time.Millisecond, service.ProfileDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,23 +327,5 @@ func TestDaemonHistoryEndpoint(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not shut down")
-	}
-}
-
-// TestPhiFactoryKeepsBootstrap checks the daemon's φ factory, which
-// sizes the window from the profile, still seeds the bootstrap: a
-// process that beats once and dies must accrue suspicion.
-func TestPhiFactoryKeepsBootstrap(t *testing.T) {
-	for _, profile := range []service.Profile{service.ProfileDefault, service.ProfileCompact} {
-		f, err := detectorFactory("phi", 100*time.Millisecond, profile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
-		det := f("p", start)
-		det.Report(core.Heartbeat{From: "p", Seq: 1, Arrived: start.Add(100 * time.Millisecond)})
-		if lvl := det.Suspicion(start.Add(time.Hour)); lvl < 1000 {
-			t.Errorf("profile %v: level an hour after the only beat = %v, want it accrued", profile, lvl)
-		}
 	}
 }

@@ -5,19 +5,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"accrual/internal/clock"
 	"accrual/internal/core"
 	"accrual/internal/service"
-	"accrual/internal/simple"
 	"accrual/internal/telemetry"
 	"accrual/internal/transport"
 )
 
-// benchResult is the machine-readable record one micro-benchmark emits,
+// benchResult is the machine-readable record one scrape benchmark emits,
 // written to BENCH_<name>.json. The format is documented in README.md
 // and consumed by CI's fdbench smoke job.
 type benchResult struct {
@@ -28,112 +26,8 @@ type benchResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	// Extra carries benchmark-specific metrics reported via
-	// b.ReportMetric (e.g. the batch bench's beats/frame).
+	// b.ReportMetric (the scrape bench's procs and exposition_bytes).
 	Extra map[string]float64 `json:"extra,omitempty"`
-}
-
-// benchmarks maps -bench names to the functions testing.Benchmark runs.
-// All of them exercise the telemetry-instrumented paths, so the emitted
-// numbers are the observable daemon's, not an uninstrumented ideal's.
-// "scrape" is handled separately by runBenchmarks: it sweeps over the
-// -procs registry sizes.
-var benchmarks = map[string]func(*testing.B){
-	"ingest": benchIngest,
-	"query":  benchQuery,
-	"batch":  benchBatch,
-}
-
-func benchMonitor() (*service.Monitor, *telemetry.Hub) {
-	hub := telemetry.NewHub()
-	clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
-	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
-		return simple.New(start)
-	}, service.WithTelemetry(hub))
-	return mon, hub
-}
-
-// benchIngest measures the instrumented heartbeat hot path with one
-// goroutine per core, each hammering its own process — the same shape as
-// the repo's BenchmarkIngestParallel.
-func benchIngest(b *testing.B) {
-	mon, _ := benchMonitor()
-	arrived := mon.Now()
-	var nextID atomic.Int64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		id := fmt.Sprintf("proc-%d", nextID.Add(1))
-		var seq uint64
-		for pb.Next() {
-			seq++
-			if err := mon.Heartbeat(core.Heartbeat{From: id, Seq: seq, Arrived: arrived}); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// benchQuery measures the instrumented suspicion query path.
-func benchQuery(b *testing.B) {
-	mon, _ := benchMonitor()
-	if err := mon.Heartbeat(core.Heartbeat{From: "p", Seq: 1, Arrived: mon.Now()}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := mon.Suspicion("p"); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// benchBatch measures the userspace half of the coalesced heartbeat
-// pipeline per beat: encode 32 beats into one AFB1 frame with a reused
-// encoder, decode it with a warm id interner, and ingest the batch
-// through Monitor.HeartbeatBatch (one hash and one shard probe per
-// beat). Sockets are deliberately excluded so the number is
-// deterministic and the zero-alloc gate in CI is meaningful; the
-// syscall amortisation on top of this is measured by the repo's
-// BenchmarkIngestBatch over real loopback sockets.
-func benchBatch(b *testing.B) {
-	mon, _ := benchMonitor()
-	const batch = 32
-	beats := make([]core.Heartbeat, batch)
-	arrived := mon.Now()
-	for i := range beats {
-		beats[i] = core.Heartbeat{From: fmt.Sprintf("proc-%02d", i), Seq: 1, Arrived: arrived}
-	}
-	mon.HeartbeatBatch(beats) // register everyone up front
-	enc := transport.NewBatchEncoder(batch)
-	intern := transport.NewIDInterner()
-	scratch := make([]core.Heartbeat, 0, batch)
-	seq := uint64(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; done += batch {
-		seq++
-		enc.Reset()
-		for i := range beats {
-			beats[i].Seq = seq
-			if err := enc.Add(beats[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		decoded, err := transport.UnmarshalBatch(enc.Bytes(), scratch[:0], intern)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range decoded {
-			decoded[i].Arrived = arrived
-		}
-		if acc, rej := mon.HeartbeatBatch(decoded); acc != batch || rej != 0 {
-			b.Fatalf("HeartbeatBatch = (%d, %d), want (%d, 0)", acc, rej, batch)
-		}
-	}
-	b.ReportMetric(batch, "beats/frame")
 }
 
 // countWriter counts bytes and discards them — the scrape benchmark's
@@ -222,85 +116,51 @@ func writeBenchResult(artifact string, r testing.BenchmarkResult, outDir string)
 	return nil
 }
 
-// runBenchmarks executes the named benchmark ("all" for every one
-// except manyprocs, which is heavy enough to require an explicit ask)
-// and writes BENCH_<name>.json files into outDir, printing a one-line
-// summary per benchmark to stdout. The scrape benchmark runs once per
-// entry of scrapeProcs; the canonical 100-process point lands in
-// BENCH_scrape.json, other sizes in BENCH_scrape_<procs>.json. The
-// manyprocs benchmark sweeps manySizes × {default, compact} into a
-// single BENCH_manyprocs.json.
-func runBenchmarks(name, outDir string, scrapeProcs, manySizes, walkSizes []int) error {
-	var names []string
-	switch {
-	case name == "all":
-		names = []string{"ingest", "query", "batch", "scrape"}
-	case name == "scrape":
-		names = []string{"scrape"}
-	case name == "walk":
-		names = []string{"walk"}
-	case name == "manyprocs":
-		names = []string{"manyprocs"}
-	case name == "federation":
-		names = []string{"federation"}
-	case name == "autotune":
-		names = []string{"autotune"}
-	default:
-		if _, ok := benchmarks[name]; !ok {
-			return fmt.Errorf("unknown benchmark %q (want ingest, query, scrape, batch, walk, manyprocs, federation, autotune or all)", name)
-		}
-		names = []string{name}
+// runBenchmarks runs the named benchmark and writes its BENCH_*.json
+// artifacts into outDir. procs, manySz and walkSz are the comma lists
+// of the -procs, -manyprocs-sizes and -walk-sizes flags: the scrape
+// benchmark runs once per -procs size, the manyprocs and walk
+// benchmarks sweep their sizes into one artifact each.
+func runBenchmarks(name, outDir, procs, manySz, walkSz string) error {
+	scrapeProcs, err := parseProcs("-procs", procs)
+	if err != nil {
+		return err
+	}
+	manySizes, err := parseProcs("-manyprocs-sizes", manySz)
+	if err != nil {
+		return err
+	}
+	walkSizes, err := parseProcs("-walk-sizes", walkSz)
+	if err != nil {
+		return err
+	}
+	benches := map[string]func() error{
+		"scrape":     func() error { return runScrape(scrapeProcs, outDir) },
+		"walk":       func() error { return runWalk(walkSizes, outDir) },
+		"manyprocs":  func() error { return runManyprocs(manySizes, outDir) },
+		"federation": func() error { return runFederation(outDir) },
+		"autotune":   func() error { return runAutotune(outDir) },
+	}
+	bench, ok := benches[name]
+	if !ok {
+		return fmt.Errorf("unknown benchmark %q (want scrape, walk, manyprocs, federation or autotune)", name)
 	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	for _, n := range names {
-		if n == "federation" {
-			if err := runFederation(outDir); err != nil {
-				return err
-			}
-			continue
+	return bench()
+}
+
+// runScrape benchmarks the render at each registry size; the canonical
+// 100-process point lands in BENCH_scrape.json, other sizes in
+// BENCH_scrape_<procs>.json.
+func runScrape(sizes []int, outDir string) error {
+	for _, procs := range sizes {
+		artifact := "scrape"
+		if procs != 100 {
+			artifact = fmt.Sprintf("scrape_%d", procs)
 		}
-		if n == "autotune" {
-			if err := runAutotune(outDir); err != nil {
-				return err
-			}
-			continue
-		}
-		if n == "manyprocs" {
-			if len(manySizes) == 0 {
-				manySizes = []int{10000, 100000, 1000000}
-			}
-			if err := runManyprocs(manySizes, outDir); err != nil {
-				return err
-			}
-			continue
-		}
-		if n == "walk" {
-			if len(walkSizes) == 0 {
-				walkSizes = []int{10000, 100000, 1000000}
-			}
-			if err := runWalk(walkSizes, outDir); err != nil {
-				return err
-			}
-			continue
-		}
-		if n == "scrape" {
-			if len(scrapeProcs) == 0 {
-				scrapeProcs = []int{100}
-			}
-			for _, procs := range scrapeProcs {
-				artifact := "scrape"
-				if procs != 100 {
-					artifact = fmt.Sprintf("scrape_%d", procs)
-				}
-				if err := writeBenchResult(artifact, testing.Benchmark(benchScrapeN(procs)), outDir); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if err := writeBenchResult(n, testing.Benchmark(benchmarks[n]), outDir); err != nil {
+		if err := writeBenchResult(artifact, testing.Benchmark(benchScrapeN(procs)), outDir); err != nil {
 			return err
 		}
 	}

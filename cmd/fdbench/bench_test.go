@@ -7,43 +7,19 @@ import (
 	"testing"
 )
 
-// TestBenchJSONArtifact runs the query micro-benchmark through the CLI
-// path and validates the BENCH_<name>.json contract CI relies on.
-func TestBenchJSONArtifact(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "nested") // -bench-out may not exist yet
-	if code := run([]string{"-bench", "query", "-bench-out", out}); code != 0 {
-		t.Fatalf("bench exit = %d", code)
-	}
-	data, err := os.ReadFile(filepath.Join(out, "BENCH_query.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res benchResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v\n%s", err, data)
-	}
-	if res.Name != "query" || res.N <= 0 || res.NsPerOp <= 0 || res.OpsPerSec <= 0 {
-		t.Errorf("implausible result: %+v", res)
-	}
-	if res.AllocsPerOp != 0 {
-		t.Errorf("instrumented query path allocates: %d allocs/op", res.AllocsPerOp)
-	}
-}
-
 func TestBenchUnknownName(t *testing.T) {
 	if code := run([]string{"-bench", "frobnicate"}); code != 2 {
 		t.Errorf("unknown bench exit = %d, want 2", code)
 	}
 }
 
-// TestBenchScrapeSweep runs the scrape benchmark over two -procs sizes
-// and validates the per-size artifact contract: the canonical 100-proc
-// point lands in BENCH_scrape.json, other sizes in
-// BENCH_scrape_<n>.json, all with zero allocations and an
+// TestBenchScrapeSweep runs the scrape benchmark through the CLI path
+// over two -procs sizes and validates the BENCH_<name>.json contract CI
+// relies on: the canonical 100-proc point lands in BENCH_scrape.json,
+// other sizes in BENCH_scrape_<n>.json, all with zero allocations and an
 // exposition_bytes extra that grows with the registry.
 func TestBenchScrapeSweep(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "nested") // -bench-out may not exist yet
 	if code := run([]string{"-bench", "scrape", "-procs", "100,500", "-bench-out", dir}); code != 0 {
 		t.Fatalf("bench exit = %d", code)
 	}
@@ -61,8 +37,11 @@ func TestBenchScrapeSweep(t *testing.T) {
 	}
 	small := load("BENCH_scrape.json")
 	big := load("BENCH_scrape_500.json")
+	if small.Name != "scrape" || big.Name != "scrape_500" {
+		t.Errorf("artifact names = %q, %q", small.Name, big.Name)
+	}
 	for _, res := range []benchResult{small, big} {
-		if res.N <= 0 || res.NsPerOp <= 0 {
+		if res.N <= 0 || res.NsPerOp <= 0 || res.OpsPerSec <= 0 {
 			t.Errorf("implausible result: %+v", res)
 		}
 		// Under race sync.Pool deliberately bypasses its caches, so the
@@ -83,14 +62,27 @@ func TestBenchScrapeSweep(t *testing.T) {
 }
 
 func TestParseProcs(t *testing.T) {
-	if got, err := parseProcs("100, 10000,100000"); err != nil ||
+	if got, err := parseProcs("-procs", "100, 10000,100000"); err != nil ||
 		len(got) != 3 || got[0] != 100 || got[1] != 10000 || got[2] != 100000 {
 		t.Errorf("parseProcs = %v, %v", got, err)
 	}
 	for _, bad := range []string{"", "0", "-5", "x", "100,,"} {
-		if _, err := parseProcs(bad); (bad == "100,,") != (err == nil) {
+		if _, err := parseProcs("-procs", bad); (bad == "100,,") != (err == nil) {
 			// "100,," parses (empty fields skipped); the rest must fail.
 			t.Errorf("parseProcs(%q) err = %v", bad, err)
 		}
+	}
+	// Errors name the flag the bad value came from.
+	for _, c := range []struct{ flag, value, want string }{
+		{"-procs", "x", `invalid -procs entry "x"`},
+		{"-manyprocs-sizes", "10000,0", `invalid -manyprocs-sizes entry "0"`},
+		{"-walk-sizes", " , ", "-walk-sizes is empty"},
+	} {
+		if _, err := parseProcs(c.flag, c.value); err == nil || err.Error() != c.want {
+			t.Errorf("parseProcs(%q, %q) err = %v, want %q", c.flag, c.value, err, c.want)
+		}
+	}
+	if code := run([]string{"-bench", "walk", "-walk-sizes", "x"}); code != 2 {
+		t.Errorf("bad -walk-sizes exit = %d, want 2", code)
 	}
 }

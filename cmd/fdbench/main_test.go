@@ -1,12 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
-	"time"
-
-	"accrual/internal/core"
-	"accrual/internal/sim"
-	"accrual/internal/simple"
 )
 
 func TestRunUnknownSweep(t *testing.T) {
@@ -21,44 +19,26 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
-func TestMetricsAtDetection(t *testing.T) {
-	det := simple.New(sim.Epoch)
-	res := runPair(5, det, 100*time.Millisecond, sim.NoLoss{}, 10*time.Second, 20*time.Second)
-	if res.crashAt.IsZero() {
-		t.Fatal("crash not recorded")
-	}
-	td, detected, lam := metricsAt(res, core.Level(1))
-	if !detected {
-		t.Fatal("crash not detected")
-	}
-	if td <= 0 || td > 2*time.Second {
-		t.Errorf("TD = %v", td)
-	}
-	if lam != 0 {
-		t.Errorf("mistake rate on a clean channel = %v, want 0", lam)
-	}
-}
-
-func TestMetricsAtAccuracyOnly(t *testing.T) {
-	det := simple.New(sim.Epoch)
-	res := runPair(6, det, 100*time.Millisecond, sim.BernoulliLoss{P: 0.3}, 0, time.Minute)
-	_, detected, lam := metricsAt(res, core.Level(0.15))
-	if detected {
-		t.Error("no crash, nothing to detect")
-	}
-	if lam <= 0 {
-		t.Error("30% loss at a hair-trigger threshold must cause mistakes")
-	}
-}
-
-func TestSweepsRun(t *testing.T) {
-	// The sweeps print to stdout; this just exercises them end to end.
+// TestSweepGoldens holds every sweep's CSV at seed 7 byte-identical to
+// testdata/<sweep>.csv, so a change to the pair runner, the workload or
+// the QoS evaluator that moves a single printed digit shows here.
+func TestSweepGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps skipped in -short mode")
 	}
-	for _, sweep := range []string{"threshold", "window", "loss", "interval", "gst"} {
-		if code := run([]string{"-sweep", sweep, "-seed", "7"}); code != 0 {
-			t.Errorf("sweep %s exit code = %d", sweep, code)
-		}
+	for name, sweep := range sweeps {
+		t.Run(name, func(t *testing.T) {
+			var got bytes.Buffer
+			if err := sweep(&got, 7); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", name+".csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("sweep %s at seed 7 differs from its golden:\ngot:\n%s\nwant:\n%s", name, got.Bytes(), want)
+			}
+		})
 	}
 }

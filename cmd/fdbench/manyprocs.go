@@ -12,7 +12,6 @@ import (
 
 	"accrual/internal/clock"
 	"accrual/internal/core"
-	"accrual/internal/phi"
 	"accrual/internal/service"
 	"accrual/internal/telemetry"
 )
@@ -81,7 +80,8 @@ func manyprocsIDs(procs int) []string {
 func runManyprocsPoint(ids []string, profile service.Profile) manyprocsPoint {
 	procs := len(ids)
 	const interval = 100 * time.Millisecond
-	window := profile.EstimatorWindow(200)
+	factory := mustFactory("phi", interval, profile)
+	window := factory("", time.Time{}).TuneInfo().WindowSize
 
 	// Settle the heap so the registration delta is the registry's own.
 	debug.FreeOSMemory()
@@ -91,9 +91,7 @@ func runManyprocsPoint(ids []string, profile service.Profile) manyprocsPoint {
 
 	hub := telemetry.NewHub()
 	clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
-	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
-		return phi.New(start, phi.WithBootstrap(interval, interval/4), phi.WithWindowSize(window))
-	}, service.WithTelemetry(hub), service.WithProfile(profile))
+	mon := service.NewMonitor(clk, factory, service.WithTelemetry(hub), service.WithProfile(profile))
 
 	arrived := mon.Now()
 	for i, id := range ids {

@@ -11,7 +11,7 @@ import (
 
 	"accrual/internal/clock"
 	"accrual/internal/core"
-	"accrual/internal/phi"
+	"accrual/internal/detectors"
 	"accrual/internal/service"
 )
 
@@ -25,8 +25,16 @@ const (
 )
 
 // walkFactory builds walkDetector the way accruald's default flags do.
-func walkFactory(_ string, start time.Time) core.Detector {
-	return phi.New(start, phi.WithBootstrap(walkInterval, walkInterval/4))
+var walkFactory = mustFactory(walkDetector, walkInterval, service.ProfileDefault)
+
+// mustFactory is the daemon's detectors.Factory for a kind known to
+// exist.
+func mustFactory(kind string, interval time.Duration, profile service.Profile) service.Factory {
+	f, err := detectors.Factory(kind, interval, profile)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 // walkPoint is one cell of the evaluation-plane sweep: a registry size

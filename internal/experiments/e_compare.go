@@ -113,7 +113,7 @@ func E6(seed uint64) *Table {
 	}, reg regime, th core.Level, seedOff uint64) (float64, bool) {
 		sum, cnt := 0.0, 0
 		for r := 0; r < crashRuns; r++ {
-			w := crashWorkload()
+			w := CrashWorkload()
 			w.Delay = reg.delay()
 			w.Loss = reg.loss()
 			w.Jitter = reg.jitter()
@@ -159,12 +159,12 @@ func E6(seed uint64) *Table {
 		inflation[d.name] = infl
 		// Accuracy in the bursty regime at the stable-calibrated
 		// threshold.
-		w := accuracyWorkload()
+		w := AccuracyWorkload()
 		w.Delay = regimes[2].delay()
 		w.Loss = regimes[2].loss()
 		w.Jitter = regimes[2].jitter()
 		run := RunPair(seed+104729, d.mk, w)
-		rep := run.evaluate(ApplyThreshold(run.History, th))
+		rep := run.Evaluate(ApplyThreshold(run.History, th))
 		t.AddRow(d.name,
 			fmt.Sprintf("%.2f", float64(th)),
 			fmt.Sprintf("%.0f", bestTD*1000),

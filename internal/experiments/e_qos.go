@@ -30,8 +30,10 @@ func phiFactory() func(start time.Time) core.Detector {
 	}
 }
 
-// accuracyWorkload is a long correct run for the accuracy metrics.
-func accuracyWorkload() PairWorkload {
+// AccuracyWorkload is a long correct run for the accuracy metrics: the
+// shared LAN parameters above over ten minutes. fdbench's sweeps start
+// from it and vary one knob at a time.
+func AccuracyWorkload() PairWorkload {
 	return PairWorkload{
 		Interval:   hbInterval,
 		Jitter:     lanJitter(),
@@ -41,10 +43,10 @@ func accuracyWorkload() PairWorkload {
 	}
 }
 
-// crashWorkload crashes the monitored process mid-run for the detection
+// CrashWorkload crashes the monitored process mid-run for the detection
 // metric.
-func crashWorkload() PairWorkload {
-	w := accuracyWorkload()
+func CrashWorkload() PairWorkload {
+	w := AccuracyWorkload()
 	w.CrashAfter = 60 * time.Second
 	w.Horizon = 90 * time.Second
 	return w
@@ -75,13 +77,13 @@ func E1(seed uint64) *Table {
 	tdMonotone, paMonotone := true, true
 	for r := 0; r < runs; r++ {
 		s := seed + uint64(r)*1000
-		crash := RunPair(s, phiFactory(), crashWorkload())
-		acc := RunPair(s+500, phiFactory(), accuracyWorkload())
+		crash := RunPair(s, phiFactory(), CrashWorkload())
+		acc := RunPair(s+500, phiFactory(), AccuracyWorkload())
 		var prevTD time.Duration
 		var prevPA float64
 		for i, th := range e1Thresholds {
 			td, ok := crash.detectionTime(th)
-			rep := acc.evaluate(ApplyThreshold(acc.History, th))
+			rep := acc.Evaluate(ApplyThreshold(acc.History, th))
 			if ok {
 				rows[i].detected++
 				rows[i].td = append(rows[i].td, float64(td.Milliseconds()))
@@ -114,7 +116,7 @@ func E1(seed uint64) *Table {
 		)
 	}
 	t.AddNote("workload: heartbeat %v, jitter σ=10ms, delay N(10ms,5ms); crash at 60s (crash runs), %v accuracy runs; %d seeds",
-		hbInterval, accuracyWorkload().Horizon, runs)
+		hbInterval, AccuracyWorkload().Horizon, runs)
 	t.AddCheck("Cor2-TD-monotone", tdMonotone,
 		"T_D non-decreasing in the threshold on every run")
 	t.AddCheck("Cor3-PA-monotone", paMonotone,
@@ -155,10 +157,10 @@ func E2(seed uint64) *Table {
 	}
 	rowsAgg := make([]agg, len(thresholds))
 	for r := 0; r < runs; r++ {
-		acc := RunPair(seed+uint64(r)*1000, phiFactory(), accuracyWorkload())
+		acc := RunPair(seed+uint64(r)*1000, phiFactory(), AccuracyWorkload())
 		prevS := -1
 		for i, th := range thresholds {
-			rep := acc.evaluate(ApplyHysteresis(acc.History, th, t0))
+			rep := acc.Evaluate(ApplyHysteresis(acc.History, th, t0))
 			a := &rowsAgg[i]
 			a.lamSum += rep.LambdaM * 60
 			a.strans += rep.STransitions
@@ -205,7 +207,7 @@ func E2(seed uint64) *Table {
 			fmt.Sprintf("%d", a.strans),
 		)
 	}
-	t.AddNote("T0 = %.2f shared by all interpreters; %d × %v runs pooled, heartbeat %v", float64(t0), runs, accuracyWorkload().Horizon, hbInterval)
+	t.AddNote("T0 = %.2f shared by all interpreters; %d × %v runs pooled, heartbeat %v", float64(t0), runs, AccuracyWorkload().Horizon, hbInterval)
 	t.AddCheck("Cor5-lambdaM-monotone", lamMonotone,
 		"S-transition count non-increasing in the high threshold (exact per-run consequence of Theorems 1 and 4)")
 	// Directional checks for the duration metrics: the corollaries order

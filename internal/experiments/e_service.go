@@ -49,9 +49,9 @@ func E9(seed uint64) *Table {
 
 	runOnce := func(seed uint64, crash bool, capture func(app string, rep qos.Report)) {
 		s := sim.New(seed)
-		w := accuracyWorkload()
+		w := AccuracyWorkload()
 		if crash {
-			w = crashWorkload()
+			w = CrashWorkload()
 		}
 		net := sim.NewNetwork(s, sim.Link{Delay: w.Delay, Loss: w.Loss})
 		mon := service.NewMonitor(s, func(_ string, start time.Time) core.Detector {
@@ -120,7 +120,7 @@ func E9(seed uint64) *Table {
 			fmt.Sprintf("%.3f", m.lam),
 			fmt.Sprintf("%.6f", m.pa))
 	}
-	t.AddNote("all applications query the SAME service.Monitor over the same heartbeat stream; crash run 90s (crash at 60s), accuracy run %v", accuracyWorkload().Horizon)
+	t.AddNote("all applications query the SAME service.Monitor over the same heartbeat stream; crash run 90s (crash at 60s), accuracy run %v", AccuracyWorkload().Horizon)
 
 	rt, ba, ar := results["realtime"], results["batch"], results["archival"]
 	ordered := rt.detected && ba.detected && ar.detected &&

@@ -65,10 +65,10 @@ func E3(seed uint64) *Table {
 	allOK := true
 	for _, d := range detectorFactories(0.05) {
 		for _, faulty := range []bool{false, true} {
-			w := accuracyWorkload()
+			w := AccuracyWorkload()
 			target := "correct"
 			if faulty {
-				w = crashWorkload()
+				w = CrashWorkload()
 				target = "faulty"
 			}
 			run := RunPair(seed, d.mk, w)
@@ -98,7 +98,7 @@ func E3(seed uint64) *Table {
 		}
 	}
 	t.AddNote("levels quantised to ε=0.05 (Definition 1); correct runs: %v horizon; faulty runs: crash at 60s, 90s horizon; queries every %v",
-		accuracyWorkload().Horizon, queryEvery)
+		AccuracyWorkload().Horizon, queryEvery)
 	t.AddCheck("Lemma7-completeness+Lemma8-accuracy", allOK,
 		"every faulty target ends permanently suspected, every correct target permanently trusted")
 	return t
@@ -245,7 +245,7 @@ func E7(seed uint64) *Table {
 	}
 	allOK := true
 	for _, d := range detectorFactories(eps) {
-		run := RunPair(seed, d.mk, crashWorkload())
+		run := RunPair(seed, d.mk, CrashWorkload())
 		// Focus on the post-crash suffix: find the first query at or
 		// after the crash plus one interval (stabilisation).
 		k := 0

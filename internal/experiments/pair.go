@@ -118,9 +118,9 @@ func ApplyAlgorithm1(h []core.QueryRecord) ([]core.Transition, core.Status) {
 	return trs, bin.Status()
 }
 
-// evaluate computes the QoS report of a transition trace against the
+// Evaluate computes the QoS report of a transition trace against the
 // run's window and crash time.
-func (r PairRun) evaluate(trs []core.Transition) qos.Report {
+func (r PairRun) Evaluate(trs []core.Transition) qos.Report {
 	rep, err := qos.Evaluate(qos.Input{
 		Transitions: trs,
 		Start:       r.Start,
@@ -138,6 +138,6 @@ func (r PairRun) evaluate(trs []core.Transition) qos.Report {
 // detectionTime returns the detection time of the threshold interpreter
 // over this (crashing) run, and whether the crash was detected at all.
 func (r PairRun) detectionTime(threshold core.Level) (time.Duration, bool) {
-	rep := r.evaluate(ApplyThreshold(r.History, threshold))
+	rep := r.Evaluate(ApplyThreshold(r.History, threshold))
 	return rep.TD, rep.Detected
 }
