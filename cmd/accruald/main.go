@@ -54,7 +54,13 @@
 // reading, walks the registry once and hands each process's level to
 // every per-process consumer: the online QoS estimators, the -history
 // level rings behind GET /v1/history, and — with -log-transitions — an
-// internal Algorithm-1 view that logs each S-/T-transition.
+// internal Algorithm-1 view that logs each S-/T-transition. The first
+// round runs one -interval after boot. That round, the gossip round, the
+// autotune round and the state save are the daemon's only time-driven
+// work; each runs on its own period via clock.Every, decided here and
+// nowhere else, and a non-positive period for any loop the flags enable
+// is a boot error. Shutdown stops and joins every loop before the final
+// state save.
 //
 // The daemon is observable while it runs: GET /v1/metrics serves
 // hot-path counters, UDP packet dispositions and online QoS estimates
@@ -128,7 +134,7 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		history   = fs.Int("history", 600, "level samples kept per process for /v1/history (0 disables)")
 		shards    = fs.Int("shards", 0, "monitor registry shard count, rounded up to a power of two (0 = default 64)")
 		readBatch = fs.Int("read-batch", 16, "datagrams drained per read syscall via recvmmsg where available (1 = plain reads)")
-		profName  = fs.String("profile", "default", "memory profile: default, or compact (more shards, shallower estimator windows) for very large memberships")
+		profName  = fs.String("profile", "default", "estimator-window profile: default, or compact (windows capped at 64 samples) for very large memberships")
 		internMax = fs.Int("intern-max", 0, "max distinct digest ids interned by the listener's id table (0 = default 1048576)")
 		stateFile = fs.String("state-file", "", "persist detector state here for warm restarts (empty disables)")
 		stateIntv = fs.Duration("state-interval", 30*time.Second, "period between state-file saves")
@@ -151,11 +157,23 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	profile, err := service.ParseProfile(*profName)
-	if err != nil {
-		return err
+	// Every period a background loop would run on must be positive: a
+	// boot failure, not a silent default or a ticker panic.
+	for _, p := range []struct {
+		flag string
+		d    time.Duration
+		used bool
+	}{
+		{"-interval", *interval, true},
+		{"-autotune-interval", *tuneIntv, *autoTune},
+		{"-federation-interval", *fedIntv, *peers != ""},
+		{"-state-interval", *stateIntv, *stateFile != ""},
+	} {
+		if p.used && p.d <= 0 {
+			return fmt.Errorf("%s must be positive, got %v", p.flag, p.d)
+		}
 	}
-	factory, err := detectors.Factory(*detName, *interval, profile)
+	factory, err := detectors.Factory(*detName, *interval, *profName)
 	if err != nil {
 		return err
 	}
@@ -165,10 +183,7 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 	if err := hub.QoS().SetThresholds(core.Level(*qosHigh), core.Level(*qosLow)); err != nil {
 		return fmt.Errorf("-qos-high/-qos-low: %w", err)
 	}
-	monOpts := []service.MonitorOption{
-		service.WithTelemetry(hub),
-		service.WithProfile(profile),
-	}
+	monOpts := []service.MonitorOption{service.WithTelemetry(hub)}
 	if *shards > 0 {
 		monOpts = append(monOpts, service.WithShardCount(*shards))
 	}
@@ -195,6 +210,9 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		if err != nil {
 			return err
 		}
+		// Deferred before joinLoops, so it runs after every loop has
+		// exited: no gossip round is sending when the sockets close.
+		defer fed.Close()
 	}
 
 	// Online QoS autotuning: close the loop between the estimators above
@@ -214,7 +232,6 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 			Targets:  chen.QoS{MaxDetectionTime: *targetTD, MinMistakeRecurrence: *targetTMR},
 			TargetPA: *targetPA,
 			Detector: *detName,
-			Every:    *tuneIntv,
 			MaxStep:  *tuneStep,
 		})
 		if err != nil {
@@ -254,21 +271,36 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 	}
 	defer listener.Close()
 	log.Printf("heartbeat listener on %s (detector=%s interval=%v profile=%s)",
-		listener.Addr(), *detName, *interval, profile)
+		listener.Addr(), *detName, *interval, *profName)
+
+	// The daemon's background work — the registry round, gossip,
+	// autotune and state saves — runs on clock.Every under one child
+	// context; joinLoops cancels it and waits for every loop to exit.
+	loopCtx, stopLoops := context.WithCancel(ctx)
+	var loops []<-chan struct{}
+	every := func(d time.Duration, fn func()) {
+		loops = append(loops, clock.Every(loopCtx, d, fn))
+	}
+	joinLoops := func() {
+		stopLoops()
+		for _, done := range loops {
+			<-done
+		}
+	}
+	defer joinLoops()
 
 	apiOpts := []transport.APIOption{transport.WithAPITelemetry(hub)}
 	if tuner != nil {
 		apiOpts = append(apiOpts, transport.WithTuner(tuner))
 		if *autoTune {
-			tuner.Start()
-			defer tuner.Stop()
+			every(*tuneIntv, func() { tuner.Round() })
 			log.Printf("autotune: target T_D=%v T_MR=%v P_A=%.3g, every %v, max step %.0f%%",
 				*targetTD, *targetTMR, *targetPA, *tuneIntv, *tuneStep*100)
 		}
 	}
 	if fed != nil {
-		fed.Start()
-		defer fed.Stop()
+		fed.Round()
+		every(*fedIntv, fed.Round)
 		apiOpts = append(apiOpts, transport.WithClusterView(fed))
 		log.Printf("federation as %q: %d peers, fanout %d, interval %v, top-k %d",
 			*group, strings.Count(*peers, ",")+1, *fanout, *fedIntv, *digestTop)
@@ -289,9 +321,8 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 	if *history > 0 {
 		consumers.History = service.NewRecorder(mon, *history)
 	}
-	runner := service.NewRunner(mon, *interval, consumers)
-	runner.Start()
-	defer runner.Stop()
+	runner := service.NewRunner(mon, consumers)
+	every(*interval, runner.Round)
 	apiOpts = append(apiOpts, transport.WithRunner(runner))
 
 	if *pprofAddr != "" {
@@ -325,30 +356,19 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 
 	// Periodic state persistence, so even a hard kill loses at most one
 	// save interval of learning.
-	saverDone := make(chan struct{})
 	if *stateFile != "" {
-		go func() {
-			defer close(saverDone)
-			ticker := time.NewTicker(*stateIntv)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					if err := saveState(mon, *stateFile); err != nil {
-						log.Printf("state save: %v", err)
-					}
-				}
+		every(*stateIntv, func() {
+			if err := saveState(mon, *stateFile); err != nil {
+				log.Printf("state save: %v", err)
 			}
-		}()
+		})
 	}
 
 	select {
 	case <-ctx.Done():
 		log.Print("shutting down")
+		joinLoops()
 		if *stateFile != "" {
-			<-saverDone
 			if err := saveState(mon, *stateFile); err != nil {
 				log.Printf("final state save: %v", err)
 			} else {

@@ -23,7 +23,7 @@ import (
 // resolves through the shared factory and that an unknown one fails.
 func TestDetectorFactory(t *testing.T) {
 	for _, name := range []string{"phi", "chen", "kappa", "simple"} {
-		f, err := detectors.Factory(name, time.Second, service.ProfileDefault)
+		f, err := detectors.Factory(name, time.Second, "default")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -32,18 +32,33 @@ func TestDetectorFactory(t *testing.T) {
 			t.Fatalf("%s: nil detector", name)
 		}
 	}
-	if _, err := detectors.Factory("bogus", time.Second, service.ProfileDefault); err == nil {
+	if _, err := detectors.Factory("bogus", time.Second, "default"); err == nil {
 		t.Error("unknown detector name should fail")
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	ctx := context.Background()
-	if err := run(ctx, []string{"-detector", "bogus", "-udp", "127.0.0.1:0", "-http", "127.0.0.1:0"}, nil); err == nil {
-		t.Error("bad detector should fail")
-	}
-	if err := run(ctx, []string{"-udp", "256.0.0.1:bad"}, nil); err == nil {
-		t.Error("bad UDP address should fail")
+	// Cancelled up front: a run that wrongly boots returns nil at once
+	// instead of serving forever.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"bad detector", []string{"-detector", "bogus"}},
+		{"bad profile", []string{"-profile", "tiny"}},
+		{"bad UDP address", []string{"-udp", "256.0.0.1:bad"}},
+		{"zero interval", []string{"-interval", "0"}},
+		{"negative interval", []string{"-interval", "-1s"}},
+		{"zero state interval", []string{"-state-file", filepath.Join(t.TempDir(), "s"), "-state-interval", "0"}},
+		{"zero autotune interval", []string{"-autotune", "-target-td", "1s", "-autotune-interval", "0"}},
+		{"zero federation interval", []string{"-group", "a", "-peers", "127.0.0.1:9", "-federation-interval", "0"}},
+	} {
+		args := append([]string{"-udp", "127.0.0.1:0", "-http", "127.0.0.1:0"}, tc.args...)
+		if err := run(ctx, args, nil); err == nil {
+			t.Errorf("%s: run accepted %v", tc.name, tc.args)
+		}
 	}
 }
 
@@ -234,7 +249,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 // directly, including the corrupt-file path.
 func TestSaveLoadStateRoundTrip(t *testing.T) {
 	clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
-	factory, err := detectors.Factory("phi", 100*time.Millisecond, service.ProfileDefault)
+	factory, err := detectors.Factory("phi", 100*time.Millisecond, "default")
 	if err != nil {
 		t.Fatal(err)
 	}

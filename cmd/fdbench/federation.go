@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -157,9 +158,23 @@ func fedCrashDetection(interval time.Duration, threshold float64) (visibility, d
 			return 0, 0, ferr
 		}
 		p.fed.Store(fed)
-		fed.Start()
-		defer fed.Stop()
+		defer fed.Close()
 	}
+	// Gossip as accruald schedules it: one round now, then one per
+	// interval; the deferred join runs before the sockets close.
+	ctx, cancel := context.WithCancel(context.Background())
+	loops := make([]<-chan struct{}, len(peers))
+	for i, p := range peers {
+		fed := p.fed.Load()
+		fed.Round()
+		loops[i] = clock.Every(ctx, interval, fed.Round)
+	}
+	defer func() {
+		cancel()
+		for _, done := range loops {
+			<-done
+		}
+	}()
 	alpha, bravo := peers[0], peers[1]
 
 	sender, err := transport.NewSender("worker-1", alpha.ln.Addr().String(), interval/2)

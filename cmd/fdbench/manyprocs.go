@@ -77,7 +77,7 @@ func manyprocsIDs(procs int) []string {
 
 // runManyprocsPoint registers procs processes under the given profile
 // and measures per-process memory and per-beat ingest cost.
-func runManyprocsPoint(ids []string, profile service.Profile) manyprocsPoint {
+func runManyprocsPoint(ids []string, profile string) manyprocsPoint {
 	procs := len(ids)
 	const interval = 100 * time.Millisecond
 	factory := mustFactory("phi", interval, profile)
@@ -91,7 +91,7 @@ func runManyprocsPoint(ids []string, profile service.Profile) manyprocsPoint {
 
 	hub := telemetry.NewHub()
 	clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
-	mon := service.NewMonitor(clk, factory, service.WithTelemetry(hub), service.WithProfile(profile))
+	mon := service.NewMonitor(clk, factory, service.WithTelemetry(hub))
 
 	arrived := mon.Now()
 	for i, id := range ids {
@@ -148,7 +148,7 @@ func runManyprocsPoint(ids []string, profile service.Profile) manyprocsPoint {
 
 	pt := manyprocsPoint{
 		Procs:     procs,
-		Profile:   profile.String(),
+		Profile:   profile,
 		Shards:    mon.ShardCount(),
 		Window:    window,
 		NsPerBeat: float64(elapsed.Nanoseconds()) / float64(totalBeats),
@@ -171,7 +171,7 @@ func runManyprocs(sizes []int, outDir string) error {
 	res := manyprocsResult{Name: "manyprocs", Detector: "phi"}
 	for _, procs := range sizes {
 		ids := manyprocsIDs(procs)
-		for _, profile := range []service.Profile{service.ProfileDefault, service.ProfileCompact} {
+		for _, profile := range []string{"default", "compact"} {
 			pt := runManyprocsPoint(ids, profile)
 			res.Points = append(res.Points, pt)
 			fmt.Printf("manyprocs: procs=%d profile=%s shards=%d window=%d %.1f ns/beat, %.1f heap B/proc, %.1f rss B/proc\n",

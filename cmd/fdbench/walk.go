@@ -25,11 +25,11 @@ const (
 )
 
 // walkFactory builds walkDetector the way accruald's default flags do.
-var walkFactory = mustFactory(walkDetector, walkInterval, service.ProfileDefault)
+var walkFactory = mustFactory(walkDetector, walkInterval, "default")
 
 // mustFactory is the daemon's detectors.Factory for a kind known to
 // exist.
-func mustFactory(kind string, interval time.Duration, profile service.Profile) service.Factory {
+func mustFactory(kind string, interval time.Duration, profile string) service.Factory {
 	f, err := detectors.Factory(kind, interval, profile)
 	if err != nil {
 		panic(err)

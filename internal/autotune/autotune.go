@@ -77,8 +77,6 @@ type Config struct {
 	// (one of the Detector* constants); it selects the α → level-units
 	// mapping. Required.
 	Detector string
-	// Every is the controller period (default 10s).
-	Every time.Duration
 	// MaxStep bounds every per-round knob change as a relative step:
 	// 0.25 means a knob moves at most ±25% per round (default 0.25).
 	MaxStep float64
@@ -218,8 +216,9 @@ type fleetAgg struct {
 	nMargin        int
 }
 
-// Controller is the autotuner. Create one with New; drive it manually
-// with Plan/Round or start the background loop with Start.
+// Controller is the autotuner. Create one with New and drive it with
+// Plan and Round; it holds no goroutine, so its owner runs Round on its
+// own schedule (accruald runs it on clock.Every).
 type Controller struct {
 	cfg Config
 
@@ -231,15 +230,9 @@ type Controller struct {
 	agg          fleetAgg
 	groups       map[string]*groupAgg
 	tuneFn       func(p service.TuneProcess)
-
-	loopMu  sync.Mutex
-	done    chan struct{}
-	stopped chan struct{}
-	running bool
 }
 
-// New validates the configuration and returns a controller. The
-// controller holds no goroutine until Start.
+// New validates the configuration and returns a controller.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Monitor == nil || cfg.QoS == nil {
 		return nil, errors.New("autotune: Monitor and QoS are required")
@@ -254,9 +247,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.Targets.MinMistakeRecurrence <= 0 {
 		cfg.Targets.MinMistakeRecurrence = 100 * cfg.Targets.MaxDetectionTime
-	}
-	if cfg.Every <= 0 {
-		cfg.Every = 10 * time.Second
 	}
 	if cfg.MaxStep <= 0 || cfg.MaxStep >= 1 {
 		cfg.MaxStep = 0.25
@@ -712,44 +702,4 @@ func (c *Controller) Rounds() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.round
-}
-
-// Start launches the controller loop on its configured period. It is a
-// no-op when the loop is already running.
-func (c *Controller) Start() {
-	c.loopMu.Lock()
-	defer c.loopMu.Unlock()
-	if c.running {
-		return
-	}
-	c.running = true
-	c.done = make(chan struct{})
-	c.stopped = make(chan struct{})
-	go c.loop(c.done, c.stopped)
-}
-
-func (c *Controller) loop(done <-chan struct{}, stopped chan<- struct{}) {
-	defer close(stopped)
-	ticker := time.NewTicker(c.cfg.Every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-ticker.C:
-			c.Round()
-		}
-	}
-}
-
-// Stop terminates the loop and waits for it to exit. Idempotent.
-func (c *Controller) Stop() {
-	c.loopMu.Lock()
-	defer c.loopMu.Unlock()
-	if !c.running {
-		return
-	}
-	close(c.done)
-	<-c.stopped
-	c.running = false
 }

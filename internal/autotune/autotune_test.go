@@ -1,6 +1,7 @@
 package autotune_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -302,6 +303,8 @@ func TestRoundConvergesToNoChange(t *testing.T) {
 	}
 }
 
+// TestStartStopLoop runs the controller on the daemon's schedule,
+// clock.Every, and stops it by cancelling the schedule's context.
 func TestStartStopLoop(t *testing.T) {
 	f := newFleet(t, 1, 0)
 	ctl, err := autotune.New(autotune.Config{
@@ -309,19 +312,18 @@ func TestStartStopLoop(t *testing.T) {
 		QoS:      f.hub.QoS(),
 		Targets:  chen.QoS{MaxDetectionTime: 500 * time.Millisecond},
 		Detector: autotune.DetectorChen,
-		Every:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl.Start()
-	ctl.Start() // idempotent
+	ctx, cancel := context.WithCancel(context.Background())
+	done := clock.Every(ctx, time.Millisecond, func() { ctl.Round() })
 	deadline := time.Now().Add(2 * time.Second)
 	for ctl.Rounds() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	ctl.Stop()
-	ctl.Stop() // idempotent
+	cancel()
+	<-done
 	if ctl.Rounds() == 0 {
 		t.Fatal("loop never ran a round")
 	}

@@ -6,9 +6,12 @@
 // The paper's system model assumes local clocks whose drift relative to
 // global time is bounded after GST; Drifting models exactly that bounded
 // drift for the simulator.
+//
+// Every is the one periodic schedule of the daemon's background work.
 package clock
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -105,4 +108,30 @@ func (d *Drifting) Now() time.Time {
 	elapsed := d.src.Now().Sub(d.origin)
 	scaled := time.Duration(float64(elapsed) * d.rate)
 	return d.origin.Add(scaled).Add(d.offset)
+}
+
+// Every calls fn every d on one goroutine until ctx is done, and closes
+// the returned channel once the last call has returned. The first call
+// comes one d after Every is called; a call in progress when ctx ends
+// runs to completion and none starts after it, so a cancel before the
+// first tick means no call at all. d must be positive.
+func Every(ctx context.Context, d time.Duration, fn func()) <-chan struct{} {
+	t := time.NewTicker(d)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				if ctx.Err() != nil {
+					return
+				}
+				fn()
+			}
+		}
+	}()
+	return done
 }

@@ -1,7 +1,9 @@
 package clock
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -132,4 +134,63 @@ func TestDriftingMonotone(t *testing.T) {
 		}
 		prev = cur
 	}
+}
+
+// TestEvery pins the schedule's contract: calls repeat on the period,
+// none starts after the returned channel closes, and a cancel before the
+// first tick means no call at all.
+func TestEvery(t *testing.T) {
+	t.Run("repeats", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		done := Every(ctx, time.Millisecond, func() { calls.Add(1) })
+		deadline := time.Now().Add(5 * time.Second)
+		for calls.Load() < 3 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		<-done
+		if calls.Load() < 3 {
+			t.Fatalf("%d calls in 5s at a 1ms period, want at least 3", calls.Load())
+		}
+		after := calls.Load()
+		time.Sleep(10 * time.Millisecond)
+		if got := calls.Load(); got != after {
+			t.Errorf("%d calls after the channel closed", got-after)
+		}
+	})
+	t.Run("call in progress finishes before close", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		entered, release := make(chan struct{}), make(chan struct{})
+		var finished atomic.Bool
+		var once sync.Once
+		done := Every(ctx, time.Millisecond, func() {
+			once.Do(func() { close(entered) })
+			<-release
+			finished.Store(true)
+		})
+		<-entered
+		cancel()
+		select {
+		case <-done:
+			t.Fatal("channel closed while a call was running")
+		case <-time.After(5 * time.Millisecond):
+		}
+		close(release)
+		<-done
+		if !finished.Load() {
+			t.Error("channel closed before the last call returned")
+		}
+	})
+	t.Run("cancel before first tick", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		done := Every(ctx, 10*time.Millisecond, func() { calls.Add(1) })
+		cancel()
+		<-done
+		time.Sleep(20 * time.Millisecond)
+		if n := calls.Load(); n != 0 {
+			t.Errorf("%d calls after a cancel before the first tick, want 0", n)
+		}
+	})
 }

@@ -74,11 +74,11 @@ var scenarios = []scenario{
 // correct p runs for horizon. drive returns the query history, the
 // crash instant (zero for a correct process) and the longest silence
 // between two deliveries.
-func drive(t *testing.T, factory service.Factory, profile service.Profile, sc scenario,
+func drive(t *testing.T, factory service.Factory, profile string, sc scenario,
 	horizon time.Duration) (history []core.QueryRecord, crashAt time.Time, longestGap time.Duration) {
 	t.Helper()
 	s := sim.New(41)
-	mon := service.NewMonitor(clock.Func(s.Now), factory, service.WithProfile(profile))
+	mon := service.NewMonitor(clock.Func(s.Now), factory)
 	if err := mon.Register("p"); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func drive(t *testing.T, factory service.Factory, profile service.Profile, sc sc
 // for a correct process behind a lossy channel.
 func TestShippedConfigurationsHoldProperties(t *testing.T) {
 	for _, kind := range []string{"phi", "chen", "kappa", "simple"} {
-		for _, profile := range []service.Profile{service.ProfileDefault, service.ProfileCompact} {
+		for _, profile := range []string{"default", "compact"} {
 			factory, err := Factory(kind, interval, profile)
 			if err != nil {
 				t.Fatal(err)
@@ -171,7 +171,7 @@ func TestShippedConfigurationsHoldProperties(t *testing.T) {
 	}
 }
 
-func checkAccrues(t *testing.T, factory service.Factory, profile service.Profile, sc scenario) {
+func checkAccrues(t *testing.T, factory service.Factory, profile string, sc scenario) {
 	history, crashAt, _ := drive(t, factory, profile, sc, 0)
 	if ub := core.CheckUpperBound(history, -1); !ub.Holds {
 		t.Fatalf("Upper Bound (finiteness): %s", ub.Violation)
@@ -190,7 +190,7 @@ func checkAccrues(t *testing.T, factory service.Factory, profile service.Profile
 // after a silence as long as the longest one the lossy channel
 // produced. Loss only widens what the estimators learn, so no level of
 // the correct process may exceed that.
-func checkBounded(t *testing.T, factory service.Factory, profile service.Profile, sc scenario) {
+func checkBounded(t *testing.T, factory service.Factory, profile string, sc scenario) {
 	const horizon = 5 * time.Minute
 	history, _, gap := drive(t, factory, profile, sc, horizon)
 	twin, crashAt, _ := drive(t, factory, profile, scenario{beats: int(horizon / interval)}, 0)

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -95,8 +96,15 @@ func startFleet(t *testing.T, n int, interval time.Duration, mutate func(i int, 
 			t.Fatal(err)
 		}
 		p.fed.Store(fed)
-		fed.Start()
-		t.Cleanup(fed.Stop)
+		// As accruald schedules it: one round now, then one per interval.
+		fed.Round()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := clock.Every(ctx, interval, fed.Round)
+		t.Cleanup(func() {
+			cancel()
+			<-done
+			fed.Close()
+		})
 	}
 	return peers
 }

@@ -63,7 +63,8 @@ type Config struct {
 	Peers []string
 	// Monitor is the local registry digests are built from. Required.
 	Monitor *service.Monitor
-	// Interval is the gossip period (default 1s).
+	// Interval is the gossip period its owner runs Round at (default
+	// 1s); the default StaleAfter derives from it.
 	Interval time.Duration
 	// Fanout is how many random peers each round sends to (default 2,
 	// clamped to the peer count; negative is a config error).
@@ -100,10 +101,12 @@ type peerState struct {
 	raw      []byte
 }
 
-// Federation is one peer of the gossip plane. Start launches the gossip
-// loop; HandleDigest is wired into the UDP listener via
-// transport.WithDigestHandler; ClusterInfo and EachPeerStaleness
-// implement transport.ClusterView for the HTTP API and metrics scrape.
+// Federation is one peer of the gossip plane. It holds no goroutine: its
+// owner calls Round once per gossip interval (accruald runs it on
+// clock.Every) and Close at shutdown. HandleDigest is wired into the UDP
+// listener via transport.WithDigestHandler; ClusterInfo and
+// EachPeerStaleness implement transport.ClusterView for the HTTP API and
+// metrics scrape.
 type Federation struct {
 	cfg Config
 	mon *service.Monitor
@@ -135,14 +138,10 @@ type Federation struct {
 	// outside mu so a slow send never blocks the receive path.
 	connMu sync.Mutex
 	conns  map[string]net.Conn
-
-	done chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
 }
 
-// New validates cfg, applies defaults and returns an idle Federation
-// (call Start to launch the gossip loop, or drive Round directly).
+// New validates cfg, applies defaults and returns an idle Federation;
+// drive it with Round.
 func New(cfg Config) (*Federation, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("%w: empty Self", ErrBadConfig)
@@ -200,7 +199,6 @@ func New(cfg Config) (*Federation, error) {
 		remotes:  make(map[string]*peerState),
 		groupIdx: make(map[string]int),
 		conns:    make(map[string]net.Conn),
-		done:     make(chan struct{}),
 	}
 	if cfg.Hub != nil {
 		f.fed = &cfg.Hub.Federation
@@ -213,31 +211,9 @@ func New(cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// Start launches the gossip loop: an immediate first round, then one per
-// interval until Stop.
-func (f *Federation) Start() {
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		f.Round()
-		t := time.NewTicker(f.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-f.done:
-				return
-			case <-t.C:
-				f.Round()
-			}
-		}
-	}()
-}
-
-// Stop terminates the gossip loop and closes the gossip sockets. Safe to
-// call more than once and without a prior Start.
-func (f *Federation) Stop() {
-	f.once.Do(func() { close(f.done) })
-	f.wg.Wait()
+// Close closes the gossip sockets. Call it once no Round is running; a
+// later Round dials afresh.
+func (f *Federation) Close() {
 	f.connMu.Lock()
 	for addr, c := range f.conns {
 		_ = c.Close()
@@ -396,8 +372,7 @@ func (f *Federation) EncodeRound() (int, error) {
 
 // Round runs one gossip round: build and encode the own digest, pick a
 // random fanout of peers, and send them the own frame plus the freshest
-// raw frame of every non-stale origin. Exported so tests and fdbench can
-// drive rounds against a manual clock without the ticker loop.
+// raw frame of every non-stale origin.
 func (f *Federation) Round() {
 	now := f.clk.Now()
 	f.mu.Lock()

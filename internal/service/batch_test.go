@@ -149,7 +149,6 @@ func TestHeartbeatBatchZeroAllocSteadyState(t *testing.T) {
 			at := mon.Now()
 			beats := make([]core.Heartbeat, tc.beats)
 			ids := make([][]byte, tc.beats)
-			known := make([]bool, tc.beats)
 			for i := range beats {
 				beats[i] = core.Heartbeat{From: fmt.Sprintf("proc-%02d", i%tc.procs), Seq: 1, Arrived: at}
 				ids[i] = []byte(beats[i].From)
@@ -165,7 +164,7 @@ func TestHeartbeatBatchZeroAllocSteadyState(t *testing.T) {
 				}
 				acc := 0
 				if tc.bytes {
-					acc = mon.HeartbeatIDs(ids, beats, known)
+					acc, _ = mon.HeartbeatIDs(ids, beats)
 				} else {
 					acc, _ = mon.HeartbeatBatch(beats)
 				}

@@ -16,24 +16,6 @@ import (
 	"accrual/internal/transport/intern"
 )
 
-// ingestFrame feeds one decoded frame to m the way the UDP read loop
-// does: HeartbeatIDs for the whole frame, then HeartbeatBatch for the
-// beats of ids the registry did not hold, converted to strings.
-func ingestFrame(m *Monitor, ids [][]byte, beats []core.Heartbeat) (accepted, rejected int) {
-	known := make([]bool, len(ids))
-	accepted = m.HeartbeatIDs(ids, beats, known)
-	var fresh []core.Heartbeat
-	for i, ok := range known {
-		if !ok {
-			hb := beats[i]
-			hb.From = string(ids[i])
-			fresh = append(fresh, hb)
-		}
-	}
-	acc, rej := m.HeartbeatBatch(fresh)
-	return accepted + acc, rejected + rej
-}
-
 // TestFrameIngestMatchesPerBeat pins the staged frame ingest against the
 // one-beat path: seeded frames go through HeartbeatIDs on one monitor
 // and, one Heartbeat call at a time, to a twin on the same clock. The
@@ -125,7 +107,7 @@ func frameMatchesPerBeat(t *testing.T, shards int, auto bool) {
 			beats = append(beats, core.Heartbeat{Seq: seq[i], Arrived: at})
 		}
 
-		acc, rej := ingestFrame(staged, frameIDs, beats)
+		acc, rej := staged.HeartbeatIDs(frameIDs, beats)
 		stagedAcc += acc
 		stagedRej += rej
 		for i, hb := range beats {
@@ -232,7 +214,7 @@ func TestFrameIngestUnderChurn(t *testing.T) {
 					frame = append(frame, ids[rng.Intn(procs)])
 					beats = append(beats, core.Heartbeat{Seq: uint64(r), Arrived: start.Add(time.Duration(r) * 100 * time.Millisecond)})
 				}
-				if acc, rej := ingestFrame(m, frame, beats); acc != len(frame) || rej != 0 {
+				if acc, rej := m.HeartbeatIDs(frame, beats); acc != len(frame) || rej != 0 {
 					t.Errorf("ingester %d: accepted %d, rejected %d of %d", w, acc, rej, len(frame))
 					return
 				}
@@ -300,7 +282,7 @@ type frameFixture struct {
 // HeartbeatIDs, and returns how many beats it sent. Every process beats
 // once a round, in the round's shuffled order, about a second after its
 // previous beat.
-func (f *frameFixture) sendFrame(frame [][]byte, beats []core.Heartbeat, known []bool) int {
+func (f *frameFixture) sendFrame(frame [][]byte, beats []core.Heartbeat) int {
 	perm := f.perms[f.round%uint64(len(f.perms))]
 	base := start.Add(time.Duration(f.round) * time.Second)
 	n := min(len(frame), len(perm)-f.pos)
@@ -309,7 +291,7 @@ func (f *frameFixture) sendFrame(frame [][]byte, beats []core.Heartbeat, known [
 		jitter := time.Duration((p*7919+int(f.round)*104729)%100) * time.Millisecond
 		beats[i] = core.Heartbeat{Seq: f.round, Arrived: base.Add(jitter)}
 	}
-	f.m.HeartbeatIDs(frame[:n], beats[:n], known)
+	f.m.HeartbeatIDs(frame[:n], beats[:n])
 	if f.pos += n; f.pos == len(perm) {
 		f.pos = 0
 		f.round++
@@ -334,7 +316,6 @@ func BenchmarkFrameIngest(b *testing.B) {
 	f := &frameFleet
 	frame := make([][]byte, frameN)
 	beats := make([]core.Heartbeat, frameN)
-	known := make([]bool, frameN)
 	f.Do(func() {
 		f.m = NewMonitor(clock.NewManual(start), func(_ string, at time.Time) core.Detector {
 			return phi.New(at, phi.WithBootstrap(time.Second, time.Second/4), phi.WithWindowSize(200))
@@ -352,14 +333,14 @@ func BenchmarkFrameIngest(b *testing.B) {
 			f.perms[i] = rng.Perm(procs)
 		}
 		for f.round = 1; f.round <= warmup; {
-			f.sendFrame(frame, beats, known)
+			f.sendFrame(frame, beats)
 		}
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	sent := 0
 	for i := 0; i < b.N; i++ {
-		sent += f.sendFrame(frame, beats, known)
+		sent += f.sendFrame(frame, beats)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sent), "ns/beat")

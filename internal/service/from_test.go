@@ -23,10 +23,10 @@ func (d *fromRecorder) Report(hb core.Heartbeat) bool {
 }
 
 // heartbeatID ingests one byte-keyed beat through HeartbeatIDs and
-// reports whether the registry knew id.
+// reports whether it was accepted.
 func heartbeatID(m *Monitor, id []byte, hb core.Heartbeat) bool {
-	var known [1]bool
-	return m.HeartbeatIDs([][]byte{id}, []core.Heartbeat{hb}, known[:]) == 1
+	acc, _ := m.HeartbeatIDs([][]byte{id}, []core.Heartbeat{hb})
+	return acc == 1
 }
 
 // TestReportFromIsCanonicalID pins the From contract: on every ingest
@@ -102,6 +102,10 @@ func TestReportFromIsCanonicalID(t *testing.T) {
 		t.Fatal("HeartbeatIDs: node-b reported unknown")
 	}
 	check("HeartbeatIDs after rebind", "node-b")
+	if !heartbeatID(m, []byte("node-c"), beat("node-c", 1)) {
+		t.Fatal("HeartbeatIDs: first contact of node-c not accepted")
+	}
+	check("HeartbeatIDs first contact", "node-c")
 	if n := len(dets["node-a"].from); n != 3 {
 		t.Errorf("node-a's detector saw %d beats, want 3 (none after its deregistration)", n)
 	}

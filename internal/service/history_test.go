@@ -77,21 +77,18 @@ func TestRecorderCapacityClamp(t *testing.T) {
 	}
 }
 
-// TestRecorderRunner: a started Runner with the recorder attached
-// records on its own cadence.
+// TestRecorderRunner: a Runner with the recorder attached records one
+// sample per round.
 func TestRecorderRunner(t *testing.T) {
 	m, clk := newTestMonitor()
 	_ = m.Heartbeat(hb("p", 1, clk.Now()))
 	rec := NewRecorder(m, 100)
-	r := NewRunner(m, 2*time.Millisecond, Consumers{History: rec})
-	r.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for rec.Ticks() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	r := NewRunner(m, Consumers{History: rec})
+	for i := 0; i < 3; i++ {
+		clk.Advance(time.Second)
+		r.Round()
 	}
-	r.Stop()
-	r.Stop() // idempotent
-	if rec.Ticks() < 3 {
+	if rec.Ticks() != 3 {
 		t.Error("runner did not record")
 	}
 	if got, _ := rec.History("p"); int64(len(got)) != rec.Ticks() {

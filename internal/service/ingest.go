@@ -46,48 +46,54 @@ func (m *Monitor) HeartbeatBatch(beats []core.Heartbeat) (accepted, rejected int
 func (m *Monitor) heartbeatBatch(g *group, beats []core.Heartbeat) (accepted, rejected int) {
 	for lo := 0; lo < len(beats); lo += groupSize {
 		part := beats[lo:min(lo+groupSize, len(beats))]
-		known := resolveGroup(m, g, func(i int) string { return part[i].From }, part)
-		accepted += known
-		if known < len(part) {
-			a, r := m.firstContact(g, part)
-			accepted += a
-			rejected += r
-		}
+		a, r := ingestGroup(m, g, func(i int) string { return part[i].From }, part)
+		accepted += a
+		rejected += r
 	}
 	return accepted, rejected
 }
 
-// HeartbeatIDs is the steady-state half of HeartbeatBatch for sender ids
-// still held as raw bytes — the UDP read loop's decoded frame, whose ids
-// alias the datagram. beats[i] is the beat of ids[i]; its From is
-// ignored. Each beat whose id the registry holds is reported in place,
-// resolved with the bytes themselves, and known[i] is set true; for the
-// others known[i] is set false and nothing is done: the caller converts
-// those ids to strings and hands their beats to HeartbeatBatch, which
-// registers the senders. known must be at least len(ids) long. It
-// returns how many beats were reported, and allocates nothing.
-func (m *Monitor) HeartbeatIDs(ids [][]byte, beats []core.Heartbeat, known []bool) int {
+// HeartbeatIDs is HeartbeatBatch for sender ids still held as raw bytes
+// — the UDP read loop's decoded frame, whose ids alias the datagram.
+// beats[i] is the beat of ids[i]; its From is ignored. A beat whose id
+// the registry holds is resolved with the bytes themselves and reported
+// in place, with no allocation; a first-contact id is converted to a
+// string once, and the registry keeps that string when it binds the
+// sender. It returns how many beats were accepted and rejected, as
+// HeartbeatBatch does.
+func (m *Monitor) HeartbeatIDs(ids [][]byte, beats []core.Heartbeat) (accepted, rejected int) {
 	if len(ids) == 1 {
 		var p [1]probe
 		var s [1]uint16
-		return m.heartbeatIDs(&group{p[:], s[:]}, ids, beats, known)
+		return m.heartbeatIDs(&group{p[:], s[:]}, ids, beats)
 	}
 	var p [groupSize]probe
 	var s [groupSize]uint16
-	return m.heartbeatIDs(&group{p[:], s[:]}, ids, beats, known)
+	return m.heartbeatIDs(&group{p[:], s[:]}, ids, beats)
 }
 
-func (m *Monitor) heartbeatIDs(g *group, ids [][]byte, beats []core.Heartbeat, known []bool) int {
-	reported := 0
+func (m *Monitor) heartbeatIDs(g *group, ids [][]byte, beats []core.Heartbeat) (accepted, rejected int) {
 	for lo := 0; lo < len(ids); lo += groupSize {
 		hi := min(lo+groupSize, len(ids))
 		part := ids[lo:hi]
-		reported += resolveGroup(m, g, func(i int) []byte { return part[i] }, beats[lo:hi])
-		for i := range part {
-			known[lo+i] = g.probes[i].e != nil
-		}
+		a, r := ingestGroup(m, g, func(i int) []byte { return part[i] }, beats[lo:hi])
+		accepted += a
+		rejected += r
 	}
-	return reported
+	return accepted, rejected
+}
+
+// ingestGroup ingests one group of beats (at most groupSize): resolveGroup
+// reports those of registered senders, then firstContact binds or
+// rejects the rest.
+func ingestGroup[T ~string | ~[]byte](m *Monitor, g *group, id func(int) T, beats []core.Heartbeat) (accepted, rejected int) {
+	accepted = resolveGroup(m, g, id, beats)
+	if accepted < len(beats) {
+		a, r := firstContact(m, g, id, beats)
+		accepted += a
+		rejected += r
+	}
+	return accepted, rejected
 }
 
 // groupSize bounds the beats resolved together: enough that a group's
@@ -280,8 +286,13 @@ func (g *group) distinctShards(ps []probe, mask uint32) int {
 // out in the order the walks read it; bound in arrival order, a fleet
 // registering in bulk made the read-heavy benchmark's top-k and scrape
 // walks ~20% dearer. The sort reads the hashes resolveGroup kept: it
-// hashes nothing itself.
-func (m *Monitor) firstContact(g *group, beats []core.Heartbeat) (accepted, rejected int) {
+// hashes nothing itself. Each new id is converted to a string once (a
+// no-op for string ids), and the binding keeps that string. The
+// conversions all come first, in arrival order, so a burst's id strings
+// sit together rather than between its bindings' objects: converted at
+// bind time, the read-heavy benchmark's top-k read 4% dearer (9 of 10
+// pairs).
+func firstContact[T ~string | ~[]byte](m *Monitor, g *group, id func(int) T, beats []core.Heartbeat) (accepted, rejected int) {
 	var fresh [groupSize]uint8
 	nf := 0
 	for i := range beats {
@@ -293,6 +304,10 @@ func (m *Monitor) firstContact(g *group, beats []core.Heartbeat) (accepted, reje
 	if !m.autoRegister {
 		return 0, nf
 	}
+	var ids [groupSize]string
+	for _, i := range fresh[:nf] {
+		ids[i] = string(id(int(i)))
+	}
 	// Insertion sort: stable, and nf is at most groupSize.
 	for k := 1; k < nf; k++ {
 		for j := k; j > 0 && g.probes[fresh[j]].h&m.shardMask < g.probes[fresh[j-1]].h&m.shardMask; j-- {
@@ -301,7 +316,7 @@ func (m *Monitor) firstContact(g *group, beats []core.Heartbeat) (accepted, reje
 	}
 	for _, i := range fresh[:nf] {
 		hb, h := beats[i], g.probes[i].h
-		e, gen, _ := m.bindOnce(h, hb.From, hb.Arrived)
+		e, gen, _ := m.bindOnce(h, ids[i], hb.Arrived)
 		m.deliver(h, e, gen, hb)
 	}
 	return nf, 0

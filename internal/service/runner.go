@@ -1,7 +1,6 @@
 package service
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,12 +19,13 @@ type Consumers struct {
 
 // Runner is the monitor's one background pass — the paper's "every
 // interpreter queries all levels once per period" done once for all of
-// them. Each period it takes one clock reading and makes one lock-free
-// slab walk, and hands each binding's level to the history, the QoS
+// them. Each round takes one clock reading and makes one lock-free slab
+// walk, and hands each binding's level to the history, the QoS
 // estimators and every attached App (whose transition handlers fire from
 // it: in the oracle model, "correct processes query their failure
-// detector modules infinitely often", packaged). Start launches the
-// loop; Stop is idempotent and joins it; Round runs one round on demand.
+// detector modules infinitely often", packaged). The Runner holds no
+// goroutine: its owner calls Round on its own schedule (accruald runs it
+// on clock.Every, tests and simulations call it directly).
 //
 // # Lock order
 //
@@ -37,95 +37,29 @@ type Consumers struct {
 // lock, and App.Status and Recorder.History resolve their id before
 // taking their own lock.
 type Runner struct {
-	mon   *Monitor
-	every time.Duration
-	c     Consumers
-	// tick, when set before Start, replaces the ticker (tests drive
-	// the loop with it).
-	tick <-chan time.Time
-
-	mu      sync.Mutex
-	started bool
-	halted  bool
-	done    chan struct{}
-	stopped chan struct{}
+	mon *Monitor
+	c   Consumers
 
 	rounds atomic.Int64
 	last   atomic.Int64 // clock reading of the latest round, UnixNano
 }
 
-// NewRunner returns a runner feeding c from mon every period
-// (non-positive periods default to one second). It does not start. A
-// QoS consumer is attached to mon (telemetry.QoS.Attach), so it must
-// not already serve another registry.
-func NewRunner(mon *Monitor, every time.Duration, c Consumers) *Runner {
-	if every <= 0 {
-		every = time.Second
-	}
+// NewRunner returns a runner feeding c from mon. A QoS consumer is
+// attached to mon (telemetry.QoS.Attach), so it must not already serve
+// another registry.
+func NewRunner(mon *Monitor, c Consumers) *Runner {
 	if c.QoS != nil {
 		c.QoS.Attach(mon)
 	}
-	return &Runner{
-		mon:     mon,
-		every:   every,
-		c:       c,
-		done:    make(chan struct{}),
-		stopped: make(chan struct{}),
-	}
+	return &Runner{mon: mon, c: c}
 }
 
 // Consumers returns what the runner feeds.
 func (r *Runner) Consumers() Consumers { return r.c }
 
-// Start launches the background loop; later calls, and calls after
-// Stop, do nothing.
-func (r *Runner) Start() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.started || r.halted {
-		return
-	}
-	r.started = true
-	tick, stop := r.tick, func() {}
-	if tick == nil {
-		t := time.NewTicker(r.every)
-		tick, stop = t.C, t.Stop
-	}
-	go r.loop(tick, stop)
-}
-
-func (r *Runner) loop(tick <-chan time.Time, stop func()) {
-	defer close(r.stopped)
-	defer stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-tick:
-			r.Round()
-		}
-	}
-}
-
-// Stop terminates the loop and waits for it to exit. Stop is idempotent
-// and safe to call concurrently; before Start it only keeps the loop
-// from ever starting.
-func (r *Runner) Stop() {
-	r.mu.Lock()
-	if !r.halted {
-		r.halted = true
-		close(r.done)
-	}
-	started := r.started
-	r.mu.Unlock()
-	if started {
-		<-r.stopped
-	}
-}
-
 // Round runs one round now: one clock reading, one walk, every consumer
-// fed. It is safe to call concurrently with the loop; rounds serialise
-// on the consumers' locks.
+// fed. Concurrent calls are safe; rounds serialise on the consumers'
+// locks.
 func (r *Runner) Round() {
 	c := &r.c
 	if c.History != nil {

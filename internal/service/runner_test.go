@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -29,29 +30,12 @@ func TestWatcherPollsAndFiresTransitions(t *testing.T) {
 			mu.Unlock()
 		}))
 
-	ticks := make(chan time.Time)
-	r := NewRunner(m, time.Second, Consumers{Apps: []*App{app}})
-	r.tick = ticks
-	r.Start()
-
-	tickAndWait := func(want int64) {
-		t.Helper()
-		ticks <- time.Time{}
-		deadline := time.Now().Add(2 * time.Second)
-		for r.Rounds() < want {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d never completed", want)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-
-	tickAndWait(1) // trusted: no transition
+	r := NewRunner(m, Consumers{Apps: []*App{app}})
+	r.Round() // trusted: no transition
 	clk.Advance(5 * time.Second)
-	tickAndWait(2) // level 5 > 2: S-transition
+	r.Round() // level 5 > 2: S-transition
 	_ = m.Heartbeat(hb("p", 2, clk.Now()))
-	tickAndWait(3) // recovered: T-transition
-	r.Stop()
+	r.Round() // recovered: T-transition
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -66,60 +50,23 @@ func TestWatcherPollsAndFiresTransitions(t *testing.T) {
 	}
 }
 
-func TestWatcherStopIdempotent(t *testing.T) {
-	m, _ := newTestMonitor()
-	app := m.NewApp("app", ConstantPolicy(1))
-	r := NewRunner(m, time.Millisecond, Consumers{Apps: []*App{app}})
-	r.Stop() // before Start: returns, and keeps the loop from starting
-	r.Start()
-	r.Stop()
-
-	r = NewRunner(m, time.Millisecond, Consumers{Apps: []*App{app}})
-	r.Start()
-	r.Stop()
-	r.Stop() // must not panic or block
-}
-
-func TestWatcherStopConcurrent(t *testing.T) {
-	m, _ := newTestMonitor()
-	app := m.NewApp("app", ConstantPolicy(1))
-	r := NewRunner(m, time.Millisecond, Consumers{Apps: []*App{app}})
-	r.Start()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.Stop()
-		}()
-	}
-	wg.Wait()
-}
-
+// TestWatcherRealTicker runs the runner on the daemon's schedule,
+// clock.Every, against a real ticker.
 func TestWatcherRealTicker(t *testing.T) {
 	m, clk := newTestMonitor()
 	_ = m.Heartbeat(hb("p", 1, clk.Now()))
 	app := m.NewApp("app", ConstantPolicy(1))
-	r := NewRunner(m, 2*time.Millisecond, Consumers{Apps: []*App{app}})
-	r.Start()
-	defer r.Stop()
+	r := NewRunner(m, Consumers{Apps: []*App{app}})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := clock.Every(ctx, 2*time.Millisecond, r.Round)
 	deadline := time.Now().Add(2 * time.Second)
 	for r.Rounds() < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	cancel()
+	<-done
 	if r.Rounds() < 3 {
 		t.Error("runner did not run rounds with a real ticker")
-	}
-}
-
-func TestWatcherDefaultInterval(t *testing.T) {
-	m, _ := newTestMonitor()
-	app := m.NewApp("app", ConstantPolicy(1))
-	r := NewRunner(m, 0, Consumers{Apps: []*App{app}}) // defaults to 1s
-	r.Start()
-	r.Stop()
-	if r.every != time.Second {
-		t.Errorf("default interval = %v", r.every)
 	}
 }
 
@@ -134,7 +81,7 @@ func TestRoundFeedsEveryConsumer(t *testing.T) {
 	}
 	rec := NewRecorder(m, 4)
 	app := m.NewApp("app", ConstantPolicy(2))
-	r := NewRunner(m, time.Second, Consumers{History: rec, QoS: hub.QoS(), Apps: []*App{app}})
+	r := NewRunner(m, Consumers{History: rec, QoS: hub.QoS(), Apps: []*App{app}})
 	runs := hub.Walks.Runs.Load()
 	queries := hub.Counters.Totals().Queries
 
@@ -179,7 +126,7 @@ func TestPassSteadyStateZeroAlloc(t *testing.T) {
 	m := NewMonitor(clk, phiFactory, WithTelemetry(hub))
 	registerFleet(t, m, clk, 10_000)
 	app := m.NewApp("log", AdaptivePolicy())
-	r := NewRunner(m, time.Second, Consumers{History: NewRecorder(m, 16), QoS: hub.QoS(), Apps: []*App{app}})
+	r := NewRunner(m, Consumers{History: NewRecorder(m, 16), QoS: hub.QoS(), Apps: []*App{app}})
 	r.Round()
 	if allocs := testing.AllocsPerRun(10, func() {
 		clk.Advance(100 * time.Millisecond)
@@ -203,7 +150,7 @@ func TestFirstQoSRoundAllocs(t *testing.T) {
 	hub := telemetry.NewHub()
 	m := NewMonitor(clk, phiFactory, WithTelemetry(hub))
 	registerFleet(t, m, clk, procs)
-	r := NewRunner(m, time.Second, Consumers{QoS: hub.QoS()})
+	r := NewRunner(m, Consumers{QoS: hub.QoS()})
 	clk.Advance(100 * time.Millisecond)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -89,61 +89,6 @@ var (
 // Monitor.
 const defaultShardCount = 64
 
-// compactShardCount is the shard count ProfileCompact defaults to:
-// at the million-process scale the profile targets, 512 shards keep each
-// shard's id index below ~2k entries and spread write-lock traffic.
-const compactShardCount = 512
-
-// Profile selects the registry's memory/throughput trade-off.
-type Profile int
-
-const (
-	// ProfileDefault is the general-purpose configuration: 64 shards and
-	// detector-native estimator window sizes.
-	ProfileDefault Profile = iota
-	// ProfileCompact targets very large memberships (100k–1M+ processes
-	// on one monitor): more shards (512 by default) and capped estimator
-	// windows so per-process state stays small.
-	ProfileCompact
-)
-
-// ParseProfile parses "default" or "compact" (the accruald -profile
-// flag values).
-func ParseProfile(s string) (Profile, error) {
-	switch s {
-	case "default", "":
-		return ProfileDefault, nil
-	case "compact":
-		return ProfileCompact, nil
-	}
-	return ProfileDefault, fmt.Errorf("service: unknown profile %q (want default or compact)", s)
-}
-
-func (p Profile) String() string {
-	if p == ProfileCompact {
-		return "compact"
-	}
-	return "default"
-}
-
-// compactWindowCap bounds sampling-window estimators under
-// ProfileCompact. 64 inter-arrival samples are enough for the window
-// mean/variance estimates the detectors run on (the paper's experiments
-// use windows of this order), and at 8 bytes a sample the cap keeps
-// window state under ~1 KiB per process.
-const compactWindowCap = 64
-
-// EstimatorWindow sizes a detector's sampling window under this
-// profile: the detector's native default def for ProfileDefault, capped
-// at 64 samples for ProfileCompact. Detector factories consult it so
-// one -profile flag sizes both the registry and the estimators.
-func (p Profile) EstimatorWindow(def int) int {
-	if p == ProfileCompact && def > compactWindowCap {
-		return compactWindowCap
-	}
-	return def
-}
-
 // entry is one monitored process: its detector plus the small mutex that
 // serialises access to it. Detectors are not required to be safe for
 // concurrent use (see core.Detector), so every detector call goes
@@ -477,10 +422,9 @@ type Monitor struct {
 	clk          clock.Clock
 	factory      Factory
 	autoRegister bool
-	profile      Profile
 
 	shardMask uint32
-	shardReq  int // WithShardCount request; 0 = profile default
+	shardReq  int // WithShardCount request; 0 = the default
 	shards    []shard
 
 	// groupFn, when non-nil, tags each process with a group name at
@@ -516,15 +460,6 @@ func WithShardCount(n int) MonitorOption {
 	return func(m *Monitor) { m.shardReq = n }
 }
 
-// WithProfile selects the registry profile. ProfileCompact raises the
-// default shard count to 512 (an explicit WithShardCount still wins)
-// and is consulted by detector factories via Profile.EstimatorWindow to
-// cap per-process estimator state; see docs/TUNING.md "Memory at 1M
-// processes".
-func WithProfile(p Profile) MonitorOption {
-	return func(m *Monitor) { m.profile = p }
-}
-
 // WithGroupFn tags every process registered (explicitly or by
 // auto-registration) with fn(id) — the group name the federation plane's
 // per-group impact rollups aggregate by. fn is called under the shard
@@ -555,15 +490,9 @@ func NewMonitor(clk clock.Clock, factory Factory, opts ...MonitorOption) *Monito
 	for _, opt := range opts {
 		opt(m)
 	}
-	// Shards are sized after the options ran so WithProfile and
-	// WithShardCount compose in either order: an explicit count wins,
-	// otherwise the profile picks its default.
 	n := m.shardReq
 	if n < 1 {
 		n = defaultShardCount
-		if m.profile == ProfileCompact {
-			n = compactShardCount
-		}
 	}
 	if n > 1<<16 {
 		n = 1 << 16
@@ -579,9 +508,6 @@ func NewMonitor(clk clock.Clock, factory Factory, opts ...MonitorOption) *Monito
 	}
 	return m
 }
-
-// Profile returns the registry profile the monitor was built with.
-func (m *Monitor) Profile() Profile { return m.profile }
 
 // shardAt maps a precomputed id hash to its shard; hot paths hash once
 // and reuse the value for both shard selection and counter striping.

@@ -88,7 +88,7 @@ func TestSideStateChurnMemoryStable(t *testing.T) {
 		return simple.New(at)
 	}, WithShardCount(8), WithTelemetry(hub))
 	app := m.NewApp("churn", ConstantPolicy(5))
-	r := NewRunner(m, time.Second, Consumers{History: NewRecorder(m, 8), QoS: hub.QoS(), Apps: []*App{app}})
+	r := NewRunner(m, Consumers{History: NewRecorder(m, 8), QoS: hub.QoS(), Apps: []*App{app}})
 
 	const cycles = 100_000
 	n := 0

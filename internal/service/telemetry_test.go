@@ -128,19 +128,11 @@ func TestWatcherLastPoll(t *testing.T) {
 	_ = mon.Heartbeat(core.Heartbeat{From: "a", Seq: 1, Arrived: clk.Now()})
 	app := mon.NewApp("w", ConstantPolicy(5))
 
-	ticks := make(chan time.Time)
-	r := NewRunner(mon, time.Second, Consumers{Apps: []*App{app}})
-	r.tick = ticks
-	r.Start()
-	defer r.Stop()
+	r := NewRunner(mon, Consumers{Apps: []*App{app}})
 	if !r.LastRound().IsZero() {
 		t.Error("LastRound non-zero before the first round")
 	}
-	ticks <- time.Time{}
-	deadline := time.Now().Add(3 * time.Second)
-	for r.Rounds() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	r.Round()
 	if got := r.LastRound(); !got.Equal(clk.Now()) {
 		t.Errorf("LastRound = %v, want monitor clock %v", got, clk.Now())
 	}
@@ -149,7 +141,7 @@ func TestWatcherLastPoll(t *testing.T) {
 func TestRecorderLastTick(t *testing.T) {
 	mon, _, clk := newTelemetryMonitor(t)
 	_ = mon.Heartbeat(core.Heartbeat{From: "a", Seq: 1, Arrived: clk.Now()})
-	r := NewRunner(mon, time.Second, Consumers{History: NewRecorder(mon, 8)})
+	r := NewRunner(mon, Consumers{History: NewRecorder(mon, 8)})
 	if !r.LastRound().IsZero() {
 		t.Error("LastRound non-zero before the first round")
 	}

@@ -1,6 +1,7 @@
 package telemetry_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -324,9 +325,10 @@ func TestSamplerLoop(t *testing.T) {
 	})
 	_ = mon.Heartbeat(core.Heartbeat{From: "p", Seq: 1, Arrived: time.Now()})
 	q := mustQoS(t, 2, 1)
-	r := service.NewRunner(mon, 2*time.Millisecond, service.Consumers{QoS: q})
-	r.Start()
-	defer r.Stop()
+	r := service.NewRunner(mon, service.Consumers{QoS: q})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := clock.Every(ctx, 2*time.Millisecond, r.Round)
 	deadline := time.Now().Add(3 * time.Second)
 	for r.Rounds() < 3 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
@@ -337,8 +339,8 @@ func TestSamplerLoop(t *testing.T) {
 	if r.LastRound().IsZero() {
 		t.Error("LastRound still zero after rounds completed")
 	}
-	r.Stop()
-	r.Stop() // idempotent
+	cancel()
+	<-done
 	if est, ok := q.Estimate("p"); !ok || int64(est.Samples) != r.Rounds() {
 		t.Errorf("estimate %+v (ok=%v), want one sample per round (%d)", est, ok, r.Rounds())
 	}

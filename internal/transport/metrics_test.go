@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -66,7 +67,7 @@ func TestMetricsGolden(t *testing.T) {
 	hub.Transport.PacketsBadMagic.Add(2)
 	hub.Transport.Delivered.Add(7)
 
-	run := service.NewRunner(mon, time.Second, service.Consumers{History: service.NewRecorder(mon, 4)})
+	run := service.NewRunner(mon, service.Consumers{History: service.NewRecorder(mon, 4)})
 	run.Round()
 
 	api := NewAPI(mon, WithRunner(run), WithAPITelemetry(hub))
@@ -249,9 +250,10 @@ func TestMetricsScrapeUnderChurn(t *testing.T) {
 	mon := service.NewMonitor(clock.Wall{}, func(_ string, start time.Time) core.Detector {
 		return simple.New(start)
 	}, service.WithTelemetry(hub))
-	run := service.NewRunner(mon, time.Millisecond, service.Consumers{QoS: hub.QoS()})
-	run.Start()
-	defer run.Stop()
+	run := service.NewRunner(mon, service.Consumers{QoS: hub.QoS()})
+	ctx, stopRun := context.WithCancel(context.Background())
+	defer stopRun()
+	runDone := clock.Every(ctx, time.Millisecond, run.Round)
 	srv := httptest.NewServer(NewAPI(mon, WithAPITelemetry(hub), WithRunner(run)))
 	defer srv.Close()
 
@@ -373,7 +375,8 @@ func TestMetricsScrapeUnderChurn(t *testing.T) {
 	// Quiesce: with the runner stopped and no more ingest the state is
 	// frozen, so a paginated scrape must reassemble byte-identically to
 	// the single-shot one even though the data came through churn.
-	run.Stop()
+	stopRun()
+	<-runDone
 	fetch := func(url string) (string, string) {
 		resp, err := http.Get(url)
 		if err != nil {

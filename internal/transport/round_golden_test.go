@@ -40,7 +40,7 @@ func TestRoundOutputsGolden(t *testing.T) {
 		service.WithTransitionHandler(func(proc string, tr core.Transition, st core.Status) {
 			fmt.Fprintf(&transitions, "%v %s %v %v\n", tr.At.Sub(epoch), proc, tr.Kind, st)
 		}))
-	run := service.NewRunner(mon, time.Second, service.Consumers{
+	run := service.NewRunner(mon, service.Consumers{
 		History: service.NewRecorder(mon, 16),
 		QoS:     hub.QoS(),
 		Apps:    []*service.App{app},

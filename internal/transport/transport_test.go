@@ -310,7 +310,7 @@ func TestAPIHistory(t *testing.T) {
 		return simple.New(start)
 	})
 	_ = mon.Heartbeat(core.Heartbeat{From: "p", Seq: 1, Arrived: clk.Now()})
-	run := service.NewRunner(mon, time.Second, service.Consumers{History: service.NewRecorder(mon, 16)})
+	run := service.NewRunner(mon, service.Consumers{History: service.NewRecorder(mon, 16)})
 	for i := 0; i < 3; i++ {
 		clk.Advance(time.Second)
 		run.Round()

@@ -613,15 +613,12 @@ type Listener struct {
 
 	// Read-loop state, touched only by the read goroutine and reused
 	// datagram after datagram: the socket's counter cell, the decoded
-	// frame (each record's id, aliasing the read buffer, its beat, and
-	// whether the registry knew it), the beats of senders awaiting
-	// registration, and the digest decode scratch (the digest handler
-	// must copy anything it keeps).
+	// frame (each record's id, aliasing the read buffer, and its beat)
+	// and the digest decode scratch (the digest handler must copy
+	// anything it keeps).
 	cell   *telemetry.SocketCell
 	recIDs [][]byte
 	recs   []core.Heartbeat
-	known  []bool
-	fresh  []core.Heartbeat
 	dig    Digest
 }
 
@@ -801,29 +798,9 @@ func (l *Listener) handleDatagram(buf []byte, arrived time.Time) {
 		l.recIDs = append(l.recIDs, id)
 		l.recs = append(l.recs, hb)
 	}
-	if cap(l.known) < n {
-		l.known = make([]bool, n)
-	}
-	known := l.known[:n]
-	delivered := uint64(l.mon.HeartbeatIDs(l.recIDs, l.recs, known))
-	var rejected uint64
-	if delivered < uint64(n) {
-		// First contact: each conversion is the id's one allocation; the
-		// registry keeps the string when it binds the sender.
-		l.fresh = l.fresh[:0]
-		for i, ok := range known {
-			if !ok {
-				hb := l.recs[i]
-				hb.From = string(l.recIDs[i])
-				l.fresh = append(l.fresh, hb)
-			}
-		}
-		acc, rej := l.mon.HeartbeatBatch(l.fresh)
-		delivered += uint64(acc)
-		rejected += uint64(rej)
-	}
-	l.tel.Delivered.Add(delivered)
-	l.tel.Rejected.Add(rejected)
+	delivered, rejected := l.mon.HeartbeatIDs(l.recIDs, l.recs)
+	l.tel.Delivered.Add(uint64(delivered))
+	l.tel.Rejected.Add(uint64(rejected))
 }
 
 // countDecodeError buckets a decode failure into the drop taxonomy.
