@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,9 +12,9 @@ import (
 )
 
 // TestDaemonAutotuneFlags covers the flag seam: -autotune without a
-// detection-time target is a boot error, inverted QoS thresholds are a
-// boot error (not a silent fallback), and a daemon booted with targets
-// serves the tune endpoints.
+// detection-time target is a boot error, and so are inverted QoS
+// thresholds, an -autotune-step outside (0, 1) and a -target-pa outside
+// [0, 1) (not silent fallbacks).
 func TestDaemonAutotuneFlags(t *testing.T) {
 	ctx := context.Background()
 	if err := run(ctx, []string{"-autotune", "-udp", "127.0.0.1:0", "-http", "127.0.0.1:0"}, nil); err == nil {
@@ -22,8 +23,22 @@ func TestDaemonAutotuneFlags(t *testing.T) {
 	if err := run(ctx, []string{"-qos-high", "1", "-qos-low", "2", "-udp", "127.0.0.1:0", "-http", "127.0.0.1:0"}, nil); err == nil {
 		t.Error("inverted -qos-high/-qos-low should fail")
 	}
-	if err := run(ctx, []string{"-autotune", "-target-td", "2s", "-autotune-step", "1.5", "-udp", "127.0.0.1:0", "-http", "256.0.0.1:bad"}, nil); err == nil {
-		t.Error("bad HTTP address should still fail with autotune flags")
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-autotune", "-target-td", "2s", "-autotune-step", "1.5"}, "MaxStep"},
+		{[]string{"-autotune", "-target-td", "2s", "-autotune-step", "-0.1"}, "MaxStep"},
+		{[]string{"-target-td", "2s", "-target-pa", "1.2"}, "TargetPA"},
+	} {
+		// A daemon that wrongly boots exits at the deadline instead of
+		// hanging the test.
+		bootCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
+		err := run(bootCtx, append(tc.flags, "-udp", "127.0.0.1:0", "-http", "127.0.0.1:0", "-log-transitions=false"), nil)
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %s refused", tc.flags, err, tc.want)
+		}
 	}
 }
 

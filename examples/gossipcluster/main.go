@@ -1,8 +1,9 @@
 // Gossipcluster: large-scale failure detection the way §1.1/§6 of the
-// paper sketch it — heartbeat counters disseminated by gossip, accrual
-// detectors interpreting the merge stream, and two consumers built on the
-// levels: an Ω leader-election oracle and a slowness oracle ranking nodes
-// by responsiveness.
+// paper sketch it — the daemon's federation digests disseminated by
+// gossip on the simulator, accrual detectors interpreting the stream of
+// fresh digests, and two consumers built on the levels: an Ω
+// leader-election oracle and a slowness oracle ranking nodes by
+// responsiveness.
 //
 // A 24-node cluster gossips with fanout 2. The initial leader crashes at
 // t=30s; watch one observer's view converge to a new live leader while
@@ -16,9 +17,10 @@ import (
 	"strings"
 	"time"
 
-	"accrual/internal/gossip"
+	"accrual/internal/core"
+	"accrual/internal/experiments"
 	"accrual/internal/omega"
-	"accrual/internal/service"
+	"accrual/internal/phi"
 	"accrual/internal/sim"
 	"accrual/internal/slowness"
 	"accrual/internal/stats"
@@ -36,36 +38,37 @@ func main() {
 	}
 	crashAt := sim.Epoch.Add(30 * time.Second)
 	horizon := sim.Epoch.Add(60 * time.Second)
-	cluster, err := gossip.New(gossip.Config{
+	const interval = 100 * time.Millisecond
+	cluster, err := experiments.NewCluster(experiments.ClusterConfig{
 		Sim: s, Net: net, Nodes: nodes, Fanout: 2,
-		Interval: 100 * time.Millisecond,
-		Crashes:  map[string]time.Time{"n02": crashAt},
+		Interval: interval,
+		Crashes:  map[string]time.Time{"n06": crashAt},
 		Horizon:  horizon,
+		Detector: func(_ string, start time.Time) core.Detector {
+			return phi.New(start, phi.WithBootstrap(interval, interval/2))
+		},
 	})
 	if err != nil {
 		panic(err)
 	}
 
-	observer := cluster.Node("n23")
-	leaderOracle := omega.New(func() []service.RankedProcess {
-		return observer.Snapshot(s.Now())
-	}, 3)
+	observer := cluster.Node("n23").Monitor()
+	leaderOracle := omega.New(observer.Ranked, 3)
 	ranker := slowness.New(0.2, 0.25)
 
-	fmt.Println("24 nodes, gossip fanout 2 every 100ms, 2% loss; n02 (the initial leader) crashes at t=30s")
+	fmt.Println("24 nodes, gossip fanout 2 every 100ms, 2% loss; n06 (the initial leader) crashes at t=30s")
 	fmt.Println("observer: n23 (everything below is its local view)")
 	fmt.Println()
 	for tick := 5; tick <= 60; tick += 5 {
 		s.RunUntil(sim.Epoch.Add(time.Duration(tick) * time.Second))
-		snap := observer.Snapshot(s.Now())
-		ranker.Update(snap)
+		ranker.Update(observer.Ranked())
 		leader, _ := leaderOracle.Leader()
-		n02Level, _ := observer.Suspicion("n02", s.Now())
-		fmt.Printf("t=%2ds  leader=%s  level(n02)=%8.2f  most responsive: %s\n",
-			tick, leader, float64(n02Level), strings.Join(ranker.Fastest(3), " "))
+		n06Level, _ := observer.Suspicion("n06")
+		fmt.Printf("t=%2ds  leader=%s  level(n06)=%8.2f  most responsive: %s\n",
+			tick, leader, float64(n06Level), strings.Join(ranker.Fastest(3), " "))
 	}
 	fmt.Println()
 	leader, _ := leaderOracle.Leader()
-	fmt.Printf("final leader: %s (stable, live); crashed n02 ranks last of %d\n",
+	fmt.Printf("final leader: %s (stable, live); crashed n06 ranks last of %d\n",
 		leader, len(ranker.Order()))
 }

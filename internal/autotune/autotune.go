@@ -71,14 +71,16 @@ type Config struct {
 	Targets chen.QoS
 	// TargetPA is the minimum acceptable query accuracy P_A. When the
 	// measured fleet mean falls below it the controller widens the
-	// lateness budget instead of tightening it. Zero disables the term.
+	// lateness budget instead of tightening it. Zero disables the term;
+	// a value outside [0, 1) is a config error.
 	TargetPA float64
 	// Detector names the detector kind the monitor's factory builds
 	// (one of the Detector* constants); it selects the α → level-units
 	// mapping. Required.
 	Detector string
 	// MaxStep bounds every per-round knob change as a relative step:
-	// 0.25 means a knob moves at most ±25% per round (default 0.25).
+	// 0.25 means a knob moves at most ±25% per round (default 0.25;
+	// anything else outside (0, 1) is a config error).
 	MaxStep float64
 	// MinWindow and MaxWindow clamp the proposed estimator window
 	// (defaults 16 and 1024).
@@ -248,8 +250,14 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Targets.MinMistakeRecurrence <= 0 {
 		cfg.Targets.MinMistakeRecurrence = 100 * cfg.Targets.MaxDetectionTime
 	}
-	if cfg.MaxStep <= 0 || cfg.MaxStep >= 1 {
+	switch {
+	case cfg.MaxStep == 0:
 		cfg.MaxStep = 0.25
+	case !(cfg.MaxStep > 0 && cfg.MaxStep < 1):
+		return nil, fmt.Errorf("autotune: MaxStep %v outside (0, 1)", cfg.MaxStep)
+	}
+	if !(cfg.TargetPA >= 0 && cfg.TargetPA < 1) {
+		return nil, fmt.Errorf("autotune: TargetPA %v outside [0, 1)", cfg.TargetPA)
 	}
 	if cfg.MinWindow <= 0 {
 		cfg.MinWindow = 16
@@ -259,9 +267,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.Gain <= 0 || cfg.Gain > 1 {
 		cfg.Gain = 0.5
-	}
-	if cfg.TargetPA < 0 || cfg.TargetPA >= 1 || math.IsNaN(cfg.TargetPA) {
-		cfg.TargetPA = 0
 	}
 	c := &Controller{cfg: cfg, trim: 1, groups: make(map[string]*groupAgg)}
 	// The walk closure is built once: per-round closure allocation

@@ -32,6 +32,11 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := autotune.New(valid); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	tuned := valid
+	tuned.MaxStep, tuned.TargetPA = 0.5, 0.99
+	if _, err := autotune.New(tuned); err != nil {
+		t.Fatalf("in-range MaxStep and TargetPA rejected: %v", err)
+	}
 
 	tests := []struct {
 		name   string
@@ -42,6 +47,13 @@ func TestNewValidatesConfig(t *testing.T) {
 		{"nil qos", func(c *autotune.Config) { c.QoS = nil }, "required"},
 		{"no target", func(c *autotune.Config) { c.Targets.MaxDetectionTime = 0 }, "MaxDetectionTime"},
 		{"bad detector", func(c *autotune.Config) { c.Detector = "bogus" }, "detector"},
+		{"step too large", func(c *autotune.Config) { c.MaxStep = 1.5 }, "MaxStep"},
+		{"step of one", func(c *autotune.Config) { c.MaxStep = 1 }, "MaxStep"},
+		{"negative step", func(c *autotune.Config) { c.MaxStep = -0.1 }, "MaxStep"},
+		{"NaN step", func(c *autotune.Config) { c.MaxStep = math.NaN() }, "MaxStep"},
+		{"P_A of one", func(c *autotune.Config) { c.TargetPA = 1 }, "TargetPA"},
+		{"negative P_A", func(c *autotune.Config) { c.TargetPA = -0.5 }, "TargetPA"},
+		{"NaN P_A", func(c *autotune.Config) { c.TargetPA = math.NaN() }, "TargetPA"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -2,21 +2,23 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"accrual/internal/core"
-	"accrual/internal/gossip"
 	"accrual/internal/kappa"
 	"accrual/internal/phi"
+	"accrual/internal/service"
 	"accrual/internal/sim"
 	"accrual/internal/stats"
 )
 
 // E13 is an extension experiment (not a direct paper claim): it scales
 // the gossip-style monitoring service of van Renesse et al. — the
-// large-scale deployment style the paper cites in §1.1/§6 — and measures
-// how accrual detection behaves when heartbeats arrive indirectly through
-// counter gossip. Two findings:
+// large-scale deployment style the paper cites in §1.1/§6 — built from
+// the daemon's own federation plane on the simulator (Cluster), and
+// measures how accrual detection behaves when heartbeats arrive
+// indirectly, as relayed digests. Two findings:
 //
 //   - per-node message load stays O(fanout) per round while crashes are
 //     detected cluster-wide with latency growing only slowly in n (news
@@ -30,7 +32,7 @@ func E13(seed uint64) *Table {
 		ID:      "E13",
 		Title:   "gossip-disseminated accrual detection at scale (extension)",
 		Anchor:  "§1.1/§6 (gossip-style failure detection service), §5.4",
-		Columns: []string{"nodes", "observer", "msgs/node/round", "max T_D (s)", "mean T_D (s)", "false suspicions"},
+		Columns: []string{"nodes", "observer", "msgs/node/round", "frames/node/round", "max T_D (s)", "mean T_D (s)", "false suspicions"},
 	}
 	const (
 		interval = 100 * time.Millisecond
@@ -39,7 +41,7 @@ func E13(seed uint64) *Table {
 	observers := []struct {
 		name      string
 		threshold core.Level
-		mk        func(peer string, start time.Time) core.Detector
+		mk        service.Factory
 	}{
 		{"phi>8", 8, func(_ string, start time.Time) core.Detector {
 			return phi.New(start, phi.WithBootstrap(interval, interval/2))
@@ -49,22 +51,33 @@ func E13(seed uint64) *Table {
 		}},
 	}
 	sizes := []int{8, 16, 32, 64}
-	falseByObserver := map[string]int{}
-	maxTDByObserver := map[string][]float64{}
-	allDetect := true
-	for _, n := range sizes {
-		for _, obs := range observers {
+	// The (size, observer) cells are independent, each on its own
+	// simulator, so they run concurrently; results land by index, so the
+	// table does not depend on scheduling.
+	type cell struct {
+		row       []string
+		allDetect bool
+		maxTD     float64
+		falseSusp int
+	}
+	cells := make([]cell, len(sizes)*len(observers))
+	var wg sync.WaitGroup
+	for i := range cells {
+		n, obs := sizes[i/len(observers)], observers[i%len(observers)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			s := sim.New(seed + uint64(n))
 			net := sim.NewNetwork(s, sim.Link{
 				Delay: sim.RandomDelay{Dist: stats.Normal{Mu: 0.01, Sigma: 0.003}, Min: time.Millisecond},
 			})
 			ids := make([]string, n)
-			for i := range ids {
-				ids[i] = fmt.Sprintf("n%03d", i)
+			for j := range ids {
+				ids[j] = fmt.Sprintf("n%03d", j)
 			}
 			crashAt := sim.Epoch.Add(30 * time.Second)
 			horizon := sim.Epoch.Add(60 * time.Second)
-			c, err := gossip.New(gossip.Config{
+			c, err := NewCluster(ClusterConfig{
 				Sim: s, Net: net, Nodes: ids, Fanout: fanout,
 				Interval: interval,
 				Crashes:  map[string]time.Time{"n000": crashAt},
@@ -80,16 +93,16 @@ func E13(seed uint64) *Table {
 			witness := ids[len(ids)-1]
 			s.Every(interval, horizon, func(now time.Time) {
 				for _, id := range ids[1:] {
-					node := c.Node(id)
+					mon := c.Node(id).Monitor()
 					if _, ok := detected[id]; !ok && now.After(crashAt) {
-						if lvl, _ := node.Suspicion("n000", now); lvl > obs.threshold {
+						if lvl, _ := mon.Suspicion("n000"); lvl > obs.threshold {
 							detected[id] = now.Sub(crashAt)
 						}
 					}
 					if id == witness {
 						continue
 					}
-					lvl, _ := node.Suspicion(witness, now)
+					lvl, _ := mon.Suspicion(witness)
 					isFalse := lvl > obs.threshold
 					if isFalse && !prevFalse[id] {
 						falseSusp++
@@ -110,21 +123,33 @@ func E13(seed uint64) *Table {
 			if len(detected) > 0 {
 				meanTD = sumTD / time.Duration(len(detected))
 			}
-			if len(detected) != n-1 {
-				allDetect = false
+			nodeRounds := float64(n) * float64(horizon.Sub(sim.Epoch)/interval)
+			cnt := net.Counters()
+			cells[i] = cell{
+				row: []string{fmt.Sprintf("%d", n), obs.name,
+					fmt.Sprintf("%.1f", float64(cnt.Sent)/nodeRounds),
+					fmt.Sprintf("%.1f", float64(cnt.Frames)/nodeRounds),
+					fmt.Sprintf("%.2f", maxTD.Seconds()),
+					fmt.Sprintf("%.2f", meanTD.Seconds()),
+					fmt.Sprintf("%d", falseSusp)},
+				allDetect: len(detected) == n-1,
+				maxTD:     maxTD.Seconds(),
+				falseSusp: falseSusp,
 			}
-			rounds := float64(c.Node(ids[1]).Counter(ids[1]))
-			msgs := float64(net.Counters().Sent) / float64(n) / rounds
-			falseByObserver[obs.name] += falseSusp
-			maxTDByObserver[obs.name] = append(maxTDByObserver[obs.name], maxTD.Seconds())
-			t.AddRow(fmt.Sprintf("%d", n), obs.name,
-				fmt.Sprintf("%.1f", msgs),
-				fmt.Sprintf("%.2f", maxTD.Seconds()),
-				fmt.Sprintf("%.2f", meanTD.Seconds()),
-				fmt.Sprintf("%d", falseSusp))
-		}
+		}()
 	}
-	t.AddNote("gossip every %v with fanout %d; n000 crashes at 30s; false suspicions counted against a live witness", interval, fanout)
+	wg.Wait()
+	falseByObserver := map[string]int{}
+	maxTDByObserver := map[string][]float64{}
+	allDetect := true
+	for i, c := range cells {
+		name := observers[i%len(observers)].name
+		t.AddRow(c.row...)
+		allDetect = allDetect && c.allDetect
+		falseByObserver[name] += c.falseSusp
+		maxTDByObserver[name] = append(maxTDByObserver[name], c.maxTD)
+	}
+	t.AddNote("federation digests gossiped every %v with fanout %d, a round's AFG1 frames to one peer in one message; n000 crashes at 30s; false suspicions counted against a live witness", interval, fanout)
 	t.AddCheck("all-nodes-detect", allDetect,
 		"every observer detects the crash at every cluster size, under both detectors")
 	phiTDs := maxTDByObserver["phi>8"]

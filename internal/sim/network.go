@@ -125,6 +125,9 @@ func (p partition) cuts(from, to string, at time.Time) bool {
 
 // Counters aggregates per-network message statistics.
 type Counters struct {
+	// Frames counts Conn writes; all of one instant's writes on a Conn
+	// travel as one Sent message.
+	Frames      int64
 	Sent        int64
 	Delivered   int64
 	Lost        int64

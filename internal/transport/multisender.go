@@ -9,7 +9,8 @@ import (
 // MultiSender heartbeats several monitors at once — the redundant
 // monitoring layout where each process is observed by more than one
 // failure-detection service, so the service itself is not a single point
-// of failure. All targets receive the same sequence numbers.
+// of failure. All targets receive the same sequence numbers: a target's
+// k-th round carries k whether or not its earlier rounds got through.
 type MultiSender struct {
 	senders []*Sender
 }
@@ -64,8 +65,8 @@ func (m *MultiSender) Health() []SenderHealth {
 	return out
 }
 
-// Sent returns the number of heartbeats emitted to each target, in
-// target order.
+// Sent returns the number of heartbeat rounds to each target, delivered
+// or not, in target order.
 func (m *MultiSender) Sent() []uint64 {
 	out := make([]uint64, len(m.senders))
 	for i, s := range m.senders {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"accrual/internal/core"
+	"accrual/internal/telemetry"
 )
 
 // TestSenderRestart cycles one sender through Start/Stop three times:
@@ -183,5 +184,127 @@ func TestMultiSenderHealth(t *testing.T) {
 	// shape, not failure counts.
 	if h[1].Target != "127.0.0.1:1" {
 		t.Errorf("dead target health = %+v", h[1])
+	}
+}
+
+// recordingConn keeps every frame written to it, and fails writes while
+// down is set.
+type recordingConn struct {
+	mu     sync.Mutex
+	down   bool
+	frames [][]byte
+}
+
+func (c *recordingConn) setDown(down bool) {
+	c.mu.Lock()
+	c.down = down
+	c.mu.Unlock()
+}
+
+func (c *recordingConn) isDown() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.down
+}
+
+func (c *recordingConn) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.frames)
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.down {
+		return 0, errors.New("simulated unreachable")
+	}
+	c.frames = append(c.frames, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+func (c *recordingConn) Read([]byte) (int, error)         { return 0, net.ErrClosed }
+func (c *recordingConn) Close() error                     { return nil }
+func (c *recordingConn) LocalAddr() net.Addr              { return &net.UDPAddr{} }
+func (c *recordingConn) RemoteAddr() net.Addr             { return &net.UDPAddr{} }
+func (c *recordingConn) SetDeadline(time.Time) error      { return nil }
+func (c *recordingConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *recordingConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestSenderSeqCountsSkippedRounds: every round takes a sequence
+// number, delivered or not, in both send modes. Through an outage —
+// failing writes, then failing redials and the backoff between them —
+// the first beat delivered after it jumps by the k rounds that were
+// not delivered, plus one, so the monitor sees the outage as loss.
+func TestSenderSeqCountsSkippedRounds(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opts []SenderOption
+	}{
+		{"afd1", nil},
+		{"batch", []SenderOption{WithBatch(16, 0)}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			rec := &recordingConn{}
+			hub := telemetry.NewHub()
+			opts := append([]SenderOption{
+				WithSenderTelemetry(hub),
+				WithSenderBackoff(3*time.Millisecond, 6*time.Millisecond),
+				WithSenderDialer(func(string) (net.Conn, error) {
+					if rec.isDown() {
+						return nil, errors.New("simulated resolve failure")
+					}
+					return rec, nil
+				}),
+			}, mode.opts...)
+			s, err := NewSender("gappy", "sim:1", time.Millisecond, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Stop()
+			waitUntil(t, 3*time.Second, func() bool { return rec.count() >= 3 })
+			rec.setDown(true)
+			// Writes fail, the socket is torn down, and redials fail
+			// with backoff rounds skipped in between.
+			waitUntil(t, 3*time.Second, func() bool { return s.Health().Redials >= 3 })
+			before := rec.count()
+			rec.setDown(false)
+			waitUntil(t, 3*time.Second, func() bool { return rec.count() >= before+3 })
+			s.Stop()
+
+			var seqs []uint64
+			rec.mu.Lock()
+			for _, f := range rec.frames {
+				var beats []core.Heartbeat
+				if IsBatchFrame(f) {
+					beats, err = UnmarshalBatch(f, nil, nil)
+				} else {
+					var hb core.Heartbeat
+					hb, err = UnmarshalHeartbeat(f)
+					beats = append(beats, hb)
+				}
+				if err != nil || len(beats) != 1 {
+					t.Fatalf("frame %x: %d beats, err %v", f, len(beats), err)
+				}
+				seqs = append(seqs, beats[0].Seq)
+			}
+			rec.mu.Unlock()
+			skipped := hub.Transport.Snapshot().SendFailures
+			var gaps []uint64
+			for i := 1; i < len(seqs); i++ {
+				if d := seqs[i] - seqs[i-1]; d != 1 {
+					gaps = append(gaps, d)
+				}
+			}
+			if len(gaps) != 1 || gaps[0] != skipped+1 {
+				t.Errorf("sequence jumps %v across an outage of %d undelivered rounds, want one jump of %d", gaps, skipped, skipped+1)
+			}
+			if last := seqs[len(seqs)-1]; s.Sent() != last {
+				t.Errorf("Sent() = %d, want the last sequence number %d", s.Sent(), last)
+			}
+		})
 	}
 }

@@ -341,14 +341,21 @@ func (s *Sender) batchLoop(done <-chan struct{}, ticker *time.Ticker) {
 	}
 }
 
+// nextSeq takes the next round's sequence number. Every round takes
+// one, delivered or not: a round lost to a redial backoff or a failed
+// write leaves a gap the monitor counts as loss, in both send modes.
+func (s *Sender) nextSeq() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq++
+	return s.seq
+}
+
 // collectRound appends one beat per process id to pending. All ids share
 // the round's sequence number — strictly increasing per process, which
 // is all the monitor's staleness tracking requires.
 func (s *Sender) collectRound() {
-	s.mu.Lock()
-	s.seq++
-	seq := s.seq
-	s.mu.Unlock()
+	seq := s.nextSeq()
 	now := s.clk.Now()
 	for _, id := range s.ids {
 		s.pending = append(s.pending, core.Heartbeat{From: id, Seq: seq, Sent: now})
@@ -393,14 +400,12 @@ func (s *Sender) flushBatch(done <-chan struct{}, max int) {
 // socket was torn down and its backoff has elapsed. The encode buffer is
 // reused across beats, so the steady-state send path does not allocate.
 func (s *Sender) sendOne(done <-chan struct{}) {
+	seq := s.nextSeq()
 	conn, ok := s.acquireConn(done, 1)
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	s.seq++
-	hb := core.Heartbeat{From: s.id, Seq: s.seq, Sent: s.clk.Now()}
-	s.mu.Unlock()
+	hb := core.Heartbeat{From: s.id, Seq: seq, Sent: s.clk.Now()}
 	var err error
 	s.encBuf, err = AppendHeartbeat(s.encBuf[:0], hb)
 	if err != nil {
@@ -519,9 +524,10 @@ func (s *Sender) logLimited(format string, args ...any) {
 	log.Printf("transport: sender %q: %s", s.id, msg)
 }
 
-// Sent returns the number of heartbeat rounds emitted so far (for a
-// group sender each round carries one beat per process id). The
-// sequence is monotone across Stop/Start cycles.
+// Sent returns the number of heartbeat rounds so far, delivered or not
+// (for a group sender each round carries one beat per process id): the
+// last sequence number taken. The sequence is monotone across
+// Stop/Start cycles.
 func (s *Sender) Sent() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
