@@ -92,6 +92,7 @@ type Config struct {
 // steady-state receive path allocates nothing once every id has been
 // interned by the listener's decoder.
 type peerState struct {
+	origin   string
 	seq      uint64
 	procs    uint32
 	sent     time.Time
@@ -115,10 +116,14 @@ type Federation struct {
 
 	// mu guards everything below plus the build scratch; lock order is
 	// mu → registry shard locks (via EachInfo), never the reverse.
-	mu      sync.Mutex
-	rng     interface{ IntN(int) int }
-	seq     uint64
-	remotes map[string]*peerState
+	mu  sync.Mutex
+	rng interface{ IntN(int) int }
+	seq uint64
+	// remotes holds one state per origin heard from, in ascending origin
+	// order, so relay frames, the staleness gauges and the owner of a
+	// suspect reported at one age by several origins come out the same
+	// in every run.
+	remotes []*peerState
 
 	// Build scratch, reused every round so digest construction and the
 	// gossip round are allocation-free in steady state.
@@ -196,7 +201,6 @@ func New(cfg Config) (*Federation, error) {
 		mon:      cfg.Monitor,
 		clk:      cfg.Clock,
 		rng:      stats.NewRand(seed),
-		remotes:  make(map[string]*peerState),
 		groupIdx: make(map[string]int),
 		conns:    make(map[string]net.Conn),
 	}
@@ -372,7 +376,7 @@ func (f *Federation) EncodeRound() (int, error) {
 
 // Round runs one gossip round: build and encode the own digest, pick a
 // random fanout of peers, and send them the own frame plus the freshest
-// raw frame of every non-stale origin.
+// raw frame of every non-stale origin, in ascending origin order.
 func (f *Federation) Round() {
 	now := f.clk.Now()
 	f.mu.Lock()
@@ -471,11 +475,13 @@ func (f *Federation) HandleDigest(d *transport.Digest, arrived time.Time) {
 		return
 	}
 	f.mu.Lock()
-	st, ok := f.remotes[d.Origin]
+	i, ok := slices.BinarySearchFunc(f.remotes, d.Origin, func(st *peerState, origin string) int {
+		return strings.Compare(st.origin, origin)
+	})
 	if !ok {
-		st = new(peerState)
-		f.remotes[d.Origin] = st
+		f.remotes = slices.Insert(f.remotes, i, &peerState{origin: d.Origin})
 	}
+	st := f.remotes[i]
 	if !st.arrived.IsZero() && d.Seq <= st.seq {
 		f.mu.Unlock()
 		f.fed.DigestsStale.Add(1)
@@ -512,7 +518,8 @@ func jsonLevel(l float64) float64 {
 // the local slice plus every origin's digested view. Remote suspect ages
 // decay by local elapsed time since the digest arrived; when two origins
 // report the same process id, the entry with the smallest effective age
-// (the freshest last-arrival) wins. Peers past the staleness cutoff are
+// (the freshest last-arrival) wins, the local view and then the smallest
+// origin on a tie. Peers past the staleness cutoff are
 // flagged stale, and so are their entries, but nothing is dropped.
 func (f *Federation) ClusterInfo() transport.ClusterInfo {
 	now := f.clk.Now()
@@ -542,7 +549,8 @@ func (f *Federation) ClusterInfo() transport.ClusterInfo {
 			Max:    jsonLevel(g.Max),
 		})
 	}
-	for origin, st := range f.remotes {
+	for _, st := range f.remotes {
+		origin := st.origin
 		staleness := now.Sub(st.arrived)
 		stale := staleness > f.cfg.StaleAfter
 		info.Peers = append(info.Peers, transport.ClusterPeer{
@@ -587,9 +595,6 @@ func (f *Federation) ClusterInfo() transport.ClusterInfo {
 		}
 		return strings.Compare(a.ID, b.ID)
 	})
-	slices.SortFunc(info.Peers, func(a, b transport.ClusterPeer) int {
-		return strings.Compare(a.Peer, b.Peer)
-	})
 	slices.SortFunc(info.Groups, func(a, b transport.ClusterGroup) int {
 		if c := strings.Compare(a.Owner, b.Owner); c != 0 {
 			return c
@@ -600,14 +605,14 @@ func (f *Federation) ClusterInfo() transport.ClusterInfo {
 }
 
 // EachPeerStaleness implements transport.ClusterView for the metrics
-// scrape: seconds since each origin's last accepted digest,
-// allocation-free.
+// scrape: seconds since each origin's last accepted digest, in ascending
+// origin order, allocation-free.
 func (f *Federation) EachPeerStaleness(fn func(peer string, stalenessSeconds float64)) {
 	now := f.clk.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for origin, st := range f.remotes {
-		fn(origin, now.Sub(st.arrived).Seconds())
+	for _, st := range f.remotes {
+		fn(st.origin, now.Sub(st.arrived).Seconds())
 	}
 }
 

@@ -1,9 +1,13 @@
 package federation
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -303,5 +307,101 @@ func TestReceiveSteadyStateZeroAlloc(t *testing.T) {
 		f.HandleDigest(d, at)
 	}); allocs != 0 {
 		t.Errorf("steady-state digest accept: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// recordConn is a gossip socket that keeps every frame written to it.
+type recordConn struct {
+	net.Conn
+	frames [][]byte
+}
+
+func (c *recordConn) Write(p []byte) (int, error) {
+	c.frames = append(c.frames, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+func (c *recordConn) Close() error { return nil }
+
+// scrambled are remote origins in an order that is neither sorted nor
+// reverse-sorted, heard from in that order.
+var scrambled = []string{"peer-e", "peer-b", "peer-g", "peer-a", "peer-f", "peer-c", "peer-d"}
+
+// TestRoundRelaysInOriginOrder: every round writes the own frame, then
+// the relayed frames in ascending origin order, whatever order the
+// origins were first heard from in.
+func TestRoundRelaysInOriginOrder(t *testing.T) {
+	conn := &recordConn{}
+	f, _, clk := newPeer(t, "self", nil, Config{
+		Peers: []string{"peer:1"},
+		Dial:  func(string) (net.Conn, error) { return conn, nil },
+	})
+	want := append([]string{"self"}, scrambled...)
+	slices.Sort(want[1:])
+	var d transport.Digest
+	for round := 1; round <= 20; round++ {
+		for _, origin := range scrambled {
+			f.HandleDigest(digestFrom(origin, uint64(round)), clk.Now())
+		}
+		conn.frames = conn.frames[:0]
+		f.Round()
+		var got []string
+		for _, fr := range conn.frames {
+			if err := transport.UnmarshalDigest(fr, &d, nil); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, d.Origin)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d wrote frames of %v, want %v", round, got, want)
+		}
+		clk.Advance(time.Second)
+	}
+}
+
+// TestPeerStalenessLinesInOriginOrder: the federation's staleness gauges
+// render one line per origin in ascending origin order, the same in
+// every scrape, so a cursor concatenation and a single-shot scrape agree.
+func TestPeerStalenessLinesInOriginOrder(t *testing.T) {
+	hub := telemetry.NewHub()
+	f, mon, clk := newPeer(t, "self", nil, Config{Hub: hub})
+	for i, origin := range scrambled {
+		f.HandleDigest(digestFrom(origin, 1), clk.Now())
+		clk.Advance(time.Duration(i+1) * time.Second)
+	}
+	api := transport.NewAPI(mon, transport.WithAPITelemetry(hub), transport.WithClusterView(f))
+	want := slices.Clone(scrambled)
+	slices.Sort(want)
+	const gauge = `accrual_federation_peer_staleness_seconds{peer="`
+	for r := 0; r < 20; r++ {
+		var buf bytes.Buffer
+		if err := api.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, gauge); ok {
+				got = append(got, rest[:strings.IndexByte(rest, '"')])
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("render %d: staleness lines for %v, want %v", r, got, want)
+		}
+	}
+}
+
+// TestOwnerTieGoesToSmallestOrigin: two origins report one process at
+// the same effective age; the merged view names the smaller origin its
+// owner in every fresh federation, not whichever origin came first.
+func TestOwnerTieGoesToSmallestOrigin(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		f, _, clk := newPeer(t, "self", nil, Config{})
+		x := transport.DigestSuspect{ID: "x", Level: 2, Age: time.Second}
+		f.HandleDigest(digestFrom("peer-b", 1, x), clk.Now())
+		f.HandleDigest(digestFrom("peer-a", 1, x), clk.Now())
+		info := f.ClusterInfo()
+		if len(info.Suspects) != 1 || info.Suspects[0].Owner != "peer-a" {
+			t.Fatalf("trial %d: suspects %+v, want x owned by peer-a", trial, info.Suspects)
+		}
 	}
 }

@@ -123,3 +123,12 @@ func TestEntryFitsTwoCacheLines(t *testing.T) {
 		t.Errorf("entry is %d bytes, want <= 128", size)
 	}
 }
+
+// TestEntryMetaFitsOneCacheLine: the scrape walk prefetches one line of
+// each binding's identity (prefetchMeta), which covers all of it only
+// while it fits the 64-byte size class, whose objects are line-aligned.
+func TestEntryMetaFitsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(entryMeta{}); size > 64 {
+		t.Errorf("entryMeta is %d bytes, want <= 64", size)
+	}
+}

@@ -8,8 +8,9 @@ import (
 )
 
 // The prefetch helpers ask the CPU to start loading cache lines a later
-// stage of resolveGroup reads, so the misses of a whole group are in
-// flight together (see package prefetch).
+// stage of resolveGroup, or a later row of the id-ordered scrape walk,
+// reads, so several misses are in flight together (see package
+// prefetch).
 
 // prefetchEntry prefetches every line e spans: a slot is at most 128
 // bytes (TestEntryFitsTwoCacheLines).
@@ -21,3 +22,7 @@ func prefetchEntry(e *entry) { prefetch.Span(unsafe.Pointer(e)) }
 func prefetchDetector(d core.Detector) {
 	prefetch.Head((*[2]unsafe.Pointer)(unsafe.Pointer(&d))[1])
 }
+
+// prefetchMeta prefetches a binding's identity: an entryMeta is one
+// 64-byte allocation.
+func prefetchMeta(m *entryMeta) { prefetch.Line(unsafe.Pointer(m)) }

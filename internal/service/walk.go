@@ -147,7 +147,20 @@ func (sh *shard) eachSorted(now time.Time, fn func(meta *entryMeta, lvl core.Lev
 	if rebuilt {
 		slices.SortFunc(o.slots, func(a, b orderedSlot) int { return strings.Compare(a.meta.id, b.meta.id) })
 	}
-	for _, s := range o.slots {
+	slots := o.slots
+	for i, s := range slots {
+		// Software pipeline over the random slab order: row i+D's slot
+		// and identity are requested from addresses the cached order
+		// already holds, and row i+D/2's label bytes once its identity
+		// line has had D/2 rows to arrive.
+		if j := i + scrapeLookahead; j < len(slots) {
+			ahead := slots[j]
+			prefetchEntry(&chunks[ahead.idx>>slabChunkBits][ahead.idx&slabChunkMask])
+			prefetchMeta(ahead.meta)
+		}
+		if j := i + scrapeLookahead/2; j < len(slots) {
+			slots[j].meta.series.PrefetchLabels()
+		}
 		e := &chunks[s.idx>>slabChunkBits][s.idx&slabChunkMask]
 		if meta, snap, _, ok := e.loadEval(); ok && meta == s.meta {
 			fn(meta, snap.Level(now))
@@ -155,6 +168,11 @@ func (sh *shard) eachSorted(now time.Time, fn func(meta *entryMeta, lvl core.Lev
 	}
 	return rebuilt
 }
+
+// scrapeLookahead is how many rows ahead eachSorted prefetches: enough
+// rows of walk and render to cover a DRAM miss, few enough that the
+// lines are still cached when their row comes up.
+const scrapeLookahead = 16
 
 // AppendShardSeries appends one row per process bound in shard s
 // (0 <= s < ShardCount) to dst, in ascending id order, and returns the

@@ -109,7 +109,11 @@ func (o *Oracle) finishUpdate() {
 }
 
 // reorder sorts by smoothed level with a dead band that preserves the
-// previous relative order for near-ties.
+// previous relative order for near-ties. The dead-band comparison is not
+// a strict weak order (a ties b and b ties c while a and c differ by
+// more than the band), so the outcome depends on the order the sort is
+// handed the ids in: they are handed over in id order, not the map's,
+// to a stable sort, which makes the order a function of the inputs.
 func (o *Oracle) reorder() {
 	clear(o.prevPos)
 	for i, id := range o.order {
@@ -119,7 +123,8 @@ func (o *Oracle) reorder() {
 	for id := range o.smoothed {
 		next = append(next, id)
 	}
-	slices.SortFunc(next, func(a, b string) int {
+	slices.Sort(next)
+	slices.SortStableFunc(next, func(a, b string) int {
 		la, lb := o.smoothed[a], o.smoothed[b]
 		if diff := la - lb; diff > o.deadband {
 			return 1

@@ -1,6 +1,7 @@
 package slowness
 
 import (
+	"slices"
 	"testing"
 
 	"accrual/internal/core"
@@ -170,6 +171,32 @@ func TestOrderValidAcrossOneUpdate(t *testing.T) {
 	for i := range want {
 		if held[i] != want[i] {
 			t.Fatalf("held order mutated by next update: %v, want %v", held, want)
+		}
+	}
+}
+
+// TestNearTiesOrderedByInputsAlone: c ties b and b ties a within the
+// dead band while c and a lie outside it, so the pairwise comparisons
+// form a cycle (a<b and b<c by id, c<a by level). Every fresh oracle
+// fed the same levels, in whatever snapshot order, must still return
+// one order.
+func TestNearTiesOrderedByInputsAlone(t *testing.T) {
+	perms := [][]any{
+		{"c", 1.0, "b", 1.3, "a", 1.6},
+		{"a", 1.6, "b", 1.3, "c", 1.0},
+		{"b", 1.3, "c", 1.0, "a", 1.6},
+	}
+	var first []string
+	for trial := 0; trial < 100; trial++ {
+		o := New(1, 0.5)
+		o.Update(snap(perms[trial%len(perms)]...))
+		got := o.Order()
+		if first == nil {
+			first = slices.Clone(got)
+			continue
+		}
+		if !slices.Equal(got, first) {
+			t.Fatalf("trial %d: order %v, first oracle gave %v", trial, got, first)
 		}
 	}
 }

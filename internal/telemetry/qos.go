@@ -5,8 +5,10 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"accrual/internal/core"
+	"accrual/internal/prefetch"
 	"accrual/internal/qos"
 	"accrual/internal/transform"
 )
@@ -323,6 +325,18 @@ func (p *ProcSeries) Init(id string) {
 // MetricWriter.SampleRendered.
 func (p *ProcSeries) Labels() string { return p.labels }
 
+// PrefetchLabels asks the CPU to start loading the label block's bytes,
+// for a walk that copies them a few rows later. The block is immutable
+// once Init has run, so any reader of the binding may call it.
+func (p *ProcSeries) PrefetchLabels() {
+	if len(p.labels) == 0 {
+		return
+	}
+	b := unsafe.Pointer(unsafe.StringData(p.labels))
+	prefetch.Line(b) // a short block may still straddle two lines
+	prefetch.Line(unsafe.Add(b, len(p.labels)-1))
+}
+
 // ProcRow stages one process for the per-process exposition section: a
 // registry walk fills ID, Series and Level, GatherEstimates fills the
 // five accuracy estimates, and the renderer reads all of it with no
@@ -346,6 +360,13 @@ type ProcRow struct {
 func (q *QoS) GatherEstimates(rows []ProcRow) {
 	q.mu.Lock()
 	for i := range rows {
+		// Rows are in id order, so their estimators are scattered: start
+		// row i+estimateLookahead's lines now, reading est under the lock.
+		if j := i + estimateLookahead; j < len(rows) {
+			if e := rows[j].Series.est; e != nil {
+				prefetchEstimator(e)
+			}
+		}
 		r := &rows[i]
 		if e := r.Series.est; e != nil {
 			r.LambdaM, r.PA, r.TMR, r.TM, r.TG = e.run.Metrics()
@@ -355,6 +376,18 @@ func (q *QoS) GatherEstimates(rows []ProcRow) {
 		r.LambdaM, r.PA, r.TMR, r.TM, r.TG = nan, nan, nan, nan, nan
 	}
 	q.mu.Unlock()
+}
+
+// estimateLookahead is how many rows ahead GatherEstimates prefetches.
+const estimateLookahead = 8
+
+// prefetchEstimator prefetches the lines holding e's first 193 bytes,
+// which hold every field Run.Metrics reads: an estimator is 240 bytes
+// and not line-aligned, so those fields span up to four lines.
+func prefetchEstimator(e *estimator) {
+	p := unsafe.Pointer(e)
+	prefetch.Head(p)
+	prefetch.Line(unsafe.Add(p, 192))
 }
 
 // Aggregate is a fleet-level rollup of the per-process estimates, cheap

@@ -14,6 +14,7 @@ import (
 
 	"accrual/internal/clock"
 	"accrual/internal/core"
+	"accrual/internal/detectors"
 	"accrual/internal/service"
 	"accrual/internal/simple"
 	"accrual/internal/telemetry"
@@ -336,5 +337,111 @@ func TestScrapeStopsWalkingForAGoneClient(t *testing.T) {
 	mw.Release()
 	if visited < 1 || visited > 8 {
 		t.Errorf("render against a sink that failed about four shards in visited %d shards, want a handful, not all 64", visited)
+	}
+}
+
+// scrapeWalkLookahead restates how many rows ahead the id-ordered walk
+// (service's scrapeLookahead) and the estimate gather (telemetry's
+// estimateLookahead) prefetch, so the table below puts a shard's row
+// count on each side of both.
+const scrapeWalkLookahead, gatherLookahead = 16, 8
+
+// perProcessPart cuts the per-process samples out of a full exposition:
+// everything after the last per-process header.
+func perProcessPart(t *testing.T, full []byte) []byte {
+	t.Helper()
+	tail := []byte("# TYPE " + telemetry.MetricQoSTG + " gauge\n")
+	i := bytes.Index(full, tail)
+	if i < 0 {
+		t.Fatalf("no %s header in the exposition", telemetry.MetricQoSTG)
+	}
+	return full[i+len(tail):]
+}
+
+// TestScrapeWalkAcrossLookahead holds a full WriteMetrics render to the
+// uncached reference for one shard holding 0, 1, D−1, D, D+1 and 3D
+// processes, D the walk's prefetch distance (and the gather's on each
+// side of its own), for the two production detector kinds. On the
+// largest shard it then rebinds a slot inside the prefetch window of the
+// walk's first row between two scrapes: the departed id must be gone,
+// its successor rendered once, under its own id and its own values.
+func TestScrapeWalkAcrossLookahead(t *testing.T) {
+	d := scrapeWalkLookahead
+	sizes := []int{0, 1, gatherLookahead - 1, gatherLookahead, gatherLookahead + 1, d - 1, d, d + 1, 3 * d}
+	for _, kind := range []string{"phi", "kappa"} {
+		factory, err := detectors.Factory(kind, time.Second, "default")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range sizes {
+			t.Run(fmt.Sprintf("%s/%d", kind, n), func(t *testing.T) {
+				epoch := time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC)
+				clk := clock.NewManual(epoch)
+				hub := telemetry.NewHub()
+				mon := service.NewMonitor(clk, factory, service.WithTelemetry(hub), service.WithShardCount(1))
+				api := NewAPI(mon, WithAPITelemetry(hub))
+				q := hub.QoS()
+				// Registration order is the reverse of id order, so slab
+				// order and the walk's order disagree.
+				id := func(i int) string { return fmt.Sprintf("walk-%03d", n-1-i) }
+				for seq := uint64(1); seq <= 4; seq++ {
+					for i := 0; i < n; i++ {
+						if i%3 == 0 && seq > 2 {
+							continue // a third of the fleet falls silent
+						}
+						if err := mon.Heartbeat(core.Heartbeat{From: id(i), Seq: seq, Arrived: clk.Now()}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					clk.Advance(time.Second)
+					if seq%2 == 0 {
+						q.Sample(mon)
+					}
+				}
+				clk.Advance(3 * time.Second)
+				q.Sample(mon)
+
+				check := func(when string) []byte {
+					t.Helper()
+					var full bytes.Buffer
+					if err := api.WriteMetrics(&full); err != nil {
+						t.Fatal(err)
+					}
+					got, want := perProcessPart(t, full.Bytes()), referencePerProcessSection(mon, q)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: per-process section differs from the reference render\n--- got ---\n%s\n--- want ---\n%s", when, got, want)
+					}
+					return got
+				}
+				check("first scrape")
+				check("second scrape")
+				if n != 3*d {
+					return
+				}
+
+				// Row d/2 of the id order sits inside the window the walk
+				// prefetches from its first row. Free its slot and bind a
+				// newcomer, which takes the freed slot over, between two
+				// scrapes.
+				gone := fmt.Sprintf("walk-%03d", d/2)
+				if !mon.Deregister(gone) {
+					t.Fatalf("deregister %s: not registered", gone)
+				}
+				const newcomer = "walk-zzz"
+				if err := mon.Heartbeat(core.Heartbeat{From: newcomer, Seq: 1, Arrived: clk.Now()}); err != nil {
+					t.Fatal(err)
+				}
+				clk.Advance(time.Second)
+				out := check("after the rebind")
+				if bytes.Contains(out, []byte(`proc="`+gone+`"`)) {
+					t.Errorf("departed %s still rendered", gone)
+				}
+				if c := bytes.Count(out, []byte(telemetry.MetricSuspicionLevel+`{proc="`+newcomer+`"}`)); c != 1 {
+					t.Errorf("newcomer %s rendered %d times, want once", newcomer, c)
+				}
+				q.Sample(mon)
+				check("after the rebind, sampled")
+			})
+		}
 	}
 }
