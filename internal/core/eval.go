@@ -130,7 +130,7 @@ func (s EvalSnapshot) Level(now time.Time) Level {
 		// underflows in float64. The concrete LogTail methods are called
 		// directly: boxing the distribution into an interface would
 		// heap-allocate on every evaluation.
-		elapsed := time.Duration(now.UnixNano() - s.Ref).Seconds()
+		elapsed := s.elapsed(now)
 		if elapsed <= 0 {
 			return 0
 		}
@@ -156,4 +156,29 @@ func (s EvalSnapshot) Level(now time.Time) Level {
 	default: // EvalZero
 		return 0
 	}
+}
+
+// elapsed is the φ kinds' argument, t − t_last in seconds.
+func (s EvalSnapshot) elapsed(now time.Time) float64 {
+	return time.Duration(now.UnixNano() - s.Ref).Seconds()
+}
+
+// ZScore returns z = (Δ − μ)/σ for a φ-normal snapshot at now, with Δ
+// the elapsed time, and ok == false for every snapshot it does not
+// apply to: other kinds, ε > 0, σ ≤ 0 (or NaN) and Δ ≤ 0. Where ok
+// holds, Level(now) is −log₁₀ Q(z) computed from this very z — the same
+// elapsed and (x − μ)/σ arithmetic, bit for bit — so it is a
+// non-decreasing function of z alone, and processes can be ordered by
+// z without evaluating the tail. Computed levels are monotone in z
+// only up to LogTail's float error, so a caller that orders by z must
+// leave a margin wider than that error (see Monitor.TopK).
+func (s EvalSnapshot) ZScore(now time.Time) (z float64, ok bool) {
+	if s.Kind != EvalPhiNormal || s.Eps != 0 || !(s.P2 > 0) {
+		return 0, false
+	}
+	elapsed := s.elapsed(now)
+	if elapsed <= 0 {
+		return 0, false
+	}
+	return stats.Normal{Mu: s.P1, Sigma: s.P2}.Z(elapsed), true
 }

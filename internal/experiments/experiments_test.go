@@ -191,6 +191,12 @@ func TestExperimentsAlternateSeed(t *testing.T) {
 		}
 		id := id
 		t.Run(id, func(t *testing.T) {
+			if id == "E13" && raceEnabled {
+				// E13 at seed 42 still runs under -race in
+				// TestEveryExperimentPasses; seed 43 adds no new
+				// code path, only another ≈ 95 s.
+				t.Skip("E13's second seed runs without the race detector")
+			}
 			table := Registry()[id](43)
 			for _, c := range table.Checks {
 				if !c.Pass {

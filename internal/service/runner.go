@@ -105,7 +105,8 @@ func (m *Monitor) feed(now time.Time, c *Consumers) {
 		rec.begin(now)
 	}
 	for s := range m.shards {
-		m.shards[s].eachEval(now, func(slot uint32, meta *entryMeta, lvl core.Level, _ int64) {
+		m.shards[s].eachEval(func(slot uint32, meta *entryMeta, snap core.EvalSnapshot, _ int64) {
+			lvl := snap.Level(now)
 			if rec != nil {
 				rec.record(s, slot, meta, lvl)
 			}

@@ -439,6 +439,9 @@ type Monitor struct {
 
 	// orderRebuilds backs ShardOrderRebuilds.
 	orderRebuilds atomic.Uint64
+
+	// topK holds TopK's heap scratch between calls (see topKScratch).
+	topK atomic.Pointer[topKScratch]
 }
 
 // MonitorOption configures a Monitor.
@@ -659,14 +662,15 @@ func (e *entry) snapLevel(id string, now time.Time) (core.Level, bool) {
 // slab arrays, so the walk holds no locks and calls no detectors; see
 // eachEval for the iteration rules.
 func (m *Monitor) EachLevel(fn func(id string, lvl core.Level)) {
-	m.walk(m.clk.Now(), func(_ uint32, meta *entryMeta, lvl core.Level, _ int64) { fn(meta.id, lvl) })
+	now := m.clk.Now()
+	m.walk(func(_ uint32, meta *entryMeta, snap core.EvalSnapshot, _ int64) { fn(meta.id, snap.Level(now)) })
 }
 
 // EachSeries calls fn with every binding's telemetry series and its
 // suspicion level at now — the walk of telemetry.QoS.Sample and
 // AggregateEstimates (the Monitor is their telemetry.LevelSource).
 func (m *Monitor) EachSeries(now time.Time, fn func(s *telemetry.ProcSeries, lvl core.Level)) {
-	m.walk(now, func(_ uint32, meta *entryMeta, lvl core.Level, _ int64) { fn(&meta.series, lvl) })
+	m.walk(func(_ uint32, meta *entryMeta, snap core.EvalSnapshot, _ int64) { fn(&meta.series, snap.Level(now)) })
 }
 
 // SeriesOf returns the telemetry series of id's current binding, or nil
@@ -701,8 +705,9 @@ type ProcessInfo struct {
 // parameters, so a slot rebound mid-walk is skipped or attributed to
 // exactly one binding, never mixed.
 func (m *Monitor) EachInfo(fn func(info ProcessInfo)) {
-	m.walk(m.clk.Now(), func(_ uint32, meta *entryMeta, lvl core.Level, last int64) {
-		fn(ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)})
+	now := m.clk.Now()
+	m.walk(func(_ uint32, meta *entryMeta, snap core.EvalSnapshot, last int64) {
+		fn(ProcessInfo{ID: meta.id, Group: meta.group, Level: snap.Level(now), LastArrival: time.Unix(0, last)})
 	})
 }
 
@@ -746,35 +751,125 @@ func (m *Monitor) Ranked() []RankedProcess {
 // million-entry sorted slice Ranked would build. Periodic callers pass
 // their previous buffer back as dst[:0], so a steady-state refresh
 // allocates nothing.
+//
+// Most of a φ-normal walk's cost would be the level function itself
+// (LogTail's erfc and log), paid for every process to keep k of them.
+// So the heap keeps each candidate's z-score (core.EvalSnapshot.ZScore)
+// beside its level, and once the heap is full and its root is a
+// φ-normal candidate at level ≥ topKGateFloor (and z ≤ topKGateCeiling),
+// a φ-normal newcomer whose z is more than topKGateMargin below the
+// root's is dropped without evaluating its level: its level is provably
+// below the root's, so it would lose the comparison anyway. The output
+// is exactly that of the ungated walk. Every other snapshot — κ, Chen,
+// Bertier, simple, the other φ models, ε > 0, elapsed ≤ 0 — and every
+// newcomer while the gate is unarmed takes the full path; there the
+// gate costs one kind test per process and one comparison per heap
+// change.
 func (m *Monitor) TopK(k int, dst []RankedProcess) []RankedProcess {
 	if k <= 0 {
 		return dst
 	}
-	base := len(dst)
-	m.walk(m.clk.Now(), func(_ uint32, meta *entryMeta, lvl core.Level, _ int64) {
-		h := dst[base:]
+	sc := m.topK.Swap(nil)
+	if sc == nil {
+		sc = new(topKScratch)
+	}
+	h := sc.heap[:0]
+	now := m.clk.Now()
+	cut := math.Inf(-1) // gated newcomers' z must reach this; -Inf while unarmed
+	m.walk(func(_ uint32, meta *entryMeta, snap core.EvalSnapshot, _ int64) {
+		z, ok := snap.ZScore(now)
+		if !ok {
+			z = math.NaN()
+		} else if z < cut {
+			return
+		}
+		lvl := snap.Level(now)
 		if len(h) < k {
-			dst = append(dst, RankedProcess{ID: meta.id, Level: lvl})
-			siftUpRank(dst[base:], len(h))
-			return
+			h = append(h, rankCand{RankedProcess{ID: meta.id, Level: lvl}, z})
+			siftUpRank(h, len(h)-1)
+		} else {
+			// h[0] is the last-placed candidate kept (least suspected);
+			// replace it only when the newcomer outranks it. Nearly every
+			// process loses on the level alone, so that is compared
+			// before the identity — a load from another object — is
+			// touched.
+			if lvl < h[0].Level {
+				return
+			}
+			cand := RankedProcess{ID: meta.id, Level: lvl}
+			if cmpTopK(cand, h[0].RankedProcess) >= 0 {
+				return
+			}
+			h[0] = rankCand{cand, z}
+			siftDownRank(h)
 		}
-		// h[0] is the last-placed candidate kept (least suspected);
-		// replace it only when the newcomer outranks it. Nearly every
-		// process loses on the level alone, so that is compared before
-		// the identity — a load from another object — is touched.
-		if lvl < h[0].Level {
-			return
+		if len(h) == k {
+			cut = gateCut(h[0])
 		}
-		cand := RankedProcess{ID: meta.id, Level: lvl}
-		if cmpTopK(cand, h[0]) >= 0 {
-			return
-		}
-		h[0] = cand
-		siftDownRank(h)
 	})
-	slices.SortFunc(dst[base:], cmpTopK)
+	slices.SortFunc(h, func(a, b rankCand) int { return cmpTopK(a.RankedProcess, b.RankedProcess) })
+	for _, c := range h {
+		dst = append(dst, c.RankedProcess)
+	}
+	clear(h) // drop the ids, so the scratch keeps no departed process alive
+	sc.heap = h[:0]
+	m.topK.Store(sc)
 	return dst
 }
+
+// The TopK gate. For a φ-normal snapshot Level is φ(z) = −log₁₀ Q(z),
+// whose slope φ'(z) = h(z)/ln 10 grows with z (h, the normal hazard
+// rate, is increasing). A root at level ≥ topKGateFloor has z ≥ −2.00
+// (Q(−2.00) = 0.9772 ≈ 10^−0.01), where φ' ≈ 0.024. So a newcomer more
+// than topKGateMargin below the root in z has an exact φ at least
+// 2.4e-6 below the root's, and the gap only widens further out: ≈ 3.5e-4
+// at z = 8, ≈ z·4.3e-5 beyond. Against that gap stand two things:
+//   - Level's float error, the rounding of erfc's argument and result
+//     carried through the log: about 1e-16 at φ = 0.01, and a few ulps
+//     of φ ≈ 0.22·z² (under z²·1e-15) far out, which would reach the
+//     gap near z = 4e10. Past topKGateCeiling the gate stays off: there
+//     computed levels of distinct z can tie (z = 1e15 and one ulp less
+//     do), and from z ≈ 1.3e154 on z² overflows and every level is +Inf;
+//   - the one seam, LogTail's switch from erfc to the asymptotic series
+//     at z = 8, where φ steps up by 2.4e-6: the safe way.
+//
+// So the newcomer's computed level is strictly below the root's and it
+// would fail TopK's `lvl < h[0].Level` test anyway: dropping it first
+// changes no output, ties included. The floor also keeps the gate off
+// where φ clamps to 0 (deep negative z): there equal levels rank by id,
+// not by z.
+const (
+	topKGateFloor   core.Level = 0.01
+	topKGateMargin             = 1e-4
+	topKGateCeiling            = 1e9
+)
+
+// gateCut is the z a φ-normal newcomer must reach to be evaluated,
+// given the full heap's root: the root's z less the margin when the
+// gate is armed, −Inf otherwise (the root is not φ-normal, so z is NaN;
+// its z is past the ceiling; or its level is below the floor).
+func gateCut(root rankCand) float64 {
+	if !(root.z <= topKGateCeiling) || !(root.Level >= topKGateFloor) {
+		return math.Inf(-1)
+	}
+	return root.z - topKGateMargin
+}
+
+// rankCand is a TopK heap candidate with its z-score kept beside it:
+// NaN for a snapshot ZScore does not apply to.
+type rankCand struct {
+	RankedProcess
+	z float64
+}
+
+// topKScratch is TopK's heap, reused across calls through Monitor.topK:
+// a caller takes it and puts it back when done, so sequential refreshes
+// allocate nothing, and a concurrent caller that finds the slot empty
+// allocates its own. It is not a sync.Pool, whose random drops under
+// the race detector would break the zero-allocation refresh there. It
+// keeps the capacity of the largest heap asked for, at most one
+// 32-byte candidate per process.
+type topKScratch struct{ heap []rankCand }
 
 // cmpTopK is the TopK output order: higher level first, equal levels by
 // ascending id. A negative result means a outranks (precedes) b.
@@ -793,10 +888,10 @@ func cmpTopK(a, b RankedProcess) int {
 // whether a newcomer displaces anything: a max-heap under cmpTopK.
 
 // siftUpRank restores the heap property after appending at index i.
-func siftUpRank(h []RankedProcess, i int) {
+func siftUpRank(h []rankCand, i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if cmpTopK(h[i], h[p]) <= 0 {
+		if cmpTopK(h[i].RankedProcess, h[p].RankedProcess) <= 0 {
 			return
 		}
 		h[i], h[p] = h[p], h[i]
@@ -805,7 +900,7 @@ func siftUpRank(h []RankedProcess, i int) {
 }
 
 // siftDownRank restores the heap property after replacing the root.
-func siftDownRank(h []RankedProcess) {
+func siftDownRank(h []rankCand) {
 	i := 0
 	for {
 		l := 2*i + 1
@@ -813,10 +908,10 @@ func siftDownRank(h []RankedProcess) {
 			return
 		}
 		s := l
-		if r := l + 1; r < len(h) && cmpTopK(h[r], h[l]) > 0 {
+		if r := l + 1; r < len(h) && cmpTopK(h[r].RankedProcess, h[l].RankedProcess) > 0 {
 			s = r
 		}
-		if cmpTopK(h[i], h[s]) >= 0 {
+		if cmpTopK(h[i].RankedProcess, h[s].RankedProcess) >= 0 {
 			return
 		}
 		h[i], h[s] = h[s], h[i]

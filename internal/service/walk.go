@@ -29,14 +29,16 @@ func (sh *shard) walkSpan() ([][]entry, uint32) {
 
 // eachEval is the lock-free iterator: it calls fn for every bound slot
 // of the shard, in slot order, with the slot's index, the binding's
-// identity, its level evaluated at now from the published snapshot, and
-// its last-arrival UnixNano. It runs straight off the slab arrays — no
+// identity, its published evaluation snapshot, and its last-arrival
+// UnixNano. Callers evaluate snap.Level(now) themselves, at their one
+// clock reading — or, like TopK, first decide from the snapshot whether
+// the level is needed at all. It runs straight off the slab arrays — no
 // shard lock beyond the span capture, no entry locks, no detector
 // calls, no allocations — and each slot is one seqlock read (loadEval),
 // so fn never sees one binding's identity paired with another's
 // parameters: a slot rebound mid-walk is skipped or attributed to
 // exactly one binding.
-func (sh *shard) eachEval(now time.Time, fn func(slot uint32, meta *entryMeta, lvl core.Level, last int64)) {
+func (sh *shard) eachEval(fn func(slot uint32, meta *entryMeta, snap core.EvalSnapshot, last int64)) {
 	chunks, n := sh.walkSpan()
 	remaining := int(n)
 	for c, chunk := range chunks {
@@ -46,7 +48,7 @@ func (sh *shard) eachEval(now time.Time, fn func(slot uint32, meta *entryMeta, l
 		base := uint32(c) << slabChunkBits
 		for j := range chunk {
 			if meta, snap, last, ok := chunk[j].loadEval(); ok {
-				fn(base|uint32(j), meta, snap.Level(now), last)
+				fn(base|uint32(j), meta, snap, last)
 			}
 		}
 		remaining -= len(chunk)
@@ -83,11 +85,11 @@ func (sh *shard) eachLocked(fn func(e *entry, meta *entryMeta)) {
 	}
 }
 
-// walk runs eachEval over every shard at the one clock reading now and
-// counts the pass (accrual_walk_runs_total).
-func (m *Monitor) walk(now time.Time, fn func(slot uint32, meta *entryMeta, lvl core.Level, last int64)) {
+// walk runs eachEval over every shard and counts the pass
+// (accrual_walk_runs_total).
+func (m *Monitor) walk(fn func(slot uint32, meta *entryMeta, snap core.EvalSnapshot, last int64)) {
 	for i := range m.shards {
-		m.shards[i].eachEval(now, fn)
+		m.shards[i].eachEval(fn)
 	}
 	if m.tel != nil {
 		m.tel.Walks.Run()

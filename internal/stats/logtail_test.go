@@ -47,6 +47,18 @@ func TestNormalLogTailMonotone(t *testing.T) {
 		}
 		prev = cur
 	}
+	// A coarse grid steps over an inversion narrower than its step, so
+	// probe the switch-over itself: every point just below 8 must lie
+	// above every point at or just past it. A 3-term series inverts
+	// here over about 6.6e-6 in z.
+	for _, below := range []float64{1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4} {
+		for _, above := range []float64{0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4} {
+			lo, hi := n.LogTail(8-below), n.LogTail(8+above)
+			if hi >= lo {
+				t.Errorf("LogTail(8+%g) = %.12g >= LogTail(8-%g) = %.12g", above, hi, below, lo)
+			}
+		}
+	}
 }
 
 func TestNormalLogTailSwitchoverContinuity(t *testing.T) {
