@@ -85,10 +85,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -97,6 +99,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -309,20 +312,23 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 	// consumer from one registry walk: the online QoS estimators, the
 	// level history and the transition log.
 	consumers := service.Consumers{QoS: hub.QoS()}
+	var tlog *transitionLog
 	if *logTrans {
 		// An internal observer application using the paper's
 		// parameter-free Algorithm 1; purely informational — client
 		// interpretations are independent of it.
+		tlog = newTransitionLog(log.Writer(), log.Prefix(), log.Flags())
 		consumers.Apps = []*service.App{mon.NewApp("accruald-log", service.AdaptivePolicy(),
-			service.WithTransitionHandler(func(proc string, tr core.Transition, st core.Status) {
-				log.Printf("transition: %s -> %s", proc, st)
-			}))}
+			service.WithTransitionHandler(tlog.record))}
 	}
 	if *history > 0 {
 		consumers.History = service.NewRecorder(mon, *history)
 	}
 	runner := service.NewRunner(mon, consumers)
-	every(*interval, runner.Round)
+	every(*interval, func() {
+		runner.Round()
+		tlog.flush()
+	})
 	apiOpts = append(apiOpts, transport.WithRunner(runner))
 
 	if *pprofAddr != "" {
@@ -383,6 +389,62 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 			return nil
 		}
 		return err
+	}
+}
+
+// transitionLog is the -log-transitions output. Its handler runs inside
+// Runner.Round, under the round's history, QoS and App locks, so it only
+// records each transition in a reused slice; flush, called once the
+// round has returned, formats them as the standard logger would —
+// "transition: <id> -> <status>" behind the logger's prefix and flags —
+// and writes them all in one write.
+type transitionLog struct {
+	out io.Writer
+
+	mu      sync.Mutex
+	pending []loggedTransition // recorded since the last flush
+	buf     bytes.Buffer
+	lines   *log.Logger // formats into buf
+}
+
+type loggedTransition struct {
+	proc string
+	st   core.Status
+}
+
+func newTransitionLog(out io.Writer, prefix string, flags int) *transitionLog {
+	l := &transitionLog{out: out}
+	l.lines = log.New(&l.buf, prefix, flags)
+	return l
+}
+
+// record is the App's transition handler.
+func (l *transitionLog) record(proc string, _ core.Transition, st core.Status) {
+	l.mu.Lock()
+	l.pending = append(l.pending, loggedTransition{proc, st})
+	l.mu.Unlock()
+}
+
+// flush writes the transitions recorded since the last flush. It must
+// not run concurrently with itself. A nil log (-log-transitions=false)
+// writes nothing.
+func (l *transitionLog) flush() {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.buf.Reset()
+	for _, t := range l.pending {
+		l.lines.Printf("transition: %s -> %s", t.proc, t.st)
+	}
+	clear(l.pending) // drop the ids of departed processes
+	l.pending = l.pending[:0]
+	l.mu.Unlock()
+	if l.buf.Len() == 0 {
+		return
+	}
+	if _, err := l.out.Write(l.buf.Bytes()); err != nil {
+		log.Printf("transition log: %v", err)
 	}
 }
 

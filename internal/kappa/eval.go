@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"accrual/internal/core"
+	"accrual/internal/stats"
 )
 
 // snapEval is the κ detector's core.EvalAux hook: it computes the
@@ -13,6 +14,18 @@ import (
 // at New, so sharing it across lock-free readers is safe.
 type snapEval struct {
 	contrib Contribution
+	// minSD is PLater's σ floor, default applied, when contrib is a
+	// PLater and 0 otherwise: set once here, so ZScore needs no type
+	// assertion per evaluation.
+	minSD time.Duration
+}
+
+func newSnapEval(contrib Contribution) *snapEval {
+	a := &snapEval{contrib: contrib}
+	if p, ok := contrib.(PLater); ok {
+		a.minSD = p.sigma(Estimate{})
+	}
+	return a
 }
 
 // EvalLevel is the κ level function. P1/P2 carry the inter-arrival
@@ -46,6 +59,27 @@ func (a *snapEval) EvalLevel(s core.EvalSnapshot, now time.Time) core.Level {
 	return core.Level(sum).Quantize(s.Eps)
 }
 
+// ZScore implements core.EvalAux. While 0 < Δ < mean only the first
+// missing heartbeat is due (m = 1, none saturated), so under PLater with
+// ε = 0 EvalLevel is that heartbeat's contribution alone,
+// Normal{μ, σ}.CDF(Δ) = Φ(z): z is computed from the same Δ, μ and
+// floored σ, in seconds, that PLater.Value hands to the CDF. Every other
+// case — another contribution, ε ≠ 0, Δ ≤ 0 or Δ ≥ mean (two or more
+// terms) — is core.ZNone.
+func (a *snapEval) ZScore(s core.EvalSnapshot, now time.Time) (float64, core.ZFamily) {
+	if a.minSD == 0 || s.Eps != 0 {
+		return 0, core.ZNone
+	}
+	est := Estimate{Mean: time.Duration(s.P1), StdDev: time.Duration(s.P2)}
+	elapsed := time.Duration(now.UnixNano() - s.Ref)
+	if elapsed <= 0 || elapsed >= est.Mean {
+		return 0, core.ZNone
+	}
+	sigma := PLater{MinStdDev: a.minSD}.sigma(est)
+	dist := stats.Normal{Mu: est.Mean.Seconds(), Sigma: sigma.Seconds()}
+	return dist.Z(elapsed.Seconds()), core.ZNormalCDF
+}
+
 // EvalSnapshot publishes the detector's frozen interpretation
 // function: between heartbeats the κ level is the contribution sum
 // over the due-time grid anchored at the last arrival,
@@ -60,7 +94,7 @@ func (d *Detector) EvalSnapshot() core.EvalSnapshot {
 	if d.aux == nil {
 		// Detectors predating New (zero-value construction in tests)
 		// lazily build the hook; New preallocates it.
-		d.aux = &snapEval{contrib: d.contrib}
+		d.aux = newSnapEval(d.contrib)
 	}
 	return core.EvalSnapshot{
 		Kind: core.EvalAuxKind,

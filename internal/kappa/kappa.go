@@ -243,7 +243,7 @@ func New(start time.Time, contrib Contribution, opts ...Option) *Detector {
 	if d.window.Cap() == 0 {
 		d.window = *stats.NewWindow(200)
 	}
-	d.aux = &snapEval{contrib: d.contrib}
+	d.aux = newSnapEval(d.contrib)
 	return d
 }
 

@@ -752,19 +752,26 @@ func (m *Monitor) Ranked() []RankedProcess {
 // their previous buffer back as dst[:0], so a steady-state refresh
 // allocates nothing.
 //
-// Most of a φ-normal walk's cost would be the level function itself
-// (LogTail's erfc and log), paid for every process to keep k of them.
-// So the heap keeps each candidate's z-score (core.EvalSnapshot.ZScore)
-// beside its level, and once the heap is full and its root is a
-// φ-normal candidate at level ≥ topKGateFloor (and z ≤ topKGateCeiling),
-// a φ-normal newcomer whose z is more than topKGateMargin below the
-// root's is dropped without evaluating its level: its level is provably
-// below the root's, so it would lose the comparison anyway. The output
-// is exactly that of the ungated walk. Every other snapshot — κ, Chen,
-// Bertier, simple, the other φ models, ε > 0, elapsed ≤ 0 — and every
-// newcomer while the gate is unarmed takes the full path; there the
-// gate costs one kind test per process and one comparison per heap
-// change.
+// Most of a walk's cost would be the level function itself (φ's
+// LogTail, κ's erfc), paid for every process to keep k of them. Where a
+// level is a known non-decreasing function of one z-score — a family:
+// φ-normal's −log₁₀ Q(z), κ's Φ(z) while one heartbeat is awaited (see
+// core.EvalSnapshot.ZScore) — the heap keeps each candidate's z and
+// family beside its level, and the walk skips level evaluations two
+// ways, neither changing the output:
+//   - once the heap is full and its root is in a family at a level
+//     ≥ the family's floor with z ≤ its ceiling, a newcomer of the same
+//     family whose z is more than the family's margin below the root's
+//     is dropped unevaluated: its level is provably below the root's,
+//     so it would lose the comparison anyway;
+//   - any other newcomer at or below its family's zero bound gets
+//     level 0 without evaluation and is compared as usual, so ties at
+//     0 still break by id.
+//
+// Every other snapshot — Chen, Bertier, simple, the other φ models, κ
+// with two or more heartbeats due or another contribution, ε > 0,
+// elapsed ≤ 0 — takes the full path; there the families cost one
+// ZScore call and two comparisons per process.
 func (m *Monitor) TopK(k int, dst []RankedProcess) []RankedProcess {
 	if k <= 0 {
 		return dst
@@ -775,17 +782,19 @@ func (m *Monitor) TopK(k int, dst []RankedProcess) []RankedProcess {
 	}
 	h := sc.heap[:0]
 	now := m.clk.Now()
-	cut := math.Inf(-1) // gated newcomers' z must reach this; -Inf while unarmed
+	// Newcomers of family cutFam are dropped below cut; −Inf while unarmed.
+	cut, cutFam := math.Inf(-1), core.ZNone
 	m.walk(func(_ uint32, meta *entryMeta, snap core.EvalSnapshot, _ int64) {
-		z, ok := snap.ZScore(now)
-		if !ok {
-			z = math.NaN()
-		} else if z < cut {
+		z, fam := snap.ZScore(now)
+		if fam == cutFam && z < cut {
 			return
 		}
-		lvl := snap.Level(now)
+		var lvl core.Level
+		if !(z <= fam.Bounds().Zero) {
+			lvl = snap.Level(now)
+		}
 		if len(h) < k {
-			h = append(h, rankCand{RankedProcess{ID: meta.id, Level: lvl}, z})
+			h = append(h, rankCand{RankedProcess{ID: meta.id, Level: lvl}, z, fam})
 			siftUpRank(h, len(h)-1)
 		} else {
 			// h[0] is the last-placed candidate kept (least suspected);
@@ -800,11 +809,11 @@ func (m *Monitor) TopK(k int, dst []RankedProcess) []RankedProcess {
 			if cmpTopK(cand, h[0].RankedProcess) >= 0 {
 				return
 			}
-			h[0] = rankCand{cand, z}
+			h[0] = rankCand{cand, z, fam}
 			siftDownRank(h)
 		}
 		if len(h) == k {
-			cut = gateCut(h[0])
+			cut, cutFam = gateCut(h[0])
 		}
 	})
 	slices.SortFunc(h, func(a, b rankCand) int { return cmpTopK(a.RankedProcess, b.RankedProcess) })
@@ -817,49 +826,23 @@ func (m *Monitor) TopK(k int, dst []RankedProcess) []RankedProcess {
 	return dst
 }
 
-// The TopK gate. For a φ-normal snapshot Level is φ(z) = −log₁₀ Q(z),
-// whose slope φ'(z) = h(z)/ln 10 grows with z (h, the normal hazard
-// rate, is increasing). A root at level ≥ topKGateFloor has z ≥ −2.00
-// (Q(−2.00) = 0.9772 ≈ 10^−0.01), where φ' ≈ 0.024. So a newcomer more
-// than topKGateMargin below the root in z has an exact φ at least
-// 2.4e-6 below the root's, and the gap only widens further out: ≈ 3.5e-4
-// at z = 8, ≈ z·4.3e-5 beyond. Against that gap stand two things:
-//   - Level's float error, the rounding of erfc's argument and result
-//     carried through the log: about 1e-16 at φ = 0.01, and a few ulps
-//     of φ ≈ 0.22·z² (under z²·1e-15) far out, which would reach the
-//     gap near z = 4e10. Past topKGateCeiling the gate stays off: there
-//     computed levels of distinct z can tie (z = 1e15 and one ulp less
-//     do), and from z ≈ 1.3e154 on z² overflows and every level is +Inf;
-//   - the one seam, LogTail's switch from erfc to the asymptotic series
-//     at z = 8, where φ steps up by 2.4e-6: the safe way.
-//
-// So the newcomer's computed level is strictly below the root's and it
-// would fail TopK's `lvl < h[0].Level` test anyway: dropping it first
-// changes no output, ties included. The floor also keeps the gate off
-// where φ clamps to 0 (deep negative z): there equal levels rank by id,
-// not by z.
-const (
-	topKGateFloor   core.Level = 0.01
-	topKGateMargin             = 1e-4
-	topKGateCeiling            = 1e9
-)
-
-// gateCut is the z a φ-normal newcomer must reach to be evaluated,
-// given the full heap's root: the root's z less the margin when the
-// gate is armed, −Inf otherwise (the root is not φ-normal, so z is NaN;
-// its z is past the ceiling; or its level is below the floor).
-func gateCut(root rankCand) float64 {
-	if !(root.z <= topKGateCeiling) || !(root.Level >= topKGateFloor) {
-		return math.Inf(-1)
+// gateCut is the z below which a newcomer of the full heap's root's
+// family is dropped: the root's z less the family's margin when the
+// root is inside its family's band (see core.ZBounds), −Inf otherwise.
+func gateCut(root rankCand) (float64, core.ZFamily) {
+	b := root.fam.Bounds()
+	if !(root.z <= b.Ceiling) || !(root.Level >= b.Floor) {
+		return math.Inf(-1), core.ZNone
 	}
-	return root.z - topKGateMargin
+	return root.z - b.Margin, root.fam
 }
 
-// rankCand is a TopK heap candidate with its z-score kept beside it:
-// NaN for a snapshot ZScore does not apply to.
+// rankCand is a TopK heap candidate with its z-score and family kept
+// beside it (core.ZNone for a snapshot no family covers).
 type rankCand struct {
 	RankedProcess
-	z float64
+	z   float64
+	fam core.ZFamily
 }
 
 // topKScratch is TopK's heap, reused across calls through Monitor.topK:
@@ -868,7 +851,7 @@ type rankCand struct {
 // allocates its own. It is not a sync.Pool, whose random drops under
 // the race detector would break the zero-allocation refresh there. It
 // keeps the capacity of the largest heap asked for, at most one
-// 32-byte candidate per process.
+// 40-byte candidate per process.
 type topKScratch struct{ heap []rankCand }
 
 // cmpTopK is the TopK output order: higher level first, equal levels by

@@ -10,6 +10,7 @@ import (
 
 	"accrual/internal/clock"
 	"accrual/internal/core"
+	"accrual/internal/kappa"
 	"accrual/internal/telemetry"
 	"accrual/internal/transport/intern"
 )
@@ -149,6 +150,27 @@ func TestWalkSteadyStateZeroAlloc(t *testing.T) {
 			_ = sink.Load()
 		})
 	}
+	t.Run("kappa-one-term", func(t *testing.T) {
+		// κ fleets where TopK's gate and zero shortcut both work: one
+		// heartbeat each, 50 µs apart, read 990 ms after the first, so z
+		// runs from −10 (the band) past −40 (the zero region).
+		clk := clock.NewManual(start)
+		m := NewMonitor(clk, func(_ string, st time.Time) core.Detector {
+			return kappa.New(st, kappa.PLater{}, kappa.WithFixedInterval(time.Second))
+		}, WithShardCount(8))
+		first := clk.Now()
+		for i := 0; i < 2048; i++ {
+			if err := m.Heartbeat(core.Heartbeat{From: fmt.Sprintf("walk-%05d", i), Seq: 1, Arrived: clk.Now()}); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(50 * time.Microsecond)
+		}
+		clk.Set(first.Add(990 * time.Millisecond))
+		dst := m.TopK(16, make([]RankedProcess, 0, 16))
+		if allocs := testing.AllocsPerRun(20, func() { dst = m.TopK(16, dst[:0]) }); allocs != 0 {
+			t.Errorf("TopK: %v allocs per full-fleet pass, want 0", allocs)
+		}
+	})
 }
 
 // checkSeriesAgainstReference compares every shard's AppendShardSeries
